@@ -1,0 +1,122 @@
+"""The energy quadrature against an independent integrator, and its failure bound."""
+
+import functools
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
+
+from dcflow import calculus
+from dcflow.calculus import QUADRATURE_TOL, segment_face_energies
+from dcflow.errors import QuadratureFailureError
+from dcflow.geometry import ConformalState, Geometry, curvature
+
+from conftest import make_setup, random_admissible_state
+from test_solve import cone_torus_setup, degenerate_cone_state
+
+
+def oracle_face_energies(surface, weights, geometry, u_from, u_to):
+    """Per-face integrals of theta . du by QUADPACK, one face at a time.
+
+    The integrand comes from the public ``curvature`` report, and every
+    face whose triangle-inequality margin changes sign along the path has
+    its crossing located by Brent's method and passed as a breakpoint.
+    Returns the integrals and the number of crossings.
+    """
+    du = u_to - u_from
+
+    @functools.lru_cache(maxsize=None)
+    def report(t):
+        state = ConformalState(geometry, weights.epsilon, u_from + t * du)
+        return curvature(surface, weights, state, extended=True)
+
+    def margin(face, t):
+        a = report(t).lengths[surface.face_edges[face]]
+        return min(a[(c + 1) % 3] + a[(c + 2) % 3] - a[c] for c in range(3))
+
+    values, crossings = [], 0
+    for face, corners in enumerate(surface.faces):
+        points = None
+        if (margin(face, 0.0) > 0.0) != (margin(face, 1.0) > 0.0):
+            points = [brentq(lambda t: margin(face, t), 0.0, 1.0, xtol=1e-15)]
+            crossings += 1
+        value, error = quad(
+            lambda t: report(t).angles[face] @ du[corners],
+            0.0,
+            1.0,
+            epsabs=1e-13,
+            epsrel=0.0,
+            points=points,
+            limit=200,
+        )
+        assert error < 1e-12
+        values.append(value)
+    return np.array(values), crossings
+
+
+def random_path(kind, dims, geometry, seed):
+    """Strict path between two random nondegenerate states, eps = 1."""
+    surface, weights, _ = make_setup(kind, dims, epsilon=1, geometry=geometry)
+    rng = np.random.default_rng(seed)
+    a, b = (random_admissible_state(surface, weights, geometry, rng) for _ in range(2))
+    return surface, weights, geometry, a.u, b.u, False
+
+
+def smooth_euclidean_path():
+    return random_path("torus_grid", (4, 4), Geometry.EUCLIDEAN, 11)
+
+
+def hyperbolic_path():
+    return random_path("genus2", (), Geometry.HYPERBOLIC, 12)
+
+
+def wall_crossing_path():
+    surface, weights = cone_torus_setup()
+    end = degenerate_cone_state(surface, weights)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), end.u, True
+
+
+@pytest.mark.filterwarnings("error", category=IntegrationWarning)
+@pytest.mark.parametrize(
+    "path", [smooth_euclidean_path, hyperbolic_path, wall_crossing_path], ids=lambda p: p.__name__
+)
+def test_face_energies_match_quadpack(path):
+    surface, weights, geometry, u_from, u_to, extended = path()
+    ours = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+    oracle, crossings = oracle_face_energies(surface, weights, geometry, u_from, u_to)
+    assert (crossings > 0) == extended
+    assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
+
+
+def test_nonconvergent_integrand_fails_within_piece_cap(monkeypatch):
+    # seeded noise on the integrand defeats every rule, so the quadrature
+    # must give up at the piece cap without building anything larger
+    assert calculus._PIECE_CAP <= 1 << 10
+    rules, sizes = [], []
+    gauss_rule = calculus._gauss_rule
+    energy_evaluator = calculus._energy_evaluator
+    rng = np.random.default_rng(13)
+
+    def recording_rule(n):
+        rules.append(n)
+        return gauss_rule(n)
+
+    def noisy_evaluator(*args):
+        evaluate = energy_evaluator(*args)
+
+        def noisy(ts):
+            vals, margins = evaluate(ts)
+            sizes.append(vals.shape[-1])
+            return vals + rng.normal(0.0, 1e-3, vals.shape), margins
+
+        return noisy
+
+    monkeypatch.setattr(calculus, "_gauss_rule", recording_rule)
+    monkeypatch.setattr(calculus, "_energy_evaluator", noisy_evaluator)
+    surface, weights, state = make_setup("torus_grid", (3, 3))
+    u = np.random.default_rng(14).normal(0.0, 0.2, surface.vertex_count)
+    with pytest.raises(QuadratureFailureError):
+        segment_face_energies(surface, weights, Geometry.EUCLIDEAN, state.u, u)
+    assert max(rules) == calculus._PIECE_CAP
+    assert max(sizes) <= calculus._PIECE_CAP
