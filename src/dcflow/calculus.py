@@ -12,12 +12,17 @@ straight segment from a base state.  The integrand is continuous but
 only piecewise smooth when the segment crosses a degeneracy wall, so
 the quadrature first locates every wall crossing by bisection and then
 runs doubling Gauss-Legendre rules on each smooth piece.
+
+Lengths, margins, degeneracy and angles all come from the kernel in
+``geometry``; the integrand evaluates them per vertex, per edge and per
+face, and a lone triangle runs as a one-face complex.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,10 +36,11 @@ from .geometry import (
     ConformalState,
     Geometry,
     _angles_opposite,
-    _degenerate_corners,
+    _degeneracy,
+    _edge_lengths,
     base_state,
     curvature,
-    edge_length,
+    edge_lengths,
     u_to_f,
 )
 from .surface import TriangulatedSurface, WeightConfig
@@ -56,19 +62,22 @@ _PIECE_CAP = 1 << 10
 _TOTAL_CAP = 1 << 20
 
 
+class _Mesh(NamedTuple):
+    faces: np.ndarray
+    edges: np.ndarray
+    face_edges: np.ndarray
+
+
+# A lone triangle as a one-face complex: edge c is opposite corner c.
+_TRIANGLE = _Mesh(
+    faces=np.array([[0, 1, 2]]),
+    edges=np.array([[1, 2], [0, 2], [0, 1]]),
+    face_edges=np.array([[0, 1, 2]]),
+)
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
-
-
-def _face_lengths(geometry, eps3, eta3, f3):
-    # a[..., c] is the length of the edge opposite corner c.
-    cols = []
-    for c in range(3):
-        p, q = (c + 1) % 3, (c + 2) % 3
-        cols.append(
-            edge_length(geometry, eps3[..., p], eps3[..., q], eta3[..., c], f3[..., p], f3[..., q])
-        )
-    return np.stack(cols, axis=-1)
 
 
 def _corner_jacobian_core(geometry, eps3, eta3, f3, a, theta):
@@ -136,8 +145,8 @@ def triangle_jacobian(geometry: Geometry, epsilon_triple, eta_triple, u_triple) 
     eta3 = np.asarray(eta_triple, dtype=np.float64)
     u3 = np.asarray(u_triple, dtype=np.float64)
     f3 = np.asarray(u_to_f(geometry, eps3.astype(np.int64), u3))
-    a = _face_lengths(geometry, eps3, eta3, f3)
-    deg = _degenerate_corners(a)
+    a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
+    _, deg = _degeneracy(a)
     if int(deg) >= 0:
         raise DegenerateTriangleError("angle Jacobian undefined on a degeneracy wall")
     theta = _angles_opposite(geometry, a, deg)
@@ -160,8 +169,8 @@ def face_corner_jacobians(
     eps3 = weights.epsilon[surface.faces].astype(np.float64)
     eta3 = weights.eta[surface.face_edges]
     f3 = state.f[surface.faces]
-    a = _face_lengths(state.geometry, eps3, eta3, f3)
-    deg = _degenerate_corners(a)
+    a = edge_lengths(surface, weights, state)[surface.face_edges]
+    _, deg = _degeneracy(a)
     if np.any(deg >= 0):
         if not extended:
             face = int(np.nonzero(deg >= 0)[0][0])
@@ -250,49 +259,28 @@ class EnergyValue:
     extended: bool
 
 
-def _energy_evaluator(geometry, eps3, eta3, u0_3, u1_3, extended):
-    du3 = u1_3 - u0_3
-    eps_int = eps3.astype(np.int64)
+def _energy_evaluator(geometry, mesh, epsilon, eta, u0, u1):
+    # The path runs per vertex (u -> f), per edge (lengths) and per face
+    # (gather); ``mesh`` is a surface or the one-face _TRIANGLE.
+    du = u1 - u0
+    du3 = du[mesh.faces]
+    eps_col = np.asarray(epsilon)[:, None]
 
     def evaluate(ts):
         ts = np.asarray(ts, dtype=np.float64)
-        u_t = u0_3[..., None] + ts * du3[..., None]  # (F, 3, T)
-        f_t = np.asarray(u_to_f(geometry, eps_int[..., None], u_t))
-        cols = []
+        f_t = np.asarray(u_to_f(geometry, eps_col, u0[:, None] + ts * du[:, None]))
+        lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
+        # gather corner by corner into a contiguous (F, T, 3) block, so no
+        # (F, 3, T) copy is alive while the angles are evaluated
+        a = np.empty((len(mesh.faces), ts.size, 3))
         for c in range(3):
-            p, q = (c + 1) % 3, (c + 2) % 3
-            cols.append(
-                edge_length(
-                    geometry,
-                    eps3[:, p, None],
-                    eps3[:, q, None],
-                    eta3[:, c, None],
-                    f_t[:, p, :],
-                    f_t[:, q, :],
-                )
-            )
-        a = np.stack(cols, axis=-1)  # (F, T, 3)
-        margins = np.min(
-            np.stack(
-                [a[..., (c + 1) % 3] + a[..., (c + 2) % 3] - a[..., c] for c in range(3)],
-                axis=-1,
-            ),
-            axis=-1,
-        )  # (F, T)
-        deg = _degenerate_corners(a)
+            a[..., c] = lengths[mesh.face_edges[:, c]]
+        margins, deg = _degeneracy(a)
         theta = _angles_opposite(geometry, a, deg)
         vals = np.einsum("ftc,fc->ft", theta, du3)
         return vals, margins
 
     return evaluate
-
-
-class _PathDegeneracy(Exception):
-    """Internal: the strict integration path touched a wall."""
-
-    def __init__(self, face: int):
-        super().__init__(face)
-        self.face = face
 
 
 def _locate_crossings(evaluate, grid, margins):
@@ -349,19 +337,23 @@ def _gauss_anchored(evaluate, anchor, far, tol, budget):
         n *= 2
 
 
-def _integrate_face_energies(geometry, eps3, eta3, u0_3, u1_3, extended, tol):
-    """Per-face path integrals of the angle form along the straight segment."""
-    if np.array_equal(u0_3, u1_3):
-        return np.zeros(len(eps3))
-    evaluate = _energy_evaluator(geometry, eps3, eta3, u0_3, u1_3, extended)
+def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol):
+    """Per-face path integrals of the angle form along the straight segment.
+
+    Raises DegenerateFaceError without ``extended`` when the path touches
+    a wall.
+    """
+    if np.array_equal(u0, u1):
+        return np.zeros(len(mesh.faces))
+    evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, u1)
     grid = np.linspace(0.0, 1.0, 65)
     _, margins = evaluate(grid)
     if not extended and np.any(margins <= 0.0):
         face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
-        raise _PathDegeneracy(face)
+        raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
     cuts = _locate_crossings(evaluate, grid, margins) if extended else []
     knots = [0.0] + cuts + [1.0]
-    total = np.zeros(len(eps3))
+    total = np.zeros(len(mesh.faces))
     budget = _TOTAL_CAP
     piece_tol = tol / (2 * len(knots))
     for t0, t1 in zip(knots[:-1], knots[1:]):
@@ -390,22 +382,14 @@ def triangle_energy(
     (checked by sampling).  The value changes by exactly pi * t when all
     three corners shift by t in the Euclidean case.
     """
-    eps3 = np.asarray(epsilon_triple, dtype=np.float64).reshape(1, 3)
-    eta3 = np.asarray(eta_triple, dtype=np.float64).reshape(1, 3)
-    u1 = np.asarray(u_triple, dtype=np.float64).reshape(1, 3)
+    eps = np.asarray(epsilon_triple, dtype=np.float64).astype(np.int64).reshape(3)
+    eta = np.asarray(eta_triple, dtype=np.float64).reshape(3)
+    u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
     if base_triple is None:
-        eps_int = eps3.astype(np.int64).ravel()
-        u0 = np.asarray(
-            base_state(geometry, eps_int).u, dtype=np.float64
-        ).reshape(1, 3)
+        u0 = base_state(geometry, eps).u
     else:
-        u0 = np.asarray(base_triple, dtype=np.float64).reshape(1, 3)
-    try:
-        vals = _integrate_face_energies(geometry, eps3, eta3, u0, u1, extended, tol)
-    except _PathDegeneracy as exc:
-        raise DegenerateTriangleError(
-            "integration path leaves the nondegenerate region"
-        ) from exc
+        u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
+    vals = _integrate_face_energies(geometry, _TRIANGLE, eps, eta, u0, u1, extended, tol)
     return float(vals[0])
 
 
@@ -424,18 +408,16 @@ def segment_face_energies(
     from-base integrals; flow traces use this for incremental energy
     updates instead of re-integrating from the base at every row.
     """
-    u_from = np.asarray(u_from, dtype=np.float64)
-    u_to = np.asarray(u_to, dtype=np.float64)
-    eps3 = weights.epsilon[surface.faces].astype(np.float64)
-    eta3 = weights.eta[surface.face_edges]
-    try:
-        return _integrate_face_energies(
-            geometry, eps3, eta3, u_from[surface.faces], u_to[surface.faces], extended, tol
-        )
-    except _PathDegeneracy as exc:
-        raise DegenerateFaceError(
-            exc.face, "integration path leaves the nondegenerate region"
-        ) from exc
+    return _integrate_face_energies(
+        geometry,
+        surface,
+        weights.epsilon,
+        weights.eta,
+        np.asarray(u_from, dtype=np.float64),
+        np.asarray(u_to, dtype=np.float64),
+        extended,
+        tol,
+    )
 
 
 def surface_energies(
@@ -458,17 +440,9 @@ def surface_energies(
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)
-
-    eps3 = weights.epsilon[surface.faces].astype(np.float64)
-    eta3 = weights.eta[surface.face_edges]
-    u0_3 = base.u[surface.faces]
-    u1_3 = state.u[surface.faces]
-    try:
-        per_face = _integrate_face_energies(geometry, eps3, eta3, u0_3, u1_3, extended, tol)
-    except _PathDegeneracy as exc:
-        raise DegenerateFaceError(
-            exc.face, "integration path leaves the nondegenerate region"
-        ) from exc
+    per_face = _integrate_face_energies(
+        geometry, surface, weights.epsilon, weights.eta, base.u, state.u, extended, tol
+    )
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     if geometry is Geometry.EUCLIDEAN:

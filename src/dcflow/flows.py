@@ -28,7 +28,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, base_state, curvature, edge_lengths
+from .geometry import ConformalState, Geometry, _degeneracy, base_state, curvature, edge_lengths
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -253,10 +253,8 @@ def vector_field(
 
 
 def _min_margin(surface, weights, state):
-    lengths = edge_lengths(surface, weights, state)
-    a = lengths[surface.face_edges]
-    margins = a.sum(axis=1, keepdims=True) - 2.0 * a
-    return float(margins.min())
+    margin, _ = _degeneracy(edge_lengths(surface, weights, state)[surface.face_edges])
+    return float(margin.min())
 
 
 _REJECT_DEGENERATE = "degenerate"

@@ -18,6 +18,12 @@ two combined (equality included).  Angles extend continuously across
 that wall: the angle at the offending corner becomes pi, the other two
 become zero, and every derived quantity (curvature, areas) accepts the
 extended values.
+
+This module is the one per-face metric kernel of the package: lengths
+come from ``_lengths`` (per edge through ``_edge_lengths``), triangle
+margins and the degenerate corner from ``_degeneracy``, and angles from
+``_angles_opposite``.  Curvature, the Jacobians, the energy quadrature
+and the strict-flow wall check all call these; none recomputes them.
 """
 
 from __future__ import annotations
@@ -186,15 +192,9 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 # lengths
 
 
-def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
-    """Length of one edge from the exponents at its ends.  Broadcasts."""
-    eps_i = np.asarray(eps_i, dtype=np.float64)
-    eps_j = np.asarray(eps_j, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    f_i = np.asarray(f_i, dtype=np.float64)
-    f_j = np.asarray(f_j, dtype=np.float64)
-    _check_f_range(f_i)
-    _check_f_range(f_j)
+def _lengths(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j) -> np.ndarray:
+    # Unchecked core of every length evaluation: the exponents must
+    # already satisfy |f| <= F_CAP.
     if geometry is Geometry.EUCLIDEAN:
         with np.errstate(over="ignore", invalid="ignore"):
             rad = (
@@ -208,36 +208,62 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
             raise NumericalDomainError(
                 "non-positive squared length; weight conditions violated"
             )
-        out = np.sqrt(rad)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_i, s_j = np.exp(f_i), np.exp(f_j)
-            c_i = np.where(eps_i == 1.0, np.hypot(1.0, s_i), 1.0)
-            c_j = np.where(eps_j == 1.0, np.hypot(1.0, s_j), 1.0)
-            ch = c_i * c_j + eta * s_i * s_j
-        if np.any(~np.isfinite(ch)):
-            raise OverflowRangeError("hyperbolic length overflow")
-        if np.any(ch <= 1.0):
-            raise NumericalDomainError(
-                "cosh(length) <= 1; weight conditions violated"
-            )
-        out = np.arccosh(ch)
+        return np.sqrt(rad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_i, s_j = np.exp(f_i), np.exp(f_j)
+        c_i = np.where(eps_i == 1.0, np.hypot(1.0, s_i), 1.0)
+        c_j = np.where(eps_j == 1.0, np.hypot(1.0, s_j), 1.0)
+        ch = c_i * c_j + eta * s_i * s_j
+    if np.any(~np.isfinite(ch)):
+        raise OverflowRangeError("hyperbolic length overflow")
+    if np.any(ch <= 1.0):
+        raise NumericalDomainError("cosh(length) <= 1; weight conditions violated")
+    return np.arccosh(ch)
+
+
+def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
+    """Length of one edge from the exponents at its ends.  Broadcasts."""
+    f_i = np.asarray(f_i, dtype=np.float64)
+    f_j = np.asarray(f_j, dtype=np.float64)
+    _check_f_range(f_i)
+    _check_f_range(f_j)
+    out = _lengths(
+        geometry,
+        np.asarray(eps_i, dtype=np.float64),
+        np.asarray(eps_j, dtype=np.float64),
+        np.asarray(eta, dtype=np.float64),
+        f_i,
+        f_j,
+    )
     return out if out.shape else float(out)
+
+
+def _edge_lengths(geometry: Geometry, epsilon, eta, edges, f) -> np.ndarray:
+    """Lengths of ``edges`` from per-vertex exponents ``f`` of shape (V, ...).
+
+    ``eta`` holds one weight per edge; the result has shape (E, ...),
+    broadcasting over the trailing axes of ``f``.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    column = (-1,) + (1,) * (f.ndim - 1)
+    eps = np.asarray(epsilon, dtype=np.float64)
+    i, j = edges[:, 0], edges[:, 1]
+    return _lengths(
+        geometry,
+        eps[i].reshape(column),
+        eps[j].reshape(column),
+        np.asarray(eta, dtype=np.float64).reshape(column),
+        f[i],
+        f[j],
+    )
 
 
 def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
     """Lengths of all edges in canonical edge order."""
-    i, j = surface.edges[:, 0], surface.edges[:, 1]
-    f = state.f
-    return edge_length(
-        state.geometry,
-        weights.epsilon[i],
-        weights.epsilon[j],
-        weights.eta,
-        f[i],
-        f[j],
+    return _edge_lengths(
+        state.geometry, weights.epsilon, weights.eta, surface.edges, state.f
     )
 
 
@@ -260,21 +286,21 @@ class DegeneracyClass:
         return self.corner is not None
 
 
-def _opposite_margins(a: np.ndarray) -> np.ndarray:
-    # a[..., c] is the length opposite corner c; margin at c is the slack
-    # in the triangle inequality whose long side faces c.
-    m = np.empty_like(a)
-    for c in range(3):
-        m[..., c] = a[..., (c + 1) % 3] + a[..., (c + 2) % 3] - a[..., c]
-    return m
+def _degeneracy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one wall test: (min margin, degenerate corner) of each triangle.
 
-
-def _degenerate_corners(a: np.ndarray) -> np.ndarray:
-    # At most one margin can be non-positive at a time.
-    m = _opposite_margins(a)
+    ``a[..., c]`` is the length opposite corner c, and the margin at c is
+    the slack a[c+1] + a[c+2] - a[c] of the triangle inequality whose long
+    side faces c.  At most one margin can be non-positive at a time; the
+    corner is -1 when every margin is positive.
+    """
+    m = np.stack(
+        [a[..., (c + 1) % 3] + a[..., (c + 2) % 3] - a[..., c] for c in range(3)],
+        axis=-1,
+    )
     worst = np.argmin(m, axis=-1)
-    value = np.take_along_axis(m, worst[..., None], axis=-1)[..., 0]
-    return np.where(value <= 0.0, worst, -1)
+    margin = np.take_along_axis(m, worst[..., None], axis=-1)[..., 0]
+    return margin, np.where(margin <= 0.0, worst, -1)
 
 
 def _checked_arccos(x: np.ndarray) -> np.ndarray:
@@ -324,15 +350,13 @@ def _angles_opposite(geometry: Geometry, a: np.ndarray, deg: np.ndarray) -> np.n
     return theta.reshape(a.shape)
 
 
-def _as_opposite(l_ij, l_ik, l_jk) -> np.ndarray:
-    return np.stack(
-        [
-            np.asarray(l_jk, dtype=np.float64),
-            np.asarray(l_ik, dtype=np.float64),
-            np.asarray(l_ij, dtype=np.float64),
-        ],
-        axis=-1,
-    )
+def _triangle(l_ij, l_ik, l_jk) -> tuple[np.ndarray, int]:
+    # Opposite lengths and degenerate corner of one triangle given by
+    # side-named lengths; the shared entry of the single-triangle ops.
+    a = np.stack([np.asarray(x, dtype=np.float64) for x in (l_jk, l_ik, l_ij)], axis=-1)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise BadParameterError("lengths must be positive and finite")
+    return a, int(_degeneracy(a)[1])
 
 
 def classify_triangle(geometry: Geometry, l_ij, l_ik, l_jk) -> DegeneracyClass:
@@ -341,22 +365,18 @@ def classify_triangle(geometry: Geometry, l_ij, l_ik, l_jk) -> DegeneracyClass:
     The predicate is the same in both geometries: corner q is degenerate
     when the opposite edge is at least as long as the other two combined.
     """
-    a = _as_opposite(l_ij, l_ik, l_jk)
-    if np.any(a <= 0.0) or np.any(~np.isfinite(a)):
-        raise BadParameterError("lengths must be positive and finite")
-    corner = int(_degenerate_corners(a))
+    _, corner = _triangle(l_ij, l_ik, l_jk)
     return DegeneracyClass(corner=None if corner < 0 else corner)
 
 
 def triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     """Inner angles (theta_i, theta_j, theta_k) of a nondegenerate triangle."""
-    a = _as_opposite(l_ij, l_ik, l_jk)
-    deg = _degenerate_corners(a)
-    if int(deg) >= 0:
+    a, corner = _triangle(l_ij, l_ik, l_jk)
+    if corner >= 0:
         raise DegenerateTriangleError(
-            f"triangle degenerate at corner {int(deg)}; use the extended angles"
+            f"triangle degenerate at corner {corner}; use the extended angles"
         )
-    theta = _angles_opposite(geometry, a, deg)
+    theta = _angles_opposite(geometry, a, corner)
     return float(theta[..., 0]), float(theta[..., 1]), float(theta[..., 2])
 
 
@@ -367,11 +387,8 @@ def extended_triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     triangle degenerate at q the value is pi at q and 0 at the other two
     corners, which is the continuous limit.
     """
-    a = _as_opposite(l_ij, l_ik, l_jk)
-    if np.any(a <= 0.0) or np.any(~np.isfinite(a)):
-        raise BadParameterError("lengths must be positive and finite")
-    deg = _degenerate_corners(a)
-    theta = _angles_opposite(geometry, a, deg)
+    a, corner = _triangle(l_ij, l_ik, l_jk)
+    theta = _angles_opposite(geometry, a, corner)
     return float(theta[..., 0]), float(theta[..., 1]), float(theta[..., 2])
 
 
@@ -437,7 +454,7 @@ def curvature(
     """
     lengths = edge_lengths(surface, weights, state)
     a = lengths[surface.face_edges]
-    deg = _degenerate_corners(a)
+    _, deg = _degeneracy(a)
     if not extended and np.any(deg >= 0):
         face = int(np.nonzero(deg >= 0)[0][0])
         raise DegenerateFaceError(face)

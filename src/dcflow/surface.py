@@ -66,7 +66,6 @@ class TriangulatedSurface:
     edge_faces: np.ndarray
     vertex_degrees: np.ndarray
     edge_index: dict = field(repr=False)
-    vertex_faces: tuple = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -155,7 +154,6 @@ def build_surface(vertex_count: int, face_list) -> TriangulatedSurface:
         edge_faces=edge_faces,
         vertex_degrees=degrees,
         edge_index=edge_index,
-        vertex_faces=tuple(np.asarray(fs, dtype=np.int64) for fs in vertex_faces),
     )
 
 

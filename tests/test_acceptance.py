@@ -34,8 +34,7 @@ from dcflow import (
     triangle_energy,
     validate_weights,
 )
-from dcflow.calculus import _face_lengths
-from dcflow.geometry import _angles_opposite, _degenerate_corners
+from dcflow.geometry import _angles_opposite, _degeneracy, _edge_lengths
 
 from conftest import random_admissible_state
 
@@ -452,8 +451,6 @@ class TestAcceptance:
         weights = WeightConfig.uniform(surface, 1, 2.0)
         i, j = surface.edges[0]
         wall = np.log(4.0 + 3.0 * np.sqrt(2.0))  # two equal factors degenerate here
-        eps3 = weights.epsilon[surface.faces].astype(np.float64)
-        eta3 = weights.eta[surface.face_edges]
         spacing = 1e-4
         ts = np.arange(0.0, 1.0 + spacing / 2.0, spacing)
 
@@ -471,9 +468,11 @@ class TestAcceptance:
             u0 = center - 0.05 * direction
             u1 = center + 0.05 * direction
             u_path = (1.0 - ts)[:, None] * u0 + ts[:, None] * u1
-            f3 = u_path[:, surface.faces]  # Euclidean: u = f
-            a = _face_lengths(Geometry.EUCLIDEAN, eps3, eta3, f3)
-            deg = _degenerate_corners(a)
+            lengths = _edge_lengths(  # Euclidean: u = f
+                Geometry.EUCLIDEAN, weights.epsilon, weights.eta, surface.edges, u_path.T
+            )
+            a = lengths.T[:, surface.face_edges]
+            _, deg = _degeneracy(a)
             crossings = int(np.sum((deg[1:] >= 0) != (deg[:-1] >= 0)))
             if crossings == 0:
                 continue

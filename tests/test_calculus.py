@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcflow.calculus import (
+    _TRIANGLE,
     curvature_jacobian,
     face_corner_jacobians,
     fd_gradient,
@@ -20,6 +21,7 @@ from dcflow.errors import (
 from dcflow.geometry import (
     ConformalState,
     Geometry,
+    _edge_lengths,
     base_state,
     curvature,
     extended_triangle_angles,
@@ -43,9 +45,7 @@ def random_triple(geometry, rng):
         else:
             u3 = rng.uniform(-0.5, 0.5, 3)
         f3 = np.asarray(u_to_f(geometry, eps3, u3))
-        from dcflow.calculus import _face_lengths
-
-        a = _face_lengths(geometry, eps3.astype(float), eta3, f3)
+        a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
         margins = np.array([a[(c + 1) % 3] + a[(c + 2) % 3] - a[c] for c in range(3)])
         if margins.min() > 0.1:
             return eps3, eta3, u3
@@ -54,9 +54,7 @@ def random_triple(geometry, rng):
 
 def face_angles(geometry, eps3, eta3, u3):
     f3 = np.asarray(u_to_f(geometry, np.asarray(eps3), np.asarray(u3)))
-    from dcflow.calculus import _face_lengths
-
-    a = _face_lengths(geometry, np.asarray(eps3, float), np.asarray(eta3, float), f3)
+    a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
     # a[c] is opposite corner c; triangle_angles takes side-named lengths
     return triangle_angles(geometry, a[2], a[1], a[0])
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from dcflow.calculus import curvature_jacobian, fd_gradient, surface_energies
+from dcflow.calculus import (
+    curvature_jacobian,
+    face_corner_jacobians,
+    fd_gradient,
+    surface_energies,
+)
 from dcflow.errors import (
     BadParameterError,
     DegenerateFaceError,
@@ -14,13 +19,21 @@ from dcflow.flows import (
     FlowSpec,
     StepStatus,
     TerminationReason,
+    _min_margin,
     check_target,
     resolve_target,
     run_flow,
     step,
     vector_field,
 )
-from dcflow.geometry import ConformalState, Geometry, base_state, curvature
+from dcflow.geometry import (
+    ConformalState,
+    Geometry,
+    base_state,
+    classify_triangle,
+    curvature,
+    edge_lengths,
+)
 from dcflow.surface import WeightConfig, generate
 
 from conftest import random_admissible_state
@@ -248,6 +261,57 @@ class TestStep:
         spec = FlowSpec(FlowKind.CALABI, Geometry.EUCLIDEAN)
         _, outcome = step(spec, surface, weights, state, 1e-2)
         assert outcome.status is StepStatus.DEGENERATED
+
+    def test_wall_tests_agree_at_adjacent_floats(self):
+        # criterion 9's wall: eps = 1, eta = 2, and both ends of edge 0 at
+        # log(4 + 3 sqrt 2) make the two faces on that edge degenerate.
+        # Bisect u_i to the two adjacent floats that straddle the wall and
+        # ask every wall test which faces are degenerate on each side.
+        surface = generate("torus_grid", 3, 3)
+        weights = WeightConfig.uniform(surface, 1, 2.0)
+        i, j = surface.edges[0]
+        wall = np.log(4.0 + 3.0 * np.sqrt(2.0))
+        rng = np.random.default_rng(71)
+
+        def state_at(u, x):
+            u = u.copy()
+            u[i] = x
+            return ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+
+        def classified(state):
+            a = edge_lengths(surface, weights, state)[surface.face_edges]
+            return [
+                f
+                for f in range(surface.face_count)
+                if classify_triangle(Geometry.EUCLIDEAN, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
+            ]
+
+        for _ in range(40):
+            u = rng.normal(0.0, 0.02, surface.vertex_count)
+            u[j] += wall
+            lo, hi = wall - 0.5, wall + 0.5
+            assert not classified(state_at(u, lo)) and classified(state_at(u, hi))
+            while np.nextafter(lo, hi) != hi:
+                mid = 0.5 * (lo + hi)
+                if classified(state_at(u, mid)):
+                    hi = mid
+                else:
+                    lo = mid
+            for x, side in ((lo, False), (hi, True)):
+                state = state_at(u, x)
+                faces = classified(state)
+                assert bool(faces) is side
+                assert (_min_margin(surface, weights, state) <= 0.0) is side
+                if not side:
+                    curvature(surface, weights, state, extended=False)
+                    face_corner_jacobians(surface, weights, state, extended=False)
+                    continue
+                with pytest.raises(DegenerateFaceError) as raised:
+                    curvature(surface, weights, state, extended=False)
+                assert raised.value.face_index == faces[0]
+                with pytest.raises(DegenerateFaceError) as raised:
+                    face_corner_jacobians(surface, weights, state, extended=False)
+                assert raised.value.face_index == faces[0]
 
     def test_hyperbolic_anomaly_on_sign_violation(self):
         surface, weights = genus2_setup(epsilon=1)

@@ -211,6 +211,15 @@ def test_classification():
         classify_triangle(EU, -1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("op", [triangle_angles, extended_triangle_angles, classify_triangle])
+def test_single_triangle_ops_reject_bad_lengths(op, bad):
+    for geometry in (EU, HY):
+        for lengths in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(BadParameterError):
+                op(geometry, *lengths)
+
+
 def test_at_most_one_degenerate_corner():
     rng = np.random.default_rng(7)
     lengths = rng.uniform(0.05, 4.0, size=(500, 3))
