@@ -10,8 +10,9 @@ except at hyperbolic cone corners, where it equals C_c.
 Energies are line integrals of the (closed) angle one-form along the
 straight segment from a base state.  The integrand is continuous but
 only piecewise smooth when the segment crosses a degeneracy wall, so
-the quadrature first locates every wall crossing by bisection and then
-runs doubling Gauss-Legendre rules on each smooth piece.
+the quadrature first locates every wall crossing, by a scan and a
+bisection that evaluate triangle margins only, and then runs doubling
+Gauss-Legendre rules on each smooth piece.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
 ``geometry``; the integrand evaluates them per vertex, per edge and per
@@ -259,31 +260,33 @@ class EnergyValue:
     extended: bool
 
 
-def _energy_evaluator(geometry, mesh, epsilon, eta, u0, u1):
-    # The path runs per vertex (u -> f), per edge (lengths) and per face
-    # (gather); ``mesh`` is a surface or the one-face _TRIANGLE.
-    du = u1 - u0
+def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
+    # Opposite lengths (F, T, 3), min margins and degenerate corners at
+    # u0 + ts * du, per vertex (u -> f), per edge (lengths) and per face;
+    # the wall scan and the bisection use the margins alone, no angles.
+    u_t = u0[:, None] + ts * du[:, None]
+    f_t = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_t))
+    lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
+    # gather corner by corner into a contiguous (F, T, 3) block, so no
+    # (F, 3, T) copy is alive while the angles are evaluated
+    a = np.empty((len(mesh.faces), ts.size, 3))
+    for c in range(3):
+        a[..., c] = lengths[mesh.face_edges[:, c]]
+    return (a, *_degeneracy(a))
+
+
+def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
+    # ``mesh`` is a surface or the one-face _TRIANGLE
     du3 = du[mesh.faces]
-    eps_col = np.asarray(epsilon)[:, None]
 
     def evaluate(ts):
-        ts = np.asarray(ts, dtype=np.float64)
-        f_t = np.asarray(u_to_f(geometry, eps_col, u0[:, None] + ts * du[:, None]))
-        lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
-        # gather corner by corner into a contiguous (F, T, 3) block, so no
-        # (F, 3, T) copy is alive while the angles are evaluated
-        a = np.empty((len(mesh.faces), ts.size, 3))
-        for c in range(3):
-            a[..., c] = lengths[mesh.face_edges[:, c]]
-        margins, deg = _degeneracy(a)
-        theta = _angles_opposite(geometry, a, deg)
-        vals = np.einsum("ftc,fc->ft", theta, du3)
-        return vals, margins
+        a, margins, deg = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
+        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a, deg), du3), margins
 
     return evaluate
 
 
-def _locate_crossings(evaluate, grid, margins):
+def _locate_crossings(shape, grid, margins):
     # margins: (F, T) on the scan grid; returns sorted interior cut points
     sign = margins > 0.0
     cuts = []
@@ -293,8 +296,7 @@ def _locate_crossings(evaluate, grid, margins):
         want = sign[face, cell]  # margin sign at lo
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            _, m = evaluate(np.array([mid]))
-            if (m[face, 0] > 0.0) == want:
+            if (shape(np.array([mid]))[1][face, 0] > 0.0) == want:
                 lo = mid
             else:
                 hi = mid
@@ -345,13 +347,15 @@ def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol
     """
     if np.array_equal(u0, u1):
         return np.zeros(len(mesh.faces))
-    evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, u1)
+    du = u1 - u0
+    shape = functools.partial(_segment_shape, geometry, mesh, epsilon, eta, u0, du)
     grid = np.linspace(0.0, 1.0, 65)
-    _, margins = evaluate(grid)
+    margins = shape(grid)[1]
     if not extended and np.any(margins <= 0.0):
         face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
         raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
-    cuts = _locate_crossings(evaluate, grid, margins) if extended else []
+    cuts = _locate_crossings(shape, grid, margins) if extended else []
+    evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, du)
     knots = [0.0] + cuts + [1.0]
     total = np.zeros(len(mesh.faces))
     budget = _TOTAL_CAP

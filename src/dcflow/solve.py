@@ -4,12 +4,14 @@ Damped Newton iteration on the extended potential, whose gradient is
 the extended curvature deficit.  The potential is convex, C1 on the
 whole coordinate space, and C2 away from the degeneracy walls; in the
 interior of a degenerate region the Hessian simply drops the blocks of
-the degenerate faces.  When that restricted Hessian loses definiteness
-the iteration falls back to plain gradient descent for the step.
-
-The Euclidean Hessian annihilates the all-ones vector, so Newton
-systems are solved with a rank-one bump that pins the iteration to the
-hyperplane where the coordinate sum equals that of the initial guess.
+the degenerate faces.  When that sparse Hessian cannot be factored, or
+its step is not a finite descent direction, the step is plain gradient
+descent.  The Euclidean Hessian annihilates the all-ones vector, so its
+system is solved with vertex 0 pinned and the step shifted to zero mean,
+which keeps the coordinate sum at that of the initial guess.  The
+certificate comes from shift-invert Lanczos with a fixed start vector.
+The potential is integrated from the base state once; the line search
+adds the increments along the short segments between iterates.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .calculus import curvature_jacobian, surface_energies
+from .calculus import curvature_jacobian, segment_face_energies, surface_energies
 from .errors import (
     BadParameterError,
     DomainError,
@@ -37,7 +38,6 @@ __all__ = ["SolveReport", "solve_prescribed"]
 
 ARMIJO_CONSTANT = 1e-4
 MAX_BACKTRACKS = 40
-FULL_STEP_RESIDUAL = 1e-5
 STEP_CAP = 10.0
 
 
@@ -49,8 +49,9 @@ class SolveReport:
     Jacobian at the solution, restricted to the sum-zero subspace for
     Euclidean geometry; positivity certifies local strict convexity
     and hence local rigidity of the solution.  ``potential_history``
-    holds the potential after each accepted step; an entry is nan when
-    the from-base integral could not be evaluated at full tolerance.
+    holds the potential at the guess and after each accepted step, the
+    latter chained from segment increments; an entry is nan while the
+    from-base integral could not be evaluated, which each step retries.
     """
 
     state: ConformalState
@@ -62,22 +63,30 @@ class SolveReport:
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
-    dense = matrix.toarray()
-    n = dense.shape[0]
-    if geometry is Geometry.EUCLIDEAN:
-        projector = np.eye(n) - np.full((n, n), 1.0 / n)
-        eigenvalues = np.linalg.eigvalsh(projector @ dense @ projector)
-        return float(eigenvalues[1])  # drop the projected-out direction
-    return float(np.linalg.eigvalsh(dense)[0])
+    from scipy.sparse.linalg import eigsh
+
+    # Euclidean: the two eigenvalues nearest sigma are the all-ones kernel's 0 and the answer
+    k = 2 if geometry is Geometry.EUCLIDEAN else 1
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
+    return float(np.max(eigsh(matrix, k, sigma=-1.0, v0=start, return_eigenvectors=False)))
 
 
 def _newton_direction(geometry, matrix, gradient):
-    dense = matrix.toarray()
-    n = dense.shape[0]
-    if geometry is Geometry.EUCLIDEAN:
-        dense = dense + np.full((n, n), 1.0 / n)
-    factor = scipy.linalg.cho_factor(dense)
-    return scipy.linalg.cho_solve(factor, -gradient)
+    """Sparse Newton step, or None when it is no finite descent direction."""
+    from scipy.sparse.linalg import splu
+
+    pinned = int(geometry is Geometry.EUCLIDEAN)  # vertex 0 stands in for the kernel
+    try:  # symmetric: order for A + A^T, which keeps the fill low
+        factor = splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # exactly singular
+        return None
+    step = factor.solve(-gradient[pinned:])
+    if pinned:
+        step = np.concatenate(([0.0], step))
+        step -= step.mean()
+    if not np.all(np.isfinite(step)) or gradient @ step >= 0.0:
+        return None
+    return step
 
 
 def solve_prescribed(
@@ -114,11 +123,17 @@ def solve_prescribed(
     sum_reference = float(state.u.sum())
     cone_mask = state.epsilon == 1
 
-    def potential_of(candidate):
-        value = surface_energies(
-            surface, weights, candidate, target=target, base=base, extended=True
-        )
+    def potential_from_base(candidate):
+        try:
+            value = surface_energies(surface, weights, candidate, target=target, base=base)
+        except QuadratureFailureError:
+            return np.nan
         return value.potential
+
+    def increment(u_from, u_to):
+        step = u_to - u_from
+        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        return 2.0 * np.pi * float(step.sum()) - float(per_face.sum()) - float(target @ step)
 
     def admissible_coordinates(u):
         if geometry is Geometry.HYPERBOLIC and np.any(u[cone_mask] >= 0.0):
@@ -126,11 +141,8 @@ def solve_prescribed(
         return True
 
     method = "newton"
-    try:
-        current = potential_of(state)
-    except QuadratureFailureError:
-        current = np.inf  # any evaluable candidate beats an unevaluable start
-    history = [current if np.isfinite(current) else np.nan]
+    current = potential_from_base(state)
+    history = [current]
 
     for iteration in range(max_iterations + 1):
         report = curvature(surface, weights, state, extended=True)
@@ -157,32 +169,13 @@ def solve_prescribed(
             break
 
         hessian = curvature_jacobian(surface, weights, state, extended=True)
-        try:
-            direction = _newton_direction(geometry, hessian, gradient)
-            method = "newton"
-        except scipy.linalg.LinAlgError:
+        direction = _newton_direction(geometry, hessian, gradient)
+        method = "newton" if direction is not None else "gradient-descent"
+        if direction is None:
             direction = -gradient
-            method = "gradient-descent"
         slope = float(gradient @ direction)
 
-        step_size = float(np.max(np.abs(direction)))
-        if residual < FULL_STEP_RESIDUAL and method == "newton" and step_size <= STEP_CAP:
-            # quadratic convergence region: the potential differences are
-            # below quadrature noise, so take the full step directly
-            candidate_u = state.u + direction
-            if geometry is Geometry.EUCLIDEAN:
-                candidate_u -= (candidate_u.sum() - sum_reference) / len(candidate_u)
-            if admissible_coordinates(candidate_u):
-                state = state.with_u(candidate_u)
-                try:
-                    current = potential_of(state)
-                    history.append(current)
-                except QuadratureFailureError:
-                    current = np.inf
-                    history.append(np.nan)
-                continue
-
-        alpha = min(1.0, STEP_CAP / max(step_size, 1e-12))
+        alpha = min(1.0, STEP_CAP / max(float(np.max(np.abs(direction))), 1e-12))
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             candidate_u = state.u + alpha * direction
@@ -191,11 +184,11 @@ def solve_prescribed(
             if admissible_coordinates(candidate_u):
                 try:
                     candidate = state.with_u(candidate_u)
-                    value = potential_of(candidate)
+                    change = increment(state.u, candidate_u)
                 except (DomainError, OverflowRangeError, QuadratureFailureError):
-                    value = None
-                if value is not None and value <= current + ARMIJO_CONSTANT * alpha * slope:
-                    accepted = (candidate, value)
+                    change = None
+                if change is not None and change <= ARMIJO_CONSTANT * alpha * slope:
+                    accepted = (candidate, change)
                     break
             alpha *= 0.5
         if accepted is None:
@@ -203,7 +196,9 @@ def solve_prescribed(
                 f"line search stalled at iteration {iteration} "
                 f"(residual {residual:.3e})"
             )
-        state, current = accepted
+        state, change = accepted
+        # an unknown running value retries the from-base integral
+        current = current + change if np.isfinite(current) else potential_from_base(state)
         history.append(current)
 
     raise MaxIterationsError(

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import dcflow
 from dcflow import (
     BadParameterError,
     ConformalState,
@@ -16,11 +23,15 @@ from dcflow import (
     TargetInadmissibleError,
     TerminationReason,
     WeightConfig,
+    base_state,
     curvature,
+    curvature_jacobian,
     generate,
     run_flow,
     solve_prescribed,
+    surface_energies,
 )
+from dcflow import solve as solve_module
 
 
 def torus_setup():
@@ -354,3 +365,151 @@ class TestSolveFlowAgreement:
         trace = run_flow(spec, surface, weights, guess)
         assert trace.termination is TerminationReason.CONVERGED
         assert np.max(np.abs(report.state.u - trace.final_u)) < 1e-7
+
+
+def dense_certificate(geometry, matrix):
+    """Reference certificate: the dense spectrum, projected onto sum zero."""
+    dense = matrix.toarray()
+    n = dense.shape[0]
+    if geometry is Geometry.EUCLIDEAN:
+        projector = np.eye(n) - np.full((n, n), 1.0 / n)
+        return float(np.linalg.eigvalsh(projector @ dense @ projector)[1])
+    return float(np.linalg.eigvalsh(dense)[0])
+
+
+def random_euclidean_guess(surface, weights, seed, scale=0.3):
+    u = np.random.default_rng(seed).normal(0.0, scale, surface.vertex_count)
+    return ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+
+
+def tetrahedron_case():
+    surface = generate("tetrahedron")  # n = 4: the two wanted eigenvalues of four
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    guess = random_euclidean_guess(surface, weights, 48)
+    return surface, weights, Geometry.EUCLIDEAN, np.full(4, np.pi), guess
+
+
+def torus_6x6_case():
+    surface = generate("torus_grid", 6, 6)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    guess = random_euclidean_guess(surface, weights, 50)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), guess
+
+
+def degenerate_cone_case():
+    surface, weights = cone_torus_setup()
+    guess = degenerate_cone_state(surface, weights)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), guess
+
+
+def genus2_case():
+    surface, weights = genus2_setup()
+    return surface, weights, Geometry.HYPERBOLIC, np.zeros(surface.vertex_count), None
+
+
+class TestSparseCertificate:
+    @pytest.mark.parametrize(
+        "case", [tetrahedron_case, torus_6x6_case, genus2_case], ids=lambda c: c.__name__
+    )
+    def test_matches_dense_projected_spectrum(self, case):
+        surface, weights, geometry, target, guess = case()
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        jacobian = curvature_jacobian(surface, weights, report.state)
+        reference = dense_certificate(geometry, jacobian)
+        assert reference > 0.0
+        assert abs(report.certificate - reference) <= 1e-9 * reference
+        # a fixed start vector: the same input gives the same bits
+        again = solve_module._restricted_smallest_eigenvalue(geometry, jacobian)
+        assert again == report.certificate
+
+
+class TestSparseNewtonStep:
+    def test_pinned_step_solves_the_system(self):
+        surface, weights = torus_setup()
+        state = random_euclidean_guess(surface, weights, 51, scale=0.2)
+        gradient = curvature(surface, weights, state).curvature  # sums to zero on a torus
+        hessian = curvature_jacobian(surface, weights, state, extended=True)
+        step = solve_module._newton_direction(Geometry.EUCLIDEAN, hessian, gradient)
+        assert abs(step.sum()) < 1e-12
+        assert np.max(np.abs(hessian @ step + gradient)) < 1e-12
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_nan_block_falls_back(self, geometry):
+        surface, weights = torus_setup()
+        state = random_euclidean_guess(surface, weights, 52, scale=0.2)
+        gradient = curvature(surface, weights, state).curvature
+        hessian = curvature_jacobian(surface, weights, state, extended=True).tolil()
+        face = next(f for f in surface.faces if 0 not in f)  # survives the pin
+        for r in face:
+            for c in face:
+                hessian[r, c] = np.nan
+        assert solve_module._newton_direction(geometry, hessian.tocsr(), gradient) is None
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_two_dimensional_kernel_falls_back(self, geometry):
+        # two disjoint triangle Laplacians: PSD with the two indicator kernels
+        block = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        matrix = sp.block_diag([block, block], format="csr")
+        gradient = np.array([1.0, -1.0, 0.0, 0.5, 0.0, -0.5])
+        assert solve_module._newton_direction(geometry, matrix, gradient) is None
+
+    def test_solve_steps_past_a_nan_hessian(self, monkeypatch):
+        original = solve_module.curvature_jacobian
+        corrupted = []
+
+        def first_hessian_nan(surface, weights, state, extended=False):
+            matrix = original(surface, weights, state, extended=extended)
+            if extended and not corrupted:
+                corrupted.append(True)
+                matrix = matrix.tolil()
+                matrix[1, 1] = np.nan
+                matrix = matrix.tocsr()
+            return matrix
+
+        monkeypatch.setattr(solve_module, "curvature_jacobian", first_hessian_nan)
+        surface, weights = torus_setup()
+        report = solve_prescribed(
+            surface,
+            weights,
+            Geometry.EUCLIDEAN,
+            np.zeros(surface.vertex_count),
+            initial_guess=random_euclidean_guess(surface, weights, 53, scale=0.2),
+        )
+        assert corrupted
+        assert report.residual < 1e-10
+        assert np.all(np.isfinite(report.potential_history))
+
+
+class TestPotentialHistory:
+    @pytest.mark.parametrize(
+        "case", [torus_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
+    )
+    def test_running_value_matches_from_base(self, case):
+        surface, weights, _, target, guess = case()
+        base = base_state(Geometry.EUCLIDEAN, weights.epsilon)
+        report = solve_prescribed(
+            surface, weights, Geometry.EUCLIDEAN, target, initial_guess=guess
+        )
+        assert report.iterations > 1
+        first = surface_energies(surface, weights, guess, target=target, base=base)
+        last = surface_energies(surface, weights, report.state, target=target, base=base)
+        assert report.potential_history[0] == first.potential
+        assert abs(report.potential_history[-1] - last.potential) < 1e-9
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the solver imports its sparse linear algebra where it is used, so
+    # every CLI start-up skips it
+    package_root = str(Path(dcflow.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys, dcflow; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
