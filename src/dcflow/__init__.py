@@ -10,8 +10,6 @@ from .calculus import (
     EnergyValue,
     curvature_jacobian,
     face_corner_jacobians,
-    fd_gradient,
-    fd_jacobian,
     segment_face_energies,
     surface_energies,
     triangle_energy,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateFaceError,
@@ -50,8 +49,6 @@ __all__ = [
     "EnergyValue",
     "curvature_jacobian",
     "face_corner_jacobians",
-    "fd_gradient",
-    "fd_jacobian",
     "segment_face_energies",
     "surface_energies",
     "triangle_energy",
@@ -193,7 +190,7 @@ def curvature_jacobian(
     weights: WeightConfig,
     state: ConformalState,
     extended: bool = False,
-) -> sp.csr_matrix:
+) -> "scipy.sparse.csr_matrix":
     """Sparse d(K)/d(u); adjacency-structured, symmetric.
 
     Positive semi-definite with kernel spanned by the all-ones vector
@@ -201,6 +198,8 @@ def curvature_jacobian(
     ``extended`` set, degenerate faces contribute nothing, matching the
     derivative of the extended curvature inside degenerate regions.
     """
+    import scipy.sparse as sp  # on first use, so importing the package skips it
+
     jac = face_corner_jacobians(surface, weights, state, extended=extended)
     n = surface.vertex_count
     rows = np.repeat(surface.faces, 3, axis=1).ravel()  # r index varies slower
@@ -208,32 +207,6 @@ def curvature_jacobian(
     data = -jac.reshape(len(surface.faces), 9).ravel()
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
     return mat.tocsr()
-
-
-def fd_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (fn(hi) - fn(lo)) / (2.0 * step)
-    return out
-
-
-def fd_jacobian(fn, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, columns by coordinate."""
-    x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for i in range(len(x)):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        cols.append((np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,14 @@ def check_target(spec: FlowSpec, surface: TriangulatedSurface) -> TargetValidati
     return TargetValidation(tuple(violations))
 
 
+def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarray:
+    """The resolved target; raises TargetInadmissibleError when it is inadmissible."""
+    validation = check_target(spec, surface)
+    if not validation.ok:
+        raise TargetInadmissibleError("; ".join(validation.violations))
+    return resolve_target(spec, surface)
+
+
 def _field(spec, surface, weights, state, target):
     kind = spec.kind
     if kind.is_extended:
@@ -245,11 +253,7 @@ def vector_field(
     state: ConformalState,
 ) -> np.ndarray:
     """Per-vertex velocity of the flow at one state."""
-    validation = check_target(spec, surface)
-    if not validation.ok:
-        raise TargetInadmissibleError("; ".join(validation.violations))
-    target = resolve_target(spec, surface)
-    return _field(spec, surface, weights, state, target)
+    return _field(spec, surface, weights, state, _admissible_target(spec, surface))
 
 
 def _min_margin(surface, weights, state):
@@ -320,12 +324,7 @@ def step(
         raise BadParameterError("state geometry does not match the flow spec")
     if dt is None:
         dt = spec.dt
-    target = _target
-    if target is None:
-        validation = check_target(spec, surface)
-        if not validation.ok:
-            raise TargetInadmissibleError("; ".join(validation.violations))
-        target = resolve_target(spec, surface)
+    target = _admissible_target(spec, surface) if _target is None else _target
 
     margin_floor = CALABI_MARGIN_SLACK if spec.kind.is_calabi else 0.0
     if spec.kind.is_calabi and _min_margin(surface, weights, state) <= margin_floor:
@@ -393,10 +392,7 @@ def run_flow(
     """
     if initial.geometry is not spec.geometry:
         raise BadParameterError("initial state geometry does not match the flow spec")
-    validation = check_target(spec, surface)
-    if not validation.ok:
-        raise TargetInadmissibleError("; ".join(validation.violations))
-    target = resolve_target(spec, surface)
+    target = _admissible_target(spec, surface)
 
     state = initial
     shift = 0.0

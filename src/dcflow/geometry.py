@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -157,20 +156,6 @@ class ConformalState:
     @property
     def f(self) -> np.ndarray:
         return self._f
-
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """S_i = e^{f_i} (hyperbolic helper; harmless for Euclidean)."""
-        return np.exp(self._f)
-
-    @cached_property
-    def coscale(self) -> np.ndarray:
-        """C_i = sqrt(1 + eps_i e^{2 f_i}); C = 1 wherever eps = 0."""
-        s = self.scale
-        c = np.ones_like(s)
-        mask = self.epsilon == 1
-        c[mask] = np.hypot(1.0, s[mask])
-        return c
 
     @classmethod
     def from_f(cls, geometry: Geometry, epsilon, f) -> "ConformalState":

@@ -10,13 +10,19 @@ descent.  The Euclidean Hessian annihilates the all-ones vector, so its
 system is solved with vertex 0 pinned and the step shifted to zero mean,
 which keeps the coordinate sum at that of the initial guess.  The
 certificate comes from shift-invert Lanczos with a fixed start vector.
-The potential is integrated from the base state once; the line search
-adds the increments along the short segments between iterates.
+
+The line search needs curvature only.  Along a trial step s the
+potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
+nondecreasing, so the right Riemann sum of phi' over [0, 1] bounds the
+increment phi(1) - phi(0) from above, across degeneracy walls too; the
+Armijo test runs on that bound with 2, 4 and then 8 nodes.  The
+potential itself is integrated only when ``potential_history`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +33,8 @@ from .errors import (
     MaxIterationsError,
     NoInteriorSolutionError,
     OverflowRangeError,
-    QuadratureFailureError,
-    TargetInadmissibleError,
 )
-from .flows import FlowKind, FlowSpec, check_target
+from .flows import FlowKind, FlowSpec, _admissible_target
 from .geometry import ConformalState, Geometry, base_state, curvature
 from .surface import TriangulatedSurface, WeightConfig
 
@@ -38,6 +42,7 @@ __all__ = ["SolveReport", "solve_prescribed"]
 
 ARMIJO_CONSTANT = 1e-4
 MAX_BACKTRACKS = 40
+MAX_RIEMANN_NODES = 8
 STEP_CAP = 10.0
 
 
@@ -49,9 +54,10 @@ class SolveReport:
     Jacobian at the solution, restricted to the sum-zero subspace for
     Euclidean geometry; positivity certifies local strict convexity
     and hence local rigidity of the solution.  ``potential_history``
-    holds the potential at the guess and after each accepted step, the
-    latter chained from segment increments; an entry is nan while the
-    from-base integral could not be evaluated, which each step retries.
+    holds the potential at the guess and after each accepted step: the
+    first from the base state, the rest chained from segment
+    increments.  It is integrated on first access, which raises
+    QuadratureFailureError if the quadrature fails.
     """
 
     state: ConformalState
@@ -59,7 +65,23 @@ class SolveReport:
     iterations: int
     certificate: float
     method: str  # "newton" or "gradient-descent"
-    potential_history: tuple[float, ...]
+    # (surface, weights, target, accepted iterates' u) for potential_history
+    _iterates: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def potential_history(self) -> tuple[float, ...]:
+        surface, weights, target, iterates = self._iterates
+        geometry, epsilon = self.state.geometry, self.state.epsilon
+        guess = ConformalState(geometry, epsilon, iterates[0])
+        base = base_state(geometry, epsilon)
+        value = surface_energies(surface, weights, guess, target=target, base=base).potential
+        history = [value]
+        for u_from, u_to in zip(iterates, iterates[1:]):
+            step = u_to - u_from
+            per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
+            value += 2.0 * np.pi * float(step.sum()) - float(per_face.sum()) - float(target @ step)
+            history.append(value)
+        return tuple(history)
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
@@ -109,9 +131,7 @@ def solve_prescribed(
     if target.shape != (surface.vertex_count,) or not np.all(np.isfinite(target)):
         raise BadParameterError("target must be a finite per-vertex vector")
     probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target)
-    validation = check_target(probe, surface)
-    if not validation.ok:
-        raise TargetInadmissibleError("; ".join(validation.violations))
+    target = _admissible_target(probe, surface)
 
     if initial_guess is None:
         state = base_state(geometry, weights.epsilon)
@@ -119,33 +139,32 @@ def solve_prescribed(
         if initial_guess.geometry is not geometry:
             raise BadParameterError("initial guess geometry mismatch")
         state = initial_guess
-    base = base_state(geometry, state.epsilon)
     sum_reference = float(state.u.sum())
-    cone_mask = state.epsilon == 1
 
-    def potential_from_base(candidate):
-        try:
-            value = surface_energies(surface, weights, candidate, target=target, base=base)
-        except QuadratureFailureError:
-            return np.nan
-        return value.potential
+    def report_at(st):
+        return curvature(surface, weights, st, extended=True)
 
-    def increment(u_from, u_to):
-        step = u_to - u_from
-        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
-        return 2.0 * np.pi * float(step.sum()) - float(per_face.sum()) - float(target @ step)
-
-    def admissible_coordinates(u):
-        if geometry is Geometry.HYPERBOLIC and np.any(u[cone_mask] >= 0.0):
-            return False
-        return True
+    def certified(current, candidate, bound):
+        # Report at the candidate when the right Riemann sum of phi' on
+        # the segment, with 2, 4 or 8 nodes, is at most ``bound``; else None.
+        step = candidate.u - current.u
+        candidate_report = report_at(candidate)
+        total = float((candidate_report.curvature - target) @ step)  # node tau = 1
+        nodes = 1
+        while nodes < MAX_RIEMANN_NODES:
+            nodes *= 2
+            for i in range(1, nodes, 2):  # the nodes not evaluated yet
+                point = current.with_u(current.u + (i / nodes) * step)
+                total += float((report_at(point).curvature - target) @ step)
+            if total / nodes <= bound:
+                return candidate_report
+        return None
 
     method = "newton"
-    current = potential_from_base(state)
-    history = [current]
+    iterates = [state.u.copy()]
+    report = report_at(state)
 
     for iteration in range(max_iterations + 1):
-        report = curvature(surface, weights, state, extended=True)
         gradient = report.curvature - target
         residual = float(np.max(np.abs(gradient)))
         if residual < tolerance:
@@ -163,7 +182,7 @@ def solve_prescribed(
                 iterations=iteration,
                 certificate=certificate,
                 method=method,
-                potential_history=tuple(history),
+                _iterates=(surface, weights, target, tuple(iterates)),
             )
         if iteration == max_iterations:
             break
@@ -181,25 +200,21 @@ def solve_prescribed(
             candidate_u = state.u + alpha * direction
             if geometry is Geometry.EUCLIDEAN:
                 candidate_u -= (candidate_u.sum() - sum_reference) / len(candidate_u)
-            if admissible_coordinates(candidate_u):
-                try:
-                    candidate = state.with_u(candidate_u)
-                    change = increment(state.u, candidate_u)
-                except (DomainError, OverflowRangeError, QuadratureFailureError):
-                    change = None
-                if change is not None and change <= ARMIJO_CONSTANT * alpha * slope:
-                    accepted = (candidate, change)
-                    break
+            try:  # hyperbolic cone coordinates must stay negative
+                candidate = state.with_u(candidate_u)
+                accepted = certified(state, candidate, ARMIJO_CONSTANT * alpha * slope)
+            except (DomainError, OverflowRangeError):
+                accepted = None
+            if accepted is not None:
+                break
             alpha *= 0.5
         if accepted is None:
             raise MaxIterationsError(
                 f"line search stalled at iteration {iteration} "
                 f"(residual {residual:.3e})"
             )
-        state, change = accepted
-        # an unknown running value retries the from-base integral
-        current = current + change if np.isfinite(current) else potential_from_base(state)
-        history.append(current)
+        state, report = candidate, accepted
+        iterates.append(state.u)
 
     raise MaxIterationsError(
         f"no convergence after {max_iterations} iterations "

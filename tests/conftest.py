@@ -43,3 +43,29 @@ def random_admissible_state(surface, weights, geometry, rng, scale=0.2, max_trie
         if not np.any(report.degenerate_corner >= 0):
             return state
     raise RuntimeError("could not sample an admissible state")
+
+
+def fd_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    for i in range(len(x)):
+        hi = x.copy()
+        lo = x.copy()
+        hi[i] += step
+        lo[i] -= step
+        out[i] = (fn(hi) - fn(lo)) / (2.0 * step)
+    return out
+
+
+def fd_jacobian(fn, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a vector function, columns by coordinate."""
+    x = np.asarray(x, dtype=np.float64)
+    cols = []
+    for i in range(len(x)):
+        hi = x.copy()
+        lo = x.copy()
+        hi[i] += step
+        lo[i] -= step
+        cols.append((np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * step))
+    return np.stack(cols, axis=-1)

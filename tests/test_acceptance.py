@@ -24,8 +24,6 @@ from dcflow import (
     curvature_jacobian,
     edge_length,
     extended_triangle_angles,
-    fd_gradient,
-    fd_jacobian,
     gauss_bonnet_residual,
     generate,
     run_flow,
@@ -36,7 +34,7 @@ from dcflow import (
 )
 from dcflow.geometry import _angles_opposite, _degeneracy, _edge_lengths
 
-from conftest import random_admissible_state
+from conftest import fd_gradient, fd_jacobian, random_admissible_state
 
 ACCEPTANCE_MESHES = [
     ("tetrahedron", ()),

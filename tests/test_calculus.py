@@ -7,8 +7,6 @@ from dcflow.calculus import (
     _TRIANGLE,
     curvature_jacobian,
     face_corner_jacobians,
-    fd_gradient,
-    fd_jacobian,
     segment_face_energies,
     surface_energies,
     triangle_energy,
@@ -30,7 +28,7 @@ from dcflow.geometry import (
 )
 from dcflow.surface import WeightConfig, generate
 
-from conftest import make_setup, random_admissible_state
+from conftest import fd_gradient, fd_jacobian, make_setup, random_admissible_state
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC]
 

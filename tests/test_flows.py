@@ -6,7 +6,6 @@ import pytest
 from dcflow.calculus import (
     curvature_jacobian,
     face_corner_jacobians,
-    fd_gradient,
     surface_energies,
 )
 from dcflow.errors import (
@@ -36,7 +35,7 @@ from dcflow.geometry import (
 )
 from dcflow.surface import WeightConfig, generate
 
-from conftest import random_admissible_state
+from conftest import fd_gradient, random_admissible_state
 
 
 def tetra_setup():

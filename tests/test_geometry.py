@@ -77,16 +77,6 @@ def test_hyperbolic_cone_round_trip():
     assert np.max(np.abs(f[window] - 0.5 * np.log(c * c - 1.0))) < 1e-9
 
 
-def test_hyperbolic_scale_identity():
-    rng = np.random.default_rng(2)
-    eps = rng.integers(0, 2, size=40)
-    u = np.where(eps == 1, -np.abs(rng.normal(1.0, 0.5, 40)) - 1e-3, rng.normal(0, 1, 40))
-    state = ConformalState(HY, eps, u)
-    # C^2 - eps S^2 = 1 must survive the u -> f -> (S, C) pipeline
-    resid = state.coscale**2 - eps * state.scale**2 - 1.0
-    assert np.max(np.abs(resid)) < 1e-12
-
-
 def test_cone_coordinates_must_be_negative():
     with pytest.raises(DomainError):
         u_to_f(HY, 1, 0.0)

@@ -89,6 +89,31 @@ def test_face_energies_match_quadpack(path):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
+def right_riemann_sums(surface, weights, geometry, u_from, u_to):
+    """(1/m) sum_{i=1..m} phi'(i/m) for m = 2, 4, 8, with phi'(t) = K(u_from + t du) . du."""
+    du = u_to - u_from
+
+    def slope(t):
+        state = ConformalState(geometry, weights.epsilon, u_from + t * du)
+        return float(curvature(surface, weights, state, extended=True).curvature @ du)
+
+    return [sum(slope(i / m) for i in range(1, m + 1)) / m for m in (2, 4, 8)]
+
+
+@pytest.mark.parametrize(
+    "path", [smooth_euclidean_path, hyperbolic_path, wall_crossing_path], ids=lambda p: p.__name__
+)
+def test_right_riemann_sums_bound_the_increment(path):
+    # phi' is nondecreasing along any segment (the potential is convex and
+    # C1, walls included), so refining the right Riemann sum can only lower
+    # it, and it never drops below the increment the quadrature computes
+    surface, weights, geometry, u_from, u_to, extended = path()
+    per_face = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+    increment = 2.0 * np.pi * float((u_to - u_from).sum()) - float(per_face.sum())
+    r2, r4, r8 = right_riemann_sums(surface, weights, geometry, u_from, u_to)
+    assert r2 >= r4 >= r8 >= increment - 1e-10
+
+
 def test_nonconvergent_integrand_fails_within_piece_cap(monkeypatch):
     # seeded noise on the integrand defeats every rule, so the quadrature
     # must give up at the piece cap without building anything larger

@@ -496,10 +496,36 @@ class TestPotentialHistory:
         assert report.potential_history[0] == first.potential
         assert abs(report.potential_history[-1] - last.potential) < 1e-9
 
+    @pytest.mark.parametrize(
+        "case", [torus_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
+    )
+    def test_solve_integrates_nothing_until_read(self, case, monkeypatch):
+        # the line search needs curvature only; the potential is integrated
+        # when the history is first read
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the solve loop ran the energy quadrature")
+
+        surface, weights, _, target, guess = case()
+        with monkeypatch.context() as patched:
+            patched.setattr(solve_module, "segment_face_energies", no_quadrature)
+            patched.setattr(solve_module, "surface_energies", no_quadrature)
+            report = solve_prescribed(
+                surface, weights, Geometry.EUCLIDEAN, target, initial_guess=guess
+            )
+        assert report.residual < 1e-10
+        base = base_state(Geometry.EUCLIDEAN, weights.epsilon)
+        first = surface_energies(surface, weights, guess, target=target, base=base)
+        last = surface_energies(surface, weights, report.state, target=target, base=base)
+        history = report.potential_history
+        assert len(history) == report.iterations + 1
+        assert history[0] == first.potential
+        assert abs(history[-1] - last.potential) < 1e-9
+        assert all(b <= a + 1e-8 for a, b in zip(history, history[1:]))
+
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # the solver imports its sparse linear algebra where it is used, so
-    # every CLI start-up skips it
+    # scipy.sparse and the solver's sparse linear algebra are imported
+    # where they are used, so every CLI start-up skips them
     package_root = str(Path(dcflow.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -507,7 +533,8 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     code = (
         "import sys, dcflow; "
-        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+        "print([m for m in ('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg') "
+        "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
