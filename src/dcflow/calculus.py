@@ -9,10 +9,12 @@ except at hyperbolic cone corners, where it equals C_c.
 
 Energies are line integrals of the (closed) angle one-form along the
 straight segment from a base state.  The integrand is continuous but
-only piecewise smooth when the segment crosses a degeneracy wall, so
-the quadrature first locates every wall crossing, by a scan and a
-bisection that evaluate triangle margins only, and then runs doubling
-Gauss-Legendre rules on each smooth piece.
+only piecewise smooth when the segment crosses a degeneracy wall.  The
+quadrature first bounds every edge length over the segment; when the
+bounds certify every face clear of its walls, the segment is one smooth
+piece.  Only otherwise do a scan and a bisection that evaluate triangle
+margins alone locate the wall crossings.  Doubling Gauss-Legendre rules
+then run on each smooth piece.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
 ``geometry``; the integrand evaluates them per vertex, per edge and per
@@ -37,6 +39,7 @@ from .geometry import (
     Geometry,
     _angles_opposite,
     _degeneracy,
+    _edge_length_bounds,
     _edge_lengths,
     base_state,
     curvature,
@@ -81,53 +84,35 @@ _TRIANGLE = _Mesh(
 def _corner_jacobian_core(geometry, eps3, eta3, f3, a, theta):
     """d(theta)/d(u) as (..., 3, 3) arrays; assumes nondegenerate shapes."""
     eps3 = np.asarray(eps3, dtype=np.float64)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
+    s3 = np.exp(f3)
     if geometry is Geometry.EUCLIDEAN:
-        d_base = a / (
-            np.take(a, [1, 2, 0], axis=-1) * np.take(a, [2, 0, 1], axis=-1) * sin_t
-        )
+        # Heron: b1 b2 sin(theta_c) = sqrt(P m0 m1 m2) / 2, positive whenever
+        # every margin is (sin(arccos(cos)) rounds to 0 at rounding-level
+        # margins); the margins are scaled by P so no product overflows first
+        p = a[..., :1] + a[..., 1:2] + a[..., 2:]
+        r = (a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a) / p
+        d_base = 2.0 * (a / p) / (p * np.sqrt(r[..., :1] * r[..., 1:2] * r[..., 2:]))
+        c3, dl_scale = np.ones_like(f3), a
     else:
         sh = np.sinh(a)
         d_base = sh / (
-            np.take(sh, [1, 2, 0], axis=-1) * np.take(sh, [2, 0, 1], axis=-1) * sin_t
+            np.take(sh, [1, 2, 0], axis=-1) * np.take(sh, [2, 0, 1], axis=-1) * np.sin(theta)
         )
+        c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), sh
 
-    shape = a.shape[:-1]
-    t_mat = np.zeros(shape + (3, 3))
+    cos_t, t_mat = np.cos(theta), np.zeros(a.shape[:-1] + (3, 3))
     for r in range(3):
         for e in range(3):
-            if r == e:
-                t_mat[..., r, e] = d_base[..., r]
-            else:
-                t_mat[..., r, e] = -d_base[..., r] * cos_t[..., 3 - r - e]
+            t_mat[..., r, e] = d_base[..., r] if r == e else -d_base[..., r] * cos_t[..., 3 - r - e]
 
-    s3 = np.exp(f3)
-    if geometry is Geometry.EUCLIDEAN:
-        phi = np.ones_like(f3)
-    else:
-        c3 = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0)
-        phi = c3
-
-    l_mat = np.zeros(shape + (3, 3))
+    # d(l_e)/d(u_i) at both ends i of edge e, with d(f_i)/d(u_i) = C_i
+    l_mat = np.zeros(a.shape[:-1] + (3, 3))
     for e in range(3):
         p, q = (e + 1) % 3, (e + 2) % 3
-        if geometry is Geometry.EUCLIDEAN:
-            dlp = (eps3[..., p] * s3[..., p] ** 2 + eta3[..., e] * s3[..., p] * s3[..., q]) / a[..., e]
-            dlq = (eps3[..., q] * s3[..., q] ** 2 + eta3[..., e] * s3[..., p] * s3[..., q]) / a[..., e]
-        else:
-            sh_e = np.sinh(a[..., e])
-            dlp = (
-                eps3[..., p] * s3[..., p] ** 2 * c3[..., q] / c3[..., p]
-                + eta3[..., e] * s3[..., p] * s3[..., q]
-            ) / sh_e
-            dlq = (
-                eps3[..., q] * s3[..., q] ** 2 * c3[..., p] / c3[..., q]
-                + eta3[..., e] * s3[..., p] * s3[..., q]
-            ) / sh_e
-        l_mat[..., e, p] = dlp * phi[..., p]
-        l_mat[..., e, q] = dlq * phi[..., q]
-
+        cross = eta3[..., e] * s3[..., p] * s3[..., q]
+        for i, j in ((p, q), (q, p)):
+            dl = (eps3[..., i] * s3[..., i] ** 2 * c3[..., j] / c3[..., i] + cross) / dl_scale[..., e]
+            l_mat[..., e, i] = dl * c3[..., i]
     return t_mat @ l_mat
 
 
@@ -169,20 +154,14 @@ def face_corner_jacobians(
     f3 = state.f[surface.faces]
     a = edge_lengths(surface, weights, state)[surface.face_edges]
     _, deg = _degeneracy(a)
-    if np.any(deg >= 0):
-        if not extended:
-            face = int(np.nonzero(deg >= 0)[0][0])
-            raise DegenerateFaceError(face, "angle Jacobian undefined on a degeneracy wall")
-        out = np.zeros((len(surface.faces), 3, 3))
-        good = deg < 0
-        if np.any(good):
-            theta = _angles_opposite(state.geometry, a[good], deg[good])
-            out[good] = _corner_jacobian_core(
-                state.geometry, eps3[good], eta3[good], f3[good], a[good], theta
-            )
-        return out
-    theta = _angles_opposite(state.geometry, a, deg)
-    return _corner_jacobian_core(state.geometry, eps3, eta3, f3, a, theta)
+    if not extended and np.any(deg >= 0):
+        face = int(np.nonzero(deg >= 0)[0][0])
+        raise DegenerateFaceError(face, "angle Jacobian undefined on a degeneracy wall")
+    out = np.zeros((len(surface.faces), 3, 3))
+    good = deg < 0 if np.any(deg >= 0) else slice(None)  # a slice copies nothing
+    theta = _angles_opposite(state.geometry, a[good], deg[good])
+    out[good] = _corner_jacobian_core(state.geometry, eps3[good], eta3[good], f3[good], a[good], theta)
+    return out
 
 
 def curvature_jacobian(
@@ -259,6 +238,18 @@ def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
     return evaluate
 
 
+def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
+    # True when the length bounds keep every margin on u0 + t du, t in [0, 1],
+    # above its own rounding error; the ends are evaluated as in _segment_shape
+    u_ends = u0[:, None] + np.array([0.0, 1.0]) * du[:, None]
+    f_ends = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_ends))
+    bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
+    lo, hi = (b[mesh.face_edges] for b in bounds)
+    margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
+    rounding = 8.0 * np.finfo(np.float64).eps * hi.sum(axis=1, keepdims=True)
+    return bool(np.all(margin > rounding))
+
+
 def _locate_crossings(shape, grid, margins):
     # margins: (F, T) on the scan grid; returns sorted interior cut points
     sign = margins > 0.0
@@ -315,19 +306,23 @@ def _gauss_anchored(evaluate, anchor, far, tol, budget):
 def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol):
     """Per-face path integrals of the angle form along the straight segment.
 
-    Raises DegenerateFaceError without ``extended`` when the path touches
-    a wall.
+    A segment the length bounds certify clear of every wall is one smooth
+    piece; otherwise a 65-point margin scan and a bisection cut it at its
+    wall crossings.  Raises DegenerateFaceError without ``extended`` when
+    the path touches a wall.
     """
     if np.array_equal(u0, u1):
         return np.zeros(len(mesh.faces))
     du = u1 - u0
-    shape = functools.partial(_segment_shape, geometry, mesh, epsilon, eta, u0, du)
-    grid = np.linspace(0.0, 1.0, 65)
-    margins = shape(grid)[1]
-    if not extended and np.any(margins <= 0.0):
-        face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
-        raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
-    cuts = _locate_crossings(shape, grid, margins) if extended else []
+    cuts = []
+    if not _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
+        shape = functools.partial(_segment_shape, geometry, mesh, epsilon, eta, u0, du)
+        grid = np.linspace(0.0, 1.0, 65)
+        margins = shape(grid)[1]
+        if not extended and np.any(margins <= 0.0):
+            face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
+            raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
+        cuts = _locate_crossings(shape, grid, margins) if extended else []
     evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, du)
     knots = [0.0] + cuts + [1.0]
     total = np.zeros(len(mesh.faces))

@@ -9,7 +9,9 @@ there.
 
 Explicit Euler is the default integrator with classical RK4 as an
 option.  Strict kinds halve the step near a wall; the extended kind
-never needs to.
+never needs to.  ``run_flow`` computes the curvature of every accepted
+state once: for its residual check and as the first stage of the next
+step.
 """
 
 from __future__ import annotations
@@ -231,19 +233,18 @@ def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarr
     return resolve_target(spec, surface)
 
 
-def _field(spec, surface, weights, state, target):
+def _field(spec, surface, weights, state, target, kvec=None):
+    # ``kvec``: the caller's curvature at ``state`` (with the kind's ``extended`` flag)
     kind = spec.kind
-    if kind.is_extended:
-        report = curvature(surface, weights, state, extended=True)
-        return target - report.curvature
-    report = curvature(surface, weights, state, extended=False)
+    if kvec is None:
+        kvec = curvature(surface, weights, state, extended=kind.is_extended).curvature
     if kind is FlowKind.RICCI:
-        return -report.curvature
-    if kind in (FlowKind.NORMALIZED_RICCI, FlowKind.MODIFIED_RICCI):
-        return target - report.curvature
+        return -kvec
+    if not kind.is_calabi:
+        return target - kvec
     # Calabi kinds: Laplacian of the curvature deficit
     lam = curvature_jacobian(surface, weights, state)
-    return -(lam @ (report.curvature - target))
+    return -(lam @ (kvec - target))
 
 
 def vector_field(
@@ -272,7 +273,7 @@ class _StepRejected(Exception):
         self.reason = reason
 
 
-def _advance(spec, surface, weights, state, dt, target):
+def _advance(spec, surface, weights, state, dt, target, kvec=None):
     """One integrator pass; raises _StepRejected when a stage fails."""
     is_hyperbolic = spec.geometry is Geometry.HYPERBOLIC
     cone_mask = state.epsilon == 1
@@ -285,16 +286,16 @@ def _advance(spec, surface, weights, state, dt, target):
         except (DomainError, OverflowRangeError) as exc:
             raise _StepRejected(_REJECT_OVERFLOW) from exc
 
-    def velocity(st):
+    def velocity(st, kvec=None):
         try:
-            return _field(spec, surface, weights, st, target)
+            return _field(spec, surface, weights, st, target, kvec)
         except DegenerateFaceError as exc:
             raise _StepRejected(_REJECT_DEGENERATE) from exc
         except (NumericalDomainError, OverflowRangeError) as exc:
             raise _StepRejected(_REJECT_OVERFLOW) from exc
 
     u0 = state.u
-    k1 = velocity(state)
+    k1 = velocity(state, kvec)
     if spec.integrator == "euler":
         return stage_state(u0 + dt * k1)
     k2 = velocity(stage_state(u0 + 0.5 * dt * k1))
@@ -312,6 +313,7 @@ def step(
     *,
     sum_reference: float | None = None,
     _target=None,
+    _kvec=None,
 ) -> tuple[ConformalState, StepOutcome]:
     """Advance one time step, halving near walls for strict kinds.
 
@@ -335,7 +337,7 @@ def step(
     dt_try = float(dt)
     while True:
         try:
-            new_state = _advance(spec, surface, weights, state, dt_try, target)
+            new_state = _advance(spec, surface, weights, state, dt_try, target, _kvec)
             if not spec.kind.is_extended:
                 try:
                     margin = _min_margin(surface, weights, new_state)
@@ -371,11 +373,6 @@ def step(
     return new_state, StepOutcome(
         status=StepStatus.OK, dt_used=dt_try, halvings=halvings, correction=correction
     )
-
-
-def _row_curvature(spec, surface, weights, state):
-    report = curvature(surface, weights, state, extended=spec.kind.is_extended)
-    return report.curvature
 
 
 def run_flow(
@@ -431,7 +428,7 @@ def run_flow(
             )
         )
 
-    kvec = _row_curvature(spec, surface, weights, state)
+    kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
     emit(0.0, state, kvec)
     if rows[-1].residual < spec.tolerance:
         return FlowTrace(tuple(rows), TerminationReason.CONVERGED, shift)
@@ -452,7 +449,8 @@ def run_flow(
     while t < spec.max_time - 1e-12:
         dt = min(spec.dt, spec.max_time - t)
         state_new, outcome = step(
-            spec, surface, weights, state, dt, sum_reference=sum_reference, _target=target
+            spec, surface, weights, state, dt,
+            sum_reference=sum_reference, _target=target, _kvec=kvec,
         )
         if outcome.status is not StepStatus.OK:
             termination = (
@@ -467,7 +465,7 @@ def run_flow(
         cumulative_correction += outcome.correction
 
         try:
-            kvec = _row_curvature(spec, surface, weights, state)
+            kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
         except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
             termination = TerminationReason.DIVERGED
             break
@@ -488,7 +486,7 @@ def run_flow(
 
     if rows[-1].t < t:
         try:
-            kvec = _row_curvature(spec, surface, weights, state)
+            kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
             advance_energy(state.u)
             emit(t, state, kvec)
         except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):

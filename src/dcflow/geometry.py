@@ -20,8 +20,9 @@ become zero, and every derived quantity (curvature, areas) accepts the
 extended values.
 
 This module is the one per-face metric kernel of the package: lengths
-come from ``_lengths`` (per edge through ``_edge_lengths``), triangle
-margins and the degenerate corner from ``_degeneracy``, and angles from
+come from ``_lengths`` (per edge through ``_edge_lengths``), bounds on
+them along a segment from ``_edge_length_bounds``, triangle margins and
+the degenerate corner from ``_degeneracy``, and angles from
 ``_angles_opposite``.  Curvature, the Jacobians, the energy quadrature
 and the strict-flow wall check all call these; none recomputes them.
 """
@@ -243,6 +244,35 @@ def _edge_lengths(geometry: Geometry, epsilon, eta, edges, f) -> np.ndarray:
     )
 
 
+def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
+    """Bounds (lo, hi) on every length of ``edges`` along a segment in u.
+
+    ``f_ends`` (V, 2) holds the exponents at its two ends.  u_to_f is
+    increasing, so each f, e^f and C lie between their end values, and
+    the length formula in interval arithmetic (a term with a negative
+    weight takes the opposite end) bounds every length on the segment.
+    The bounds are widened by the formula's rounding error, which grows
+    with |f|, so they hold for lengths evaluated in floating point too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(np.sort(f_ends, axis=1))  # e^f at the low and the high end
+        i, j = edges[:, 0], edges[:, 1]
+        eta = np.asarray(eta, dtype=np.float64)[:, None]
+        if geometry is Geometry.EUCLIDEAN:
+            eps = np.asarray(epsilon, dtype=np.float64)[:, None]
+            terms = [eps[i] * x[i] ** 2, eps[j] * x[j] ** 2, 2.0 * eta * x[i] * x[j]]
+        else:
+            c = np.where(np.asarray(epsilon)[:, None] == 1, np.hypot(1.0, x), 1.0)
+            terms = [c[i] * c[j], eta * x[i] * x[j]]
+        ends = np.sort(terms, axis=-1)  # (term, E, end)
+        slack = 32.0 * np.spacing(1.0 + np.abs(f_ends).max()) * np.abs(ends).sum(axis=(0, 2))
+        lo = ends[..., 0].sum(axis=0) - slack
+        hi = ends[..., 1].sum(axis=0) + slack
+        if geometry is Geometry.EUCLIDEAN:
+            return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
+        return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
+
+
 def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
@@ -279,13 +309,10 @@ def _degeneracy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     side faces c.  At most one margin can be non-positive at a time; the
     corner is -1 when every margin is positive.
     """
-    m = np.stack(
-        [a[..., (c + 1) % 3] + a[..., (c + 2) % 3] - a[..., c] for c in range(3)],
-        axis=-1,
-    )
-    worst = np.argmin(m, axis=-1)
-    margin = np.take_along_axis(m, worst[..., None], axis=-1)[..., 0]
-    return margin, np.where(margin <= 0.0, worst, -1)
+    m = a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a
+    # column by column: numpy reduces a length-3 inner axis slowly
+    margin = np.minimum(np.minimum(m[..., 0], m[..., 1]), m[..., 2])
+    return margin, np.where(margin <= 0.0, m.argmin(axis=-1), -1)
 
 
 def _checked_arccos(x: np.ndarray) -> np.ndarray:

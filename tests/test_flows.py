@@ -1,8 +1,11 @@
 """Tests for the flow vector fields, stepping, and full runs."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from dcflow import flows
 from dcflow.calculus import (
     curvature_jacobian,
     face_corner_jacobians,
@@ -54,6 +57,49 @@ def genus2_setup(epsilon=0):
     surface = generate("genus2")
     weights = WeightConfig.uniform(surface, epsilon, 1.0)
     return surface, weights
+
+
+@functools.lru_cache(maxsize=None)
+def wall_straddles():
+    """(surface, weights, lo, hi) for 40 pairs of states on adjacent floats of u_i.
+
+    Criterion 9's wall: eps = 1, eta = 2, and both ends of edge 0 at
+    log(4 + 3 sqrt 2) make the two faces on that edge degenerate.  For
+    each of 40 noisy backgrounds, u_i is bisected to the two adjacent
+    floats straddling the wall as ``classify_triangle`` sees it: every
+    face is nondegenerate at lo and some face is degenerate at hi.
+    """
+    surface = generate("torus_grid", 3, 3)
+    weights = WeightConfig.uniform(surface, 1, 2.0)
+    i, j = surface.edges[0]
+    wall = np.log(4.0 + 3.0 * np.sqrt(2.0))
+    rng = np.random.default_rng(71)
+
+    def state_at(u, x):
+        u = u.copy()
+        u[i] = x
+        return ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+
+    def degenerate(state):
+        a = edge_lengths(surface, weights, state)[surface.face_edges]
+        return any(
+            classify_triangle(Geometry.EUCLIDEAN, l[2], l[1], l[0]).is_degenerate for l in a
+        )
+
+    straddles = []
+    for _ in range(40):
+        u = rng.normal(0.0, 0.02, surface.vertex_count)
+        u[j] += wall
+        lo, hi = wall - 0.5, wall + 0.5
+        assert not degenerate(state_at(u, lo)) and degenerate(state_at(u, hi))
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if degenerate(state_at(u, mid)):
+                hi = mid
+            else:
+                lo = mid
+        straddles.append((surface, weights, state_at(u, lo), state_at(u, hi)))
+    return tuple(straddles)
 
 
 class TestFlowSpec:
@@ -262,43 +308,15 @@ class TestStep:
         assert outcome.status is StepStatus.DEGENERATED
 
     def test_wall_tests_agree_at_adjacent_floats(self):
-        # criterion 9's wall: eps = 1, eta = 2, and both ends of edge 0 at
-        # log(4 + 3 sqrt 2) make the two faces on that edge degenerate.
-        # Bisect u_i to the two adjacent floats that straddle the wall and
-        # ask every wall test which faces are degenerate on each side.
-        surface = generate("torus_grid", 3, 3)
-        weights = WeightConfig.uniform(surface, 1, 2.0)
-        i, j = surface.edges[0]
-        wall = np.log(4.0 + 3.0 * np.sqrt(2.0))
-        rng = np.random.default_rng(71)
-
-        def state_at(u, x):
-            u = u.copy()
-            u[i] = x
-            return ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
-
-        def classified(state):
-            a = edge_lengths(surface, weights, state)[surface.face_edges]
-            return [
-                f
-                for f in range(surface.face_count)
-                if classify_triangle(Geometry.EUCLIDEAN, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
-            ]
-
-        for _ in range(40):
-            u = rng.normal(0.0, 0.02, surface.vertex_count)
-            u[j] += wall
-            lo, hi = wall - 0.5, wall + 0.5
-            assert not classified(state_at(u, lo)) and classified(state_at(u, hi))
-            while np.nextafter(lo, hi) != hi:
-                mid = 0.5 * (lo + hi)
-                if classified(state_at(u, mid)):
-                    hi = mid
-                else:
-                    lo = mid
-            for x, side in ((lo, False), (hi, True)):
-                state = state_at(u, x)
-                faces = classified(state)
+        # ask every wall test which faces are degenerate on each side
+        for surface, weights, lo_state, hi_state in wall_straddles():
+            for state, side in ((lo_state, False), (hi_state, True)):
+                a = edge_lengths(surface, weights, state)[surface.face_edges]
+                faces = [
+                    f
+                    for f in range(surface.face_count)
+                    if classify_triangle(Geometry.EUCLIDEAN, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
+                ]
                 assert bool(faces) is side
                 assert (_min_margin(surface, weights, state) <= 0.0) is side
                 if not side:
@@ -311,6 +329,13 @@ class TestStep:
                 with pytest.raises(DegenerateFaceError) as raised:
                     face_corner_jacobians(surface, weights, state, extended=False)
                 assert raised.value.face_index == faces[0]
+
+    def test_jacobian_blocks_finite_beside_walls(self):
+        # on the nondegenerate side of a wall a margin can be a few ulp, where
+        # the cosine-rule angle rounds to 0 and sin(theta) with it
+        for surface, weights, lo_state, _ in wall_straddles():
+            blocks = face_corner_jacobians(surface, weights, lo_state, extended=False)
+            assert np.all(np.isfinite(blocks))
 
     def test_hyperbolic_anomaly_on_sign_violation(self):
         surface, weights = genus2_setup(epsilon=1)
@@ -507,6 +532,42 @@ class TestRunFlow:
         end_rk4 = run_flow(coarse, surface, weights, state).final_u
         end_euler = run_flow(fine, surface, weights, state).final_u
         assert np.max(np.abs(end_rk4 - end_euler)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "kind, integrator, per_step",
+        [(FlowKind.EXTENDED_MODIFIED_RICCI, "euler", 1), (FlowKind.MODIFIED_RICCI, "rk4", 4)],
+        ids=["extended-euler", "modified-rk4"],
+    )
+    def test_curvature_calls_per_step(self, monkeypatch, kind, integrator, per_step):
+        # each accepted state's curvature serves both its trace row and the
+        # first stage of the next step, so one per step plus one at the start
+        # for Euler, and three more stages per step for RK4
+        surface, weights = torus_setup()
+        calls = []
+        real_curvature = flows.curvature
+
+        def counting_curvature(*args, **kwargs):
+            calls.append(kwargs.get("extended"))
+            return real_curvature(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "curvature", counting_curvature)
+        u0 = np.random.default_rng(72).normal(0.0, 0.1, 9)
+        state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u0 - u0.mean())
+        spec = FlowSpec(
+            kind,
+            Geometry.EUCLIDEAN,
+            target=np.zeros(9),
+            integrator=integrator,
+            dt=0.1,
+            tolerance=1e-8,
+            trace_stride=1,
+        )
+        trace = run_flow(spec, surface, weights, state)
+        assert trace.termination is TerminationReason.CONVERGED
+        steps = len(trace.rows) - 1
+        assert steps > 10
+        assert len(calls) == per_step * steps + 1
+        assert set(calls) == {kind.is_extended}
 
     def test_normalize_sum_to_records_shift(self):
         surface, weights = tetra_setup()

@@ -89,6 +89,66 @@ def test_face_energies_match_quadpack(path):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
+def random_segments(kind, dims, geometry, seed):
+    """Seeded segments from admissible states by steps in f of several sizes.
+
+    eps = 1 and eta = 2, so walls are reachable and the longer steps cross them.
+    """
+    surface, weights, _ = make_setup(kind, dims, epsilon=1, eta=2.0, geometry=geometry)
+    rng = np.random.default_rng(seed)
+    segments = []
+    for scale in (0.03, 0.1, 0.3, 1.0, 3.0) * 4:
+        start = random_admissible_state(surface, weights, geometry, rng)
+        end = ConformalState.from_f(
+            geometry, weights.epsilon, start.f + rng.normal(0.0, scale, surface.vertex_count)
+        )
+        segments.append((start.u, end.u))
+    return surface, weights, geometry, segments
+
+
+@pytest.mark.parametrize(
+    "kind, dims, geometry",
+    [("torus_grid", (6, 6), Geometry.EUCLIDEAN), ("genus2", (), Geometry.HYPERBOLIC)],
+    ids=["euclidean-torus", "hyperbolic-genus2"],
+)
+def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
+    # where the length bounds certify a segment, no margin on a fine grid may
+    # be non-positive, and skipping the scan must not change a single bit
+    surface, weights, geometry, segments = random_segments(kind, dims, geometry, 21)
+    eps, eta = weights.epsilon, weights.eta
+    grid = np.linspace(0.0, 1.0, 4097)
+    certified, refused, energies = 0, 0, []
+    for u_from, u_to in segments:
+        du = u_to - u_from
+        if calculus._clear_of_walls(geometry, surface, eps, eta, u_from, du):
+            certified += 1
+            margins = calculus._segment_shape(geometry, surface, eps, eta, u_from, du, grid)[1]
+            assert np.all(margins > 0.0)
+            strict = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=False)
+        else:
+            refused += 1
+            strict = None
+        extended = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        energies.append((extended, strict))
+    assert certified >= 8 and refused >= 8
+
+    monkeypatch.setattr(calculus, "_clear_of_walls", lambda *args: False)
+    for (u_from, u_to), (extended, strict) in zip(segments, energies):
+        scanned = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        assert scanned.tobytes() == extended.tobytes()
+        if strict is not None:
+            scanned = segment_face_energies(
+                surface, weights, geometry, u_from, u_to, extended=False
+            )
+            assert scanned.tobytes() == strict.tobytes()
+
+
+def test_wall_certificate_refuses_a_crossing():
+    surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
+    eps, eta = weights.epsilon, weights.eta
+    assert not calculus._clear_of_walls(geometry, surface, eps, eta, u_from, u_to - u_from)
+
+
 def right_riemann_sums(surface, weights, geometry, u_from, u_to):
     """(1/m) sum_{i=1..m} phi'(i/m) for m = 2, 4, 8, with phi'(t) = K(u_from + t du) . du."""
     du = u_to - u_from
