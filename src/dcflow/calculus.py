@@ -89,9 +89,9 @@ def _corner_jacobian_core(geometry, eps3, eta3, f3, a, theta):
         # Heron: b1 b2 sin(theta_c) = sqrt(P m0 m1 m2) / 2, positive whenever
         # every margin is (sin(arccos(cos)) rounds to 0 at rounding-level
         # margins); the margins are scaled by P so no product overflows first
-        p = a[..., :1] + a[..., 1:2] + a[..., 2:]
-        r = (a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a) / p
-        d_base = 2.0 * (a / p) / (p * np.sqrt(r[..., :1] * r[..., 1:2] * r[..., 2:]))
+        perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
+        m = (a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a) / perim
+        d_base = 2.0 * (a / perim) / (perim * np.sqrt(m[..., :1] * m[..., 1:2] * m[..., 2:]))
         c3, dl_scale = np.ones_like(f3), a
     else:
         sh = np.sinh(a)
