@@ -4,8 +4,8 @@ The angle Jacobian of one triangle factors through the chain
 
     d(theta) / d(u) = d(theta)/d(lengths) . d(lengths)/d(f) . d(f)/d(u)
 
-with the cosine-rule derivatives on the left and d(f_c)/d(u_c) = 1
-except at hyperbolic cone corners, where it equals C_c.
+with the cosine-rule derivatives on the left, their sin(theta) from Heron,
+and d(f_c)/d(u_c) = 1 except at hyperbolic cone corners, where it is C_c.
 
 Energies are line integrals of the (closed) angle one-form along the
 straight segment from a base state.  The integrand is continuous but
@@ -29,11 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateFaceError,
-    DegenerateTriangleError,
-    QuadratureFailureError,
-)
+from .errors import DegenerateFaceError, QuadratureFailureError
 from .geometry import (
     ConformalState,
     Geometry,
@@ -41,6 +37,7 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _edge_lengths,
+    _margins,
     base_state,
     curvature,
     edge_lengths,
@@ -81,26 +78,29 @@ _TRIANGLE = _Mesh(
 # Jacobians
 
 
-def _corner_jacobian_core(geometry, eps3, eta3, f3, a, theta):
+def _corner_jacobian_core(geometry, eps3, eta3, f3, a):
     """d(theta)/d(u) as (..., 3, 3) arrays; assumes nondegenerate shapes."""
     eps3 = np.asarray(eps3, dtype=np.float64)
     s3 = np.exp(f3)
+    # Heron: b1 b2 sin(theta_c) = P^2 sqrt(x0 x1 x2) / 2 (Euclidean) and
+    # sinh b1 sinh b2 sin(theta_c) = e^{P/2} E^2 sqrt(x0 x1 x2) / 2 with
+    # E = -expm1(-P), on the scaled margins x of _angles_opposite, so no
+    # product overflows and nothing divides by a sin(theta) rounded to 0
+    m = _margins(a)
+    perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
     if geometry is Geometry.EUCLIDEAN:
-        # Heron: b1 b2 sin(theta_c) = sqrt(P m0 m1 m2) / 2, positive whenever
-        # every margin is (sin(arccos(cos)) rounds to 0 at rounding-level
-        # margins); the margins are scaled by P so no product overflows first
-        perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
-        m = (a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a) / perim
-        d_base = 2.0 * (a / perim) / (perim * np.sqrt(m[..., :1] * m[..., 1:2] * m[..., 2:]))
+        x = m / perim
+        d_base = 2.0 * (a / perim) / (perim * np.sqrt(x[..., :1] * x[..., 1:2] * x[..., 2:]))
         c3, dl_scale = np.ones_like(f3), a
     else:
-        sh = np.sinh(a)
-        d_base = sh / (
-            np.take(sh, [1, 2, 0], axis=-1) * np.take(sh, [2, 0, 1], axis=-1) * np.sin(theta)
-        )
-        c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), sh
+        # sinh a_c = e^{P/2} e^{-m_c/2} (-expm1(-2 a_c)) / 2
+        scale = -np.expm1(-perim)
+        x = -np.expm1(-m) / scale
+        heron = scale * scale * np.sqrt(x[..., :1] * x[..., 1:2] * x[..., 2:])
+        d_base = -np.exp(-0.5 * m) * np.expm1(-2.0 * a) / heron
+        c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), np.sinh(a)
 
-    cos_t, t_mat = np.cos(theta), np.zeros(a.shape[:-1] + (3, 3))
+    cos_t, t_mat = np.cos(_angles_opposite(geometry, a)), np.zeros(a.shape[:-1] + (3, 3))
     for r in range(3):
         for e in range(3):
             t_mat[..., r, e] = d_base[..., r] if r == e else -d_base[..., r] * cos_t[..., 3 - r - e]
@@ -124,16 +124,9 @@ def triangle_jacobian(geometry: Geometry, epsilon_triple, eta_triple, u_triple) 
     (1, 1, 1) for Euclidean triangles and negative definite for
     hyperbolic ones.  Raises DegenerateTriangleError on a wall.
     """
-    eps3 = np.asarray(epsilon_triple, dtype=np.float64)
-    eta3 = np.asarray(eta_triple, dtype=np.float64)
-    u3 = np.asarray(u_triple, dtype=np.float64)
-    f3 = np.asarray(u_to_f(geometry, eps3.astype(np.int64), u3))
-    a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
-    _, deg = _degeneracy(a)
-    if int(deg) >= 0:
-        raise DegenerateTriangleError("angle Jacobian undefined on a degeneracy wall")
-    theta = _angles_opposite(geometry, a, deg)
-    return _corner_jacobian_core(geometry, eps3, eta3, f3, a, theta)
+    weights = WeightConfig(epsilon_triple, eta_triple)
+    state = ConformalState(geometry, weights.epsilon, u_triple)
+    return face_corner_jacobians(_TRIANGLE, weights, state)[0]
 
 
 def face_corner_jacobians(
@@ -159,8 +152,7 @@ def face_corner_jacobians(
         raise DegenerateFaceError(face, "angle Jacobian undefined on a degeneracy wall")
     out = np.zeros((len(surface.faces), 3, 3))
     good = deg < 0 if np.any(deg >= 0) else slice(None)  # a slice copies nothing
-    theta = _angles_opposite(state.geometry, a[good], deg[good])
-    out[good] = _corner_jacobian_core(state.geometry, eps3[good], eta3[good], f3[good], a[good], theta)
+    out[good] = _corner_jacobian_core(state.geometry, eps3[good], eta3[good], f3[good], a[good])
     return out
 
 
@@ -213,9 +205,9 @@ class EnergyValue:
 
 
 def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
-    # Opposite lengths (F, T, 3), min margins and degenerate corners at
-    # u0 + ts * du, per vertex (u -> f), per edge (lengths) and per face;
-    # the wall scan and the bisection use the margins alone, no angles.
+    # Opposite lengths (F, T, 3) and min margins (F, T) at u0 + ts * du, per
+    # vertex (u -> f), per edge (lengths) and per face; the wall scan and
+    # the bisection use the margins alone, no angles.
     u_t = u0[:, None] + ts * du[:, None]
     f_t = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_t))
     lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
@@ -224,7 +216,7 @@ def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
     a = np.empty((len(mesh.faces), ts.size, 3))
     for c in range(3):
         a[..., c] = lengths[mesh.face_edges[:, c]]
-    return (a, *_degeneracy(a))
+    return a, _degeneracy(a)[0]
 
 
 def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
@@ -232,8 +224,8 @@ def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
     du3 = du[mesh.faces]
 
     def evaluate(ts):
-        a, margins, deg = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
-        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a, deg), du3), margins
+        a, margins = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
+        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a), du3), margins
 
     return evaluate
 

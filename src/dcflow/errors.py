@@ -31,7 +31,7 @@ class DomainError(DCFlowError):
 
 
 class NumericalDomainError(DCFlowError):
-    """An inverse trig/hyperbolic argument left its domain by more than roundoff."""
+    """The weight conditions are violated: a non-positive l^2 or cosh(l) <= 1."""
 
 
 class OverflowRangeError(DCFlowError):

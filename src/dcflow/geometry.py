@@ -13,18 +13,20 @@ vertices with eps_i = 1, where u_i = -asinh(e^{-f_i}) ranges over the
 negative reals.  Hyperbolic evaluation always goes through (S_i, C_i)
 computed from f; u is converted first.
 
-A triangle is degenerate when one edge is at least as long as the other
-two combined (equality included).  Angles extend continuously across
-that wall: the angle at the offending corner becomes pi, the other two
-become zero, and every derived quantity (curvature, areas) accepts the
-extended values.
+A triangle is degenerate when one of its margins a_{c+1} + a_{c+2} - a_c
+(a_c opposite corner c) is non-positive, equality included.  Angles come
+from half-angle formulas on the margins clamped at zero, in both
+geometries; at a zero margin they give pi at the offending corner and
+zero at the other two, which is the continuous extension across the
+wall that every derived quantity (curvature, areas) accepts.
 
 This module is the one per-face metric kernel of the package: lengths
 come from ``_lengths`` (per edge through ``_edge_lengths``), bounds on
-them along a segment from ``_edge_length_bounds``, triangle margins and
-the degenerate corner from ``_degeneracy``, and angles from
-``_angles_opposite``.  Curvature, the Jacobians, the energy quadrature
-and the strict-flow wall check all call these; none recomputes them.
+them along a segment from ``_edge_length_bounds``, margins from
+``_margins``, the wall test (min margin, degenerate corner) from
+``_degeneracy``, and angles from ``_angles_opposite``.  Curvature, the
+Jacobians, the energy quadrature and the strict-flow wall check all call
+these; none recomputes them.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ __all__ = [
 
 # |f| beyond this cannot be exponentiated in double precision.
 F_CAP = 700.0
-
-# arccos/arccosh arguments may leave their domain by at most this much
-# before we treat it as a real error rather than roundoff.
-_TRIG_SLACK = 1e-12
 
 
 class Geometry(enum.Enum):
@@ -301,65 +299,51 @@ class DegeneracyClass:
         return self.corner is not None
 
 
+def _margins(a: np.ndarray) -> np.ndarray:
+    """Margins m_c = a[c+1] + a[c+2] - a[c] of the triangle inequalities.
+
+    ``a[..., c]`` is the length opposite corner c, so m_c is the slack of
+    the inequality whose long side faces c.  The three margins sum to the
+    perimeter, and at most one of them can be non-positive at a time.
+    """
+    return a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a
+
+
 def _degeneracy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one wall test: (min margin, degenerate corner) of each triangle.
 
-    ``a[..., c]`` is the length opposite corner c, and the margin at c is
-    the slack a[c+1] + a[c+2] - a[c] of the triangle inequality whose long
-    side faces c.  At most one margin can be non-positive at a time; the
-    corner is -1 when every margin is positive.
+    A triangle is degenerate at the corner whose margin is non-positive;
+    the corner is -1 when every margin is positive.
     """
-    m = a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a
+    m = _margins(a)
     # column by column: numpy reduces a length-3 inner axis slowly
     margin = np.minimum(np.minimum(m[..., 0], m[..., 1]), m[..., 2])
     return margin, np.where(margin <= 0.0, m.argmin(axis=-1), -1)
 
 
-def _checked_arccos(x: np.ndarray) -> np.ndarray:
-    over = np.abs(x) - 1.0
-    if np.any(over > _TRIG_SLACK):
-        raise NumericalDomainError("angle cosine left [-1, 1] beyond roundoff")
-    return np.arccos(np.clip(x, -1.0, 1.0))
-
-
-def _logcosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
-
-
-def _angles_opposite(geometry: Geometry, a: np.ndarray, deg: np.ndarray) -> np.ndarray:
+def _angles_opposite(geometry: Geometry, a: np.ndarray) -> np.ndarray:
     """Angles at the three corners given opposite lengths a[..., 0:3].
 
-    Rows flagged in ``deg`` (corner index >= 0) get the extended values
-    pi / 0 / 0; the rest go through the cosine rule.
+    Half-angle formulas on the margins clamped at 0: with P the perimeter,
+    x_c = m_c / P (Euclidean) or expm1(-m_c) / expm1(-P) (hyperbolic)
+    lies in [0, 1], and
+
+        tan^2(theta_c / 2) = w_c x_{c+1} x_{c+2} / x_c,
+
+    with w_c = 1 (Euclidean) or e^{-m_c} (hyperbolic: the sinh(s - a)
+    form with its e^{y/2} factors cancelled, so nothing overflows).  A
+    zero margin gives exactly pi at its corner and 0 at the other two:
+    the extension across the wall is the formula itself.
     """
-    flat = a.reshape(-1, 3)
-    deg_flat = np.asarray(deg).reshape(-1)
-    theta = np.zeros_like(flat)
-    good = deg_flat < 0
-    if np.any(good):
-        g = flat[good]
-        cos = np.empty_like(g)
-        if geometry is Geometry.EUCLIDEAN:
-            for c in range(3):
-                b1, b2 = g[:, (c + 1) % 3], g[:, (c + 2) % 3]
-                cos[:, c] = (b1 * b1 + b2 * b2 - g[:, c] * g[:, c]) / (2.0 * b1 * b2)
-        else:
-            # cos(theta_c) = (1 + nu - 2*omega) / (1 - nu) with
-            # nu = cosh(b1 - b2)/cosh(b1 + b2), omega = cosh(a_c)/cosh(b1 + b2);
-            # evaluated through log cosh so large lengths cannot overflow.
-            for c in range(3):
-                b1, b2 = g[:, (c + 1) % 3], g[:, (c + 2) % 3]
-                lc_sum = _logcosh(b1 + b2)
-                nu = np.exp(_logcosh(b1 - b2) - lc_sum)
-                omega = np.exp(_logcosh(g[:, c]) - lc_sum)
-                cos[:, c] = (1.0 + nu - 2.0 * omega) / (1.0 - nu)
-        theta[good] = _checked_arccos(cos)
-    bad = ~good
-    if np.any(bad):
-        rows = np.nonzero(bad)[0]
-        theta[rows, deg_flat[rows]] = np.pi
-    return theta.reshape(a.shape)
+    m = np.maximum(_margins(a), 0.0)
+    perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
+    if geometry is Geometry.EUCLIDEAN:
+        r = np.sqrt(m / perim)
+        num = r[..., [1, 2, 0]] * r[..., [2, 0, 1]]
+    else:
+        r = np.sqrt(np.expm1(-m) / np.expm1(-perim))
+        num = np.exp(-0.5 * m) * r[..., [1, 2, 0]] * r[..., [2, 0, 1]]
+    return 2.0 * np.arctan2(num, r)
 
 
 def _triangle(l_ij, l_ik, l_jk) -> tuple[np.ndarray, int]:
@@ -383,13 +367,12 @@ def classify_triangle(geometry: Geometry, l_ij, l_ik, l_jk) -> DegeneracyClass:
 
 def triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     """Inner angles (theta_i, theta_j, theta_k) of a nondegenerate triangle."""
-    a, corner = _triangle(l_ij, l_ik, l_jk)
-    if corner >= 0:
+    corner = classify_triangle(geometry, l_ij, l_ik, l_jk).corner
+    if corner is not None:
         raise DegenerateTriangleError(
             f"triangle degenerate at corner {corner}; use the extended angles"
         )
-    theta = _angles_opposite(geometry, a, corner)
-    return float(theta[..., 0]), float(theta[..., 1]), float(theta[..., 2])
+    return extended_triangle_angles(geometry, l_ij, l_ik, l_jk)
 
 
 def extended_triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
@@ -399,9 +382,8 @@ def extended_triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     triangle degenerate at q the value is pi at q and 0 at the other two
     corners, which is the continuous limit.
     """
-    a, corner = _triangle(l_ij, l_ik, l_jk)
-    theta = _angles_opposite(geometry, a, corner)
-    return float(theta[..., 0]), float(theta[..., 1]), float(theta[..., 2])
+    a, _ = _triangle(l_ij, l_ik, l_jk)
+    return tuple(float(theta) for theta in _angles_opposite(geometry, a))
 
 
 def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
@@ -470,7 +452,7 @@ def curvature(
     if not extended and np.any(deg >= 0):
         face = int(np.nonzero(deg >= 0)[0][0])
         raise DegenerateFaceError(face)
-    angles = _angles_opposite(state.geometry, a, deg)
+    angles = _angles_opposite(state.geometry, a)
     acc = np.bincount(
         surface.faces.ravel(), weights=angles.ravel(), minlength=surface.vertex_count
     )

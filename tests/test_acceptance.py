@@ -475,7 +475,7 @@ class TestAcceptance:
             if crossings == 0:
                 continue
             crossing_paths += 1
-            theta = _angles_opposite(Geometry.EUCLIDEAN, a, deg)
+            theta = _angles_opposite(Geometry.EUCLIDEAN, a)
             jump = float(np.max(np.abs(np.diff(theta, axis=0))))
             worst = max(worst, jump)
             assert jump < 1e-2

@@ -61,13 +61,19 @@ def genus2_setup(epsilon=0):
 
 @functools.lru_cache(maxsize=None)
 def wall_straddles():
-    """(surface, weights, lo, hi) for 40 pairs of states on adjacent floats of u_i.
+    """(surface, weights, lo, hi) for 80 pairs of states on adjacent floats of one u_v.
 
-    Criterion 9's wall: eps = 1, eta = 2, and both ends of edge 0 at
-    log(4 + 3 sqrt 2) make the two faces on that edge degenerate.  For
-    each of 40 noisy backgrounds, u_i is bisected to the two adjacent
-    floats straddling the wall as ``classify_triangle`` sees it: every
-    face is nondegenerate at lo and some face is degenerate at hi.
+    Both use a 3x3 torus with eps = 1 and eta = 2, and one coordinate u_v
+    is bisected to the two adjacent floats straddling the wall as
+    ``classify_triangle`` sees it: every face is nondegenerate at lo and
+    some face is degenerate at hi.
+
+    - 40 Euclidean: criterion 9's wall, where both ends of edge 0 at
+      log(4 + 3 sqrt 2) make the two faces on that edge degenerate;
+      u_v is an end of edge 0 on a noisy background, in [wall - 0.5,
+      wall + 0.5].
+    - 40 hyperbolic: u = -1 + N(0, 0.05^2) and u_v = u_0 in [-6, -0.01];
+      a small e^{f_v} makes the faces at v degenerate at v.
     """
     surface = generate("torus_grid", 3, 3)
     weights = WeightConfig.uniform(surface, 1, 2.0)
@@ -75,30 +81,35 @@ def wall_straddles():
     wall = np.log(4.0 + 3.0 * np.sqrt(2.0))
     rng = np.random.default_rng(71)
 
-    def state_at(u, x):
-        u = u.copy()
-        u[i] = x
-        return ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
-
     def degenerate(state):
         a = edge_lengths(surface, weights, state)[surface.face_edges]
         return any(
-            classify_triangle(Geometry.EUCLIDEAN, l[2], l[1], l[0]).is_degenerate for l in a
+            classify_triangle(state.geometry, l[2], l[1], l[0]).is_degenerate for l in a
         )
+
+    def straddle(geometry, u, v, ok, bad):
+        def state_at(x):
+            w = u.copy()
+            w[v] = x
+            return ConformalState(geometry, weights.epsilon, w)
+
+        assert not degenerate(state_at(ok)) and degenerate(state_at(bad))
+        while np.nextafter(ok, bad) != bad:
+            mid = 0.5 * (ok + bad)
+            if degenerate(state_at(mid)):
+                bad = mid
+            else:
+                ok = mid
+        return surface, weights, state_at(ok), state_at(bad)
 
     straddles = []
     for _ in range(40):
         u = rng.normal(0.0, 0.02, surface.vertex_count)
         u[j] += wall
-        lo, hi = wall - 0.5, wall + 0.5
-        assert not degenerate(state_at(u, lo)) and degenerate(state_at(u, hi))
-        while np.nextafter(lo, hi) != hi:
-            mid = 0.5 * (lo + hi)
-            if degenerate(state_at(u, mid)):
-                hi = mid
-            else:
-                lo = mid
-        straddles.append((surface, weights, state_at(u, lo), state_at(u, hi)))
+        straddles.append(straddle(Geometry.EUCLIDEAN, u, i, wall - 0.5, wall + 0.5))
+    for _ in range(40):
+        u = -1.0 + rng.normal(0.0, 0.05, surface.vertex_count)
+        straddles.append(straddle(Geometry.HYPERBOLIC, u, 0, -0.01, -6.0))
     return tuple(straddles)
 
 
@@ -315,7 +326,7 @@ class TestStep:
                 faces = [
                     f
                     for f in range(surface.face_count)
-                    if classify_triangle(Geometry.EUCLIDEAN, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
+                    if classify_triangle(state.geometry, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
                 ]
                 assert bool(faces) is side
                 assert (_min_margin(surface, weights, state) <= 0.0) is side
@@ -332,7 +343,7 @@ class TestStep:
 
     def test_jacobian_blocks_finite_beside_walls(self):
         # on the nondegenerate side of a wall a margin can be a few ulp, where
-        # the cosine-rule angle rounds to 0 and sin(theta) with it
+        # an angle rounds to 0 and sin(theta) with it
         for surface, weights, lo_state, _ in wall_straddles():
             blocks = face_corner_jacobians(surface, weights, lo_state, extended=False)
             assert np.all(np.isfinite(blocks))

@@ -176,7 +176,7 @@ def test_hyperbolic_angle_sum_below_pi():
 
 
 def test_large_length_angles_stay_finite():
-    # log-cosh evaluation must survive lengths whose cosh overflows
+    # lengths whose cosh overflows must give finite angles
     th = triangle_angles(HY, 800.0, 800.0, 800.0)
     assert np.all(np.isfinite(th))
     assert sum(th) < 1e-6
@@ -253,6 +253,82 @@ def test_extension_is_continuous_across_wall():
     # extension really reaches pi at the wall
     assert vals[0, 0] == np.pi
     assert vals[-1, 0] < np.pi
+
+
+# ---------------------------------------------------------------------------
+# angles against a high-precision oracle
+
+
+def oracle_angles(geometry, a):
+    """Angles opposite the lengths ``a`` by the cosine rule at 80 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        a = [mp.mpf(float(x)) for x in a]
+        out = []
+        for c in range(3):
+            x, y, z = a[c], a[(c + 1) % 3], a[(c + 2) % 3]
+            if geometry is EU:
+                cos = (y * y + z * z - x * x) / (2 * y * z)
+            else:
+                cos = (mp.cosh(y) * mp.cosh(z) - mp.cosh(x)) / (mp.sinh(y) * mp.sinh(z))
+            out.append(float(mp.acos(cos)))
+    return np.array(out)
+
+
+def shapes(margins):
+    """Opposite lengths a_c = (m_{c+1} + m_{c+2}) / 2 of triangles with margins m."""
+    m = np.asarray(margins, dtype=np.float64)
+    return 0.5 * (m[..., [1, 2, 0]] + m[..., [2, 0, 1]])
+
+
+def angles_of(op, geometry, a):
+    # the single-triangle ops take side-named lengths (l_ij, l_ik, l_jk)
+    return np.array(op(geometry, a[2], a[1], a[0]))
+
+
+@pytest.mark.parametrize("op", [triangle_angles, extended_triangle_angles])
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_angles_match_oracle_at_every_scale(geometry, op):
+    # every margin at least 1e-3 of the perimeter
+    rng = np.random.default_rng(12)
+    for scale in (1e-9, 1e-6, 1e-3, 1.0, 10.0, 100.0):
+        for a in scale * shapes(rng.uniform(0.004, 1.0, size=(20, 3))):
+            got = angles_of(op, geometry, a)
+            assert np.max(np.abs(got - oracle_angles(geometry, a))) < 1e-13
+
+
+@pytest.mark.parametrize("op", [triangle_angles, extended_triangle_angles])
+def test_euclidean_angles_at_extreme_scales(op):
+    rng = np.random.default_rng(13)
+    for a in shapes(rng.uniform(0.004, 1.0, size=(20, 3))):
+        want = oracle_angles(EU, a)
+        for scale in (1e-300, 1e300):
+            assert np.max(np.abs(angles_of(op, EU, scale * a) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("op", [triangle_angles, extended_triangle_angles])
+@pytest.mark.parametrize("length", [1e-6, 1e-9])
+def test_tiny_hyperbolic_equilateral_angles(op, length):
+    got = angles_of(op, HY, np.full(3, length))
+    assert np.max(np.abs(got - oracle_angles(HY, np.full(3, length)))) < 1e-15
+    assert np.max(np.abs(got - np.pi / 3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("op", [triangle_angles, extended_triangle_angles])
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_needle_angles_match_oracle(geometry, op):
+    # flat triangles (one margin small, an angle near pi) and needles (two
+    # small margins, one short side), smallest margin 1e-14..1e-4 of the
+    # perimeter, at every corner
+    rng = np.random.default_rng(14)
+    for rel in 10.0 ** np.arange(-14, -3):
+        for small in (1, 2):
+            for corner in range(3):
+                m = rng.uniform(0.2, 1.0, size=3)
+                m[:small] = rel * m[small:].sum() / (1.0 - small * rel)
+                a = shapes(np.roll(m, corner))
+                got = angles_of(op, geometry, a)
+                assert np.max(np.abs(got - oracle_angles(geometry, a))) < 1e-6
 
 
 def test_wall_reachability_blocks_tangency_weights():
