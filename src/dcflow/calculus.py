@@ -189,8 +189,8 @@ class EnergyValue:
     """Energies of one state relative to a base state.
 
     ``energy`` is 2 pi sum(u) minus the summed per-face integrals;
-    its u-gradient is the curvature.  ``potential`` subtracts the target
-    term so that its gradient is K - target.  ``calabi`` is
+    its u-gradient is the curvature.  ``potential`` subtracts
+    target . (u - base u), so that its gradient is K - target.  ``calabi`` is
     0.5 * sum (target - K)^2 at the state.  With ``extended`` set the
     integrand uses extended angles and all quantities are the continuous
     extensions.
@@ -205,9 +205,9 @@ class EnergyValue:
 
 
 def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
-    # Opposite lengths (F, T, 3) and min margins (F, T) at u0 + ts * du, per
-    # vertex (u -> f), per edge (lengths) and per face; the wall scan and
-    # the bisection use the margins alone, no angles.
+    # Opposite lengths (F, T, 3) at u0 + ts * du, per vertex (u -> f), per
+    # edge (lengths) and per face; the wall scan and the bisection take
+    # their margins, the quadrature their angles.
     u_t = u0[:, None] + ts * du[:, None]
     f_t = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_t))
     lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
@@ -216,7 +216,7 @@ def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
     a = np.empty((len(mesh.faces), ts.size, 3))
     for c in range(3):
         a[..., c] = lengths[mesh.face_edges[:, c]]
-    return a, _degeneracy(a)[0]
+    return a
 
 
 def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
@@ -224,8 +224,8 @@ def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
     du3 = du[mesh.faces]
 
     def evaluate(ts):
-        a, margins = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
-        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a), du3), margins
+        a = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
+        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a), du3)
 
     return evaluate
 
@@ -242,7 +242,7 @@ def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
     return bool(np.all(margin > rounding))
 
 
-def _locate_crossings(shape, grid, margins):
+def _locate_crossings(margins_at, grid, margins):
     # margins: (F, T) on the scan grid; returns sorted interior cut points
     sign = margins > 0.0
     cuts = []
@@ -252,7 +252,7 @@ def _locate_crossings(shape, grid, margins):
         want = sign[face, cell]  # margin sign at lo
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if (shape(np.array([mid]))[1][face, 0] > 0.0) == want:
+            if (margins_at(np.array([mid]))[face, 0] > 0.0) == want:
                 lo = mid
             else:
                 hi = mid
@@ -285,7 +285,7 @@ def _gauss_anchored(evaluate, anchor, far, tol, budget):
     while True:
         x, w = _gauss_rule(n)
         s_nodes = span * x
-        vals, _ = evaluate(anchor + sign * s_nodes**2)
+        vals = evaluate(anchor + sign * s_nodes**2)
         total = vals @ (2.0 * span * w * s_nodes)
         if prev is not None and np.max(np.abs(total - prev)) < tol:
             return total, n
@@ -308,13 +308,15 @@ def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol
     du = u1 - u0
     cuts = []
     if not _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
-        shape = functools.partial(_segment_shape, geometry, mesh, epsilon, eta, u0, du)
+        def margins_at(ts):
+            return _degeneracy(_segment_shape(geometry, mesh, epsilon, eta, u0, du, ts))[0]
+
         grid = np.linspace(0.0, 1.0, 65)
-        margins = shape(grid)[1]
+        margins = margins_at(grid)
         if not extended and np.any(margins <= 0.0):
             face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
             raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
-        cuts = _locate_crossings(shape, grid, margins) if extended else []
+        cuts = _locate_crossings(margins_at, grid, margins) if extended else []
     evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, du)
     knots = [0.0] + cuts + [1.0]
     total = np.zeros(len(mesh.faces))
@@ -409,10 +411,7 @@ def surface_energies(
     )
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
-    if geometry is Geometry.EUCLIDEAN:
-        potential = energy - float(target @ state.u)
-    else:
-        potential = energy - float(target @ (state.u - base.u))
+    potential = energy - float(target @ (state.u - base.u))
     report = curvature(surface, weights, state, extended=extended)
     calabi = 0.5 * float(np.sum((target - report.curvature) ** 2))
     return EnergyValue(

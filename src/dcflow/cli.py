@@ -26,11 +26,10 @@ import numpy as np
 from .errors import (
     BadFaceError,
     BadParameterError,
+    DCFlowError,
     DegenerateFaceError,
     DomainError,
-    MaxIterationsError,
     MeshDocumentError,
-    NoInteriorSolutionError,
     NonManifoldVertexError,
     NotClosedSurfaceError,
     OverflowRangeError,
@@ -392,26 +391,17 @@ def _resolve_cli_target(spec: str | None, doc_target, n: int):
 
 def _cmd_gen(args) -> int:
     kind = "torus_grid" if args.kind == "torus" else args.kind
-    try:
-        surface = generate(kind, *args.dims)
-        geometry = Geometry(args.geometry)
-        weights = WeightConfig.uniform(surface, args.epsilon, args.eta)
-    except BadParameterError as exc:
-        return _fail(str(exc), 2)
-    payload = document_from_objects(surface, weights, geometry)
+    surface = generate(kind, *args.dims)
+    weights = WeightConfig.uniform(surface, args.epsilon, args.eta)
+    payload = document_from_objects(surface, weights, Geometry(args.geometry))
     _write_text(args.out, dump_document(payload))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    try:
-        doc = load_document(args.mesh)
-    except MeshDocumentError as exc:
-        return _fail(str(exc), 2)
+    doc = load_document(args.mesh)
     try:
         surface, weights, _, _ = doc.build()
-    except MeshDocumentError as exc:
-        return _fail(str(exc), 2)
     except (BadFaceError, NotClosedSurfaceError, NonManifoldVertexError, BadParameterError) as exc:
         print(f"manifold: FAIL ({exc})")
         return 1
@@ -437,10 +427,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    try:
-        doc, surface, weights, state, _ = _load_built(args.mesh)
-    except MeshDocumentError as exc:
-        return _fail(str(exc), 2)
+    doc, surface, weights, state, _ = _load_built(args.mesh)
     if state is None:
         state = base_state(doc.geometry, weights.epsilon)
     try:
@@ -462,27 +449,21 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    try:
-        doc, surface, weights, state, doc_target = _load_built(args.mesh)
-        target = _resolve_cli_target(args.target, doc_target, surface.vertex_count)
-    except MeshDocumentError as exc:
-        return _fail(str(exc), 2)
+    doc, surface, weights, state, doc_target = _load_built(args.mesh)
+    target = _resolve_cli_target(args.target, doc_target, surface.vertex_count)
     if state is None:
         state = base_state(doc.geometry, weights.epsilon)
-    try:
-        spec = FlowSpec(
-            FlowKind(args.kind),
-            doc.geometry,
-            target=target,
-            integrator=args.integrator,
-            dt=args.dt,
-            tolerance=args.tol,
-            max_time=args.max_time,
-            trace_stride=args.stride,
-        )
-        trace = run_flow(spec, surface, weights, state)
-    except (TargetInadmissibleError, BadParameterError) as exc:
-        return _fail(str(exc), 2)
+    spec = FlowSpec(
+        FlowKind(args.kind),
+        doc.geometry,
+        target=target,
+        integrator=args.integrator,
+        dt=args.dt,
+        tolerance=args.tol,
+        max_time=args.max_time,
+        trace_stride=args.stride,
+    )
+    trace = run_flow(spec, surface, weights, state)
     if args.trace:
         write_trace(args.trace, trace)
     last = trace.rows[-1]
@@ -494,27 +475,19 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        doc, surface, weights, state, doc_target = _load_built(args.mesh)
-        target = _resolve_cli_target(args.target, doc_target, surface.vertex_count)
-    except MeshDocumentError as exc:
-        return _fail(str(exc), 2)
+    doc, surface, weights, state, doc_target = _load_built(args.mesh)
+    target = _resolve_cli_target(args.target, doc_target, surface.vertex_count)
     if target is None:
         return _fail("no target: pass --target or include Kbar in the document", 2)
-    try:
-        report = solve_prescribed(
-            surface,
-            weights,
-            doc.geometry,
-            target,
-            initial_guess=state,
-            tolerance=args.tol,
-            max_iterations=args.max_iterations,
-        )
-    except (TargetInadmissibleError, BadParameterError) as exc:
-        return _fail(str(exc), 2)
-    except (NoInteriorSolutionError, MaxIterationsError) as exc:
-        return _fail(str(exc), 1)
+    report = solve_prescribed(
+        surface,
+        weights,
+        doc.geometry,
+        target,
+        initial_guess=state,
+        tolerance=args.tol,
+        max_iterations=args.max_iterations,
+    )
     print(
         f"solved in {report.iterations} iterations  residual = "
         f"{_format_number(report.residual)}  certificate = "
@@ -583,7 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (MeshDocumentError, TargetInadmissibleError, BadParameterError) as exc:
+        return _fail(str(exc), 2)  # unusable input
+    except DCFlowError as exc:
+        return _fail(str(exc), 1)  # the computation failed
 
 
 if __name__ == "__main__":

@@ -8,14 +8,19 @@ where faces violate the triangle inequality instead of blowing up
 there.
 
 Explicit Euler is the default integrator with classical RK4 as an
-option.  Strict kinds halve the step near a wall; the extended kind
-never needs to.  ``run_flow`` computes the curvature of every accepted
-state once: for its residual check and as the first stage of the next
-step.
+option.  A failed stage is rejected with the status the step reports
+if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
+strict kinds retry both at half the step; a hyperbolic cone coordinate
+reaching zero gives ANOMALY at once.  ``run_flow`` computes the
+curvature of every accepted state once, for its residual check, its
+trace row and the first stage of the next step, and records rows in
+one place: at the start, every ``trace_stride`` steps and at the last
+accepted state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -262,46 +267,40 @@ def _min_margin(surface, weights, state):
     return float(margin.min())
 
 
-_REJECT_DEGENERATE = "degenerate"
-_REJECT_OVERFLOW = "overflow"
-_REJECT_ANOMALY = "anomaly"
-
-
 class _StepRejected(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    # ``status``: what the step reports if it gives up; ``final``: no retry
+    def __init__(self, status: StepStatus, final: bool = False):
+        super().__init__(status, final)
+        self.status, self.final = status, final
+
+
+@contextlib.contextmanager
+def _rejecting():
+    """Turn the error of a failed stage into the rejection of the step."""
+    try:
+        yield
+    except DomainError as exc:  # a hyperbolic cone coordinate reached 0
+        raise _StepRejected(StepStatus.ANOMALY, final=True) from exc
+    except DegenerateFaceError as exc:
+        raise _StepRejected(StepStatus.DEGENERATED) from exc
+    except (NumericalDomainError, OverflowRangeError) as exc:
+        raise _StepRejected(StepStatus.ANOMALY) from exc
 
 
 def _advance(spec, surface, weights, state, dt, target, kvec=None):
-    """One integrator pass; raises _StepRejected when a stage fails."""
-    is_hyperbolic = spec.geometry is Geometry.HYPERBOLIC
-    cone_mask = state.epsilon == 1
-
-    def stage_state(u):
-        if is_hyperbolic and np.any(u[cone_mask] >= 0.0):
-            raise _StepRejected(_REJECT_ANOMALY)
-        try:
-            return state.with_u(u)
-        except (DomainError, OverflowRangeError) as exc:
-            raise _StepRejected(_REJECT_OVERFLOW) from exc
+    """One integrator pass; a failed stage raises its own error."""
 
     def velocity(st, kvec=None):
-        try:
-            return _field(spec, surface, weights, st, target, kvec)
-        except DegenerateFaceError as exc:
-            raise _StepRejected(_REJECT_DEGENERATE) from exc
-        except (NumericalDomainError, OverflowRangeError) as exc:
-            raise _StepRejected(_REJECT_OVERFLOW) from exc
+        return _field(spec, surface, weights, st, target, kvec)
 
     u0 = state.u
     k1 = velocity(state, kvec)
     if spec.integrator == "euler":
-        return stage_state(u0 + dt * k1)
-    k2 = velocity(stage_state(u0 + 0.5 * dt * k1))
-    k3 = velocity(stage_state(u0 + 0.5 * dt * k2))
-    k4 = velocity(stage_state(u0 + dt * k3))
-    return stage_state(u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return state.with_u(u0 + dt * k1)
+    k2 = velocity(state.with_u(u0 + 0.5 * dt * k1))
+    k3 = velocity(state.with_u(u0 + 0.5 * dt * k2))
+    k4 = velocity(state.with_u(u0 + dt * k3))
+    return state.with_u(u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def step(
@@ -337,26 +336,16 @@ def step(
     dt_try = float(dt)
     while True:
         try:
-            new_state = _advance(spec, surface, weights, state, dt_try, target, _kvec)
-            if not spec.kind.is_extended:
-                try:
-                    margin = _min_margin(surface, weights, new_state)
-                except (NumericalDomainError, OverflowRangeError) as exc:
-                    raise _StepRejected(_REJECT_OVERFLOW) from exc
-                if margin <= margin_floor:
-                    raise _StepRejected(_REJECT_DEGENERATE)
+            with _rejecting():
+                new_state = _advance(spec, surface, weights, state, dt_try, target, _kvec)
+                strict = not spec.kind.is_extended
+                if strict and _min_margin(surface, weights, new_state) <= margin_floor:
+                    raise _StepRejected(StepStatus.DEGENERATED)
             break
         except _StepRejected as rejected:
-            out_of_retries = spec.kind.is_extended or halvings >= MAX_HALVINGS
-            if rejected.reason == _REJECT_ANOMALY or (
-                out_of_retries and rejected.reason == _REJECT_OVERFLOW
-            ):
+            if rejected.final or spec.kind.is_extended or halvings >= MAX_HALVINGS:
                 return state, StepOutcome(
-                    status=StepStatus.ANOMALY, dt_used=0.0, halvings=halvings
-                )
-            if out_of_retries:
-                return state, StepOutcome(
-                    status=StepStatus.DEGENERATED, dt_used=0.0, halvings=halvings
+                    status=rejected.status, dt_used=0.0, halvings=halvings
                 )
             halvings += 1
             dt_try *= 0.5
@@ -383,9 +372,10 @@ def run_flow(
 ) -> FlowTrace:
     """Integrate the flow until convergence, degeneration, or timeout.
 
-    Trace rows are emitted at the start, every ``trace_stride`` steps,
-    and at termination; the potential in each row is maintained by
-    integrating the angle form along the inter-row segments.
+    Trace rows are recorded at the start, every ``trace_stride`` steps,
+    and at the last accepted state; the potential in each row is
+    maintained by integrating the angle form along the inter-row
+    segments.
     """
     if initial.geometry is not spec.geometry:
         raise BadParameterError("initial state geometry does not match the flow spec")
@@ -400,53 +390,39 @@ def run_flow(
 
     sum_reference = float(state.u.sum())
     base = base_state(spec.geometry, state.epsilon)
-    start_value = surface_energies(
-        surface, weights, state, target=target, base=base, extended=True
-    )
-    energy = start_value.energy  # running value of E, updated per row
-
-    def potential_of(energy_value, u):
-        if spec.geometry is Geometry.EUCLIDEAN:
-            return energy_value - float(target @ u)
-        return energy_value - float(target @ (u - base.u))
-
+    # running value of E, advanced along the segments between rows
+    energy = surface_energies(surface, weights, state, base=base, extended=True).energy
     rows = []
     cumulative_correction = 0.0
 
-    def emit(t, state, kvec):
-        residual = float(np.max(np.abs(kvec - target)))
+    def record(t, state, kvec):
+        nonlocal energy
+        u = state.u
+        if rows:
+            last_u = rows[-1].u
+            segment = segment_face_energies(surface, weights, spec.geometry, last_u, u)
+            energy += 2.0 * np.pi * float(u.sum() - last_u.sum()) - float(segment.sum())
         rows.append(
             TraceRow(
                 t=t,
-                u=state.u.copy(),
+                u=u.copy(),
                 curvature=kvec,
-                residual=residual,
-                sum_u=float(state.u.sum()),
-                energy=potential_of(energy, state.u),
+                residual=float(np.max(np.abs(kvec - target))),
+                sum_u=float(u.sum()),
+                energy=energy - float(target @ (u - base.u)),
                 calabi=0.5 * float(np.sum((kvec - target) ** 2)),
                 correction=cumulative_correction,
             )
         )
 
     kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
-    emit(0.0, state, kvec)
-    if rows[-1].residual < spec.tolerance:
-        return FlowTrace(tuple(rows), TerminationReason.CONVERGED, shift)
-
-    t = 0.0
-    steps = 0
-    last_row_u = state.u.copy()
-    termination = TerminationReason.MAX_TIME
-
-    def advance_energy(u_now):
-        nonlocal energy, last_row_u
-        segment = segment_face_energies(
-            surface, weights, spec.geometry, last_row_u, u_now, extended=True
-        )
-        energy += 2.0 * np.pi * float(u_now.sum() - last_row_u.sum()) - float(segment.sum())
-        last_row_u = u_now.copy()
-
-    while t < spec.max_time - 1e-12:
+    record(0.0, state, kvec)
+    t, steps, residual = 0.0, 0, rows[-1].residual
+    termination = TerminationReason.CONVERGED
+    while not residual < spec.tolerance:  # a NaN residual never converges
+        if t >= spec.max_time - 1e-12:
+            termination = TerminationReason.MAX_TIME
+            break
         dt = min(spec.dt, spec.max_time - t)
         state_new, outcome = step(
             spec, surface, weights, state, dt,
@@ -463,32 +439,17 @@ def run_flow(
         t += outcome.dt_used
         steps += 1
         cumulative_correction += outcome.correction
-
         try:
             kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
         except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
+            return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift)
+        residual = float(np.max(np.abs(kvec - target)))
+        if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
             termination = TerminationReason.DIVERGED
             break
-        residual = float(np.max(np.abs(kvec - target)))
-        if not np.isfinite(residual) or residual > DIVERGENCE_RESIDUAL:
-            termination = TerminationReason.DIVERGED
-            advance_energy(state.u)
-            emit(t, state, kvec)
-            return FlowTrace(tuple(rows), termination, shift)
-        if residual < spec.tolerance:
-            termination = TerminationReason.CONVERGED
-            advance_energy(state.u)
-            emit(t, state, kvec)
-            return FlowTrace(tuple(rows), termination, shift)
-        if steps % spec.trace_stride == 0:
-            advance_energy(state.u)
-            emit(t, state, kvec)
+        if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
+            record(t, state, kvec)
 
     if rows[-1].t < t:
-        try:
-            kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
-            advance_energy(state.u)
-            emit(t, state, kvec)
-        except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
-            pass  # the last recorded row stands; the reason explains the stop
+        record(t, state, kvec)
     return FlowTrace(tuple(rows), termination, shift)

@@ -122,15 +122,20 @@ def solve_prescribed(
 ) -> SolveReport:
     """Find conformal factors whose curvature equals the target.
 
-    Raises TargetInadmissibleError when the target violates the
-    admissibility constraints, NoInteriorSolutionError when the
-    iteration converges to a generalized solution with degenerate
-    faces, and MaxIterationsError when the budget runs out.
+    Raises BadParameterError unless ``tolerance`` > 0 and
+    ``max_iterations`` >= 0, TargetInadmissibleError when the target
+    violates the admissibility constraints, NoInteriorSolutionError
+    when the iteration converges to a generalized solution with
+    degenerate faces, and MaxIterationsError when the budget runs out.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (surface.vertex_count,) or not np.all(np.isfinite(target)):
         raise BadParameterError("target must be a finite per-vertex vector")
-    probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target)
+    if max_iterations < 0:
+        raise BadParameterError("max_iterations must be non-negative")
+    # the spec rejects a tolerance that is not positive, NaN included
+    kind = FlowKind.EXTENDED_MODIFIED_RICCI
+    probe = FlowSpec(kind, geometry, target=target, tolerance=tolerance)
     target = _admissible_target(probe, surface)
 
     if initial_guess is None:

@@ -442,6 +442,19 @@ class TestSolveCommand:
         assert main(["solve", str(bare)]) == 1
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iterations", "-1"], ["--tol", "0"], ["--tol", "nan"]],
+        ids=["max-iterations-negative", "tol-zero", "tol-nan"],
+    )
+    def test_bad_solver_limits_exit_2(self, tmp_path, capsys, flags):
+        mesh = str(tmp_path / "t.json")
+        main(["gen", "torus_grid", "3", "3", "--out", mesh])
+        capsys.readouterr()
+        assert main(["solve", mesh, "--target", "const:0", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_solve_hyperbolic_genus2(self, tmp_path):
         mesh = str(tmp_path / "g2.json")
         main(["gen", "genus2", "--geometry", "hyperbolic", "--out", mesh])
@@ -450,6 +463,25 @@ class TestSolveCommand:
         surface, weights, state, _ = load_document(out).build()
         report = curvature(surface, weights, state)
         assert np.max(np.abs(report.curvature)) < 1e-9
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command",
+        [["curvature"], ["flow"], ["solve", "--target", f"const:{np.pi!r}"]],
+        ids=["curvature", "flow", "solve"],
+    )
+    def test_violated_weight_conditions_exit_1(self, tmp_path, capsys, command):
+        # eta = -2 on a tetrahedron gives non-positive squared lengths: a
+        # computation failure, reported as one error line
+        mesh = str(tmp_path / "t.json")
+        assert main(["gen", "tetrahedron", "--eta", "-2", "--out", mesh]) == 0
+        capsys.readouterr()
+        assert main([command[0], mesh, *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "weight conditions violated" in err
+        assert "Traceback" not in err
 
 
 class TestConsoleEntry:

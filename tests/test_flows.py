@@ -361,6 +361,19 @@ class TestStep:
         assert outcome.status is StepStatus.ANOMALY
         assert new_state is state
 
+    def test_strict_kind_gives_up_at_once_on_sign_violation(self):
+        # a cone coordinate past zero is no wall: a strict kind must not
+        # halve its way back, but report the anomaly at the first try
+        surface, weights = genus2_setup(epsilon=1)
+        state = base_state(Geometry.HYPERBOLIC, weights.epsilon)
+        spec = FlowSpec(
+            FlowKind.MODIFIED_RICCI, Geometry.HYPERBOLIC, target=np.zeros(15), dt=50.0
+        )
+        new_state, outcome = step(spec, surface, weights, state)
+        assert outcome.status is StepStatus.ANOMALY
+        assert outcome.halvings == 0
+        assert new_state is state
+
     def test_drift_compensation_records_correction(self):
         surface, weights = torus_setup()
         rng = np.random.default_rng(64)
@@ -492,6 +505,41 @@ class TestRunFlow:
         trace = run_flow(spec, surface, weights, state)
         assert trace.termination is TerminationReason.DEGENERATED
 
+    def test_degenerated_run_records_last_accepted_state(self, monkeypatch):
+        # a start further from the wall takes several steps before no
+        # halving can keep the spike face open; the trace then ends with a
+        # row at the last accepted state, off the stride
+        surface, weights = torus_setup()
+        u = np.zeros(9)
+        u[4] = -2.0 * np.log(2.0) + 1e-3
+        state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+        push = np.zeros(9)
+        push[4] = -1.0
+        push -= push.mean()
+        target = curvature(surface, weights, state).curvature + push
+        spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, trace_stride=5)
+        accepted = []
+        real_step = flows.step
+
+        def recording_step(*args, **kwargs):
+            new_state, outcome = real_step(*args, **kwargs)
+            if outcome.status is StepStatus.OK:
+                accepted.append((outcome.dt_used, new_state))
+            return new_state, outcome
+
+        monkeypatch.setattr(flows, "step", recording_step)
+        trace = run_flow(spec, surface, weights, state)
+        assert trace.termination is TerminationReason.DEGENERATED
+        assert len(accepted) > 5 and len(accepted) % 5 != 0
+        t = 0.0
+        for dt_used, _ in accepted:
+            t += dt_used
+        last = trace.rows[-1]
+        assert last.t == t
+        assert np.array_equal(last.u, accepted[-1][1].u)
+        expected = curvature(surface, weights, accepted[-1][1]).curvature
+        assert np.array_equal(last.curvature, expected)
+
     def test_trace_times_strictly_increasing(self):
         surface, weights = tetra_setup()
         rng = np.random.default_rng(69)
@@ -579,6 +627,24 @@ class TestRunFlow:
         assert steps > 10
         assert len(calls) == per_step * steps + 1
         assert set(calls) == {kind.is_extended}
+
+        # a run stopped by max_time between two stride rows takes its last
+        # row's curvature from its last step, so it makes no extra call
+        calls.clear()
+        short = FlowSpec(
+            kind,
+            Geometry.EUCLIDEAN,
+            target=np.zeros(9),
+            integrator=integrator,
+            dt=0.1,
+            tolerance=1e-8,
+            max_time=0.5,
+            trace_stride=4,
+        )
+        trace = run_flow(short, surface, weights, state)
+        assert trace.termination is TerminationReason.MAX_TIME
+        assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.4, 0.5]
+        assert len(calls) == per_step * 5 + 1
 
     def test_normalize_sum_to_records_shift(self):
         surface, weights = tetra_setup()

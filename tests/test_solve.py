@@ -314,6 +314,24 @@ class TestSolveErrors:
                 initial_guess=guess,
             )
 
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_iterations": -1}, {"tolerance": 0.0}, {"tolerance": np.nan}, {"tolerance": -1e-9}],
+        ids=["max-iterations-negative", "tolerance-zero", "tolerance-nan", "tolerance-negative"],
+    )
+    def test_bad_limits_rejected(self, limits):
+        # checked before any iteration: a zero tolerance must not read as a
+        # stalled line search, nor a negative budget as a crash
+        surface, weights = torus_setup()
+        guess = ConformalState(
+            Geometry.EUCLIDEAN, weights.epsilon, np.linspace(-0.2, 0.2, surface.vertex_count)
+        )
+        target = np.zeros(surface.vertex_count)
+        with pytest.raises(BadParameterError):
+            solve_prescribed(
+                surface, weights, Geometry.EUCLIDEAN, target, initial_guess=guess, **limits
+            )
+
     def test_max_iterations_exhausted(self):
         surface, weights = torus_setup()
         rng = np.random.default_rng(47)
