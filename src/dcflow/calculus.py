@@ -14,11 +14,12 @@ quadrature first bounds every edge length over the segment; when the
 bounds certify every face clear of its walls, the segment is one smooth
 piece.  Only otherwise do a scan and a bisection that evaluate triangle
 margins alone locate the wall crossings.  Doubling Gauss-Legendre rules
-then run on each smooth piece.
+then run on the two halves of each smooth piece, all halves of one
+doubling round in one batched evaluation of the integrand.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
-``geometry``; the integrand evaluates them per vertex, per edge and per
-face, and a lone triangle runs as a one-face complex.
+``geometry``; the integrand evaluates them per vertex (u -> f and e^f),
+per edge and per face, and a lone triangle runs as a one-face complex.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _corner_jacobian_core(geometry, eps3, eta3, f3, a):
         d_base = -np.exp(-0.5 * m) * np.expm1(-2.0 * a) / heron
         c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), np.sinh(a)
 
-    cos_t, t_mat = np.cos(_angles_opposite(geometry, a)), np.zeros(a.shape[:-1] + (3, 3))
+    cos_t, t_mat = np.cos(_angles_opposite(geometry, a, m)), np.zeros(a.shape[:-1] + (3, 3))
     for r in range(3):
         for e in range(3):
             t_mat[..., r, e] = d_base[..., r] if r == e else -d_base[..., r] * cos_t[..., 3 - r - e]
@@ -270,29 +271,58 @@ def _gauss_rule(n):
     return nodes, weights
 
 
-def _gauss_anchored(evaluate, anchor, far, tol, budget):
-    """Doubling Gauss-Legendre from ``anchor`` to ``far``.
+def _anchored_rule(anchor, far, n):
+    """Nodes and weights of the n-point Gauss-Legendre rule from ``anchor`` to ``far``.
 
     Substitutes t = anchor + sign * s^2 so that the square-root approach
     of an extended angle to a wall sitting exactly at the anchor becomes
     smooth; away from walls the substitution is a harmless
     reparametrization.
     """
+    x, w = _gauss_rule(n)
     sign = 1.0 if far >= anchor else -1.0
     span = np.sqrt(abs(far - anchor))
-    n = 4
-    prev = None
-    while True:
-        x, w = _gauss_rule(n)
-        s_nodes = span * x
-        vals = evaluate(anchor + sign * s_nodes**2)
-        total = vals @ (2.0 * span * w * s_nodes)
-        if prev is not None and np.max(np.abs(total - prev)) < tol:
-            return total, n
-        if n >= min(_PIECE_CAP, budget):
-            raise QuadratureFailureError(f"energy quadrature did not converge with {n} nodes")
-        prev = total
-        n *= 2
+    s_nodes = span * x
+    return anchor + sign * s_nodes**2, 2.0 * span * w * s_nodes
+
+
+def _gauss_doubling(evaluate, halves, tol):
+    """Sum of doubling Gauss-Legendre integrals over the anchored ``halves``.
+
+    Round one evaluates n = 4 and n = 8 on every half (anchor, far), each
+    later round n = 2k on the halves whose last two rules differ by ``tol``
+    or more, in one ``evaluate`` call of at most _PIECE_CAP nodes (chunked
+    by whole halves).
+    """
+    accepted, prev = [None] * len(halves), [None] * len(halves)
+    pending, ns = list(range(len(halves))), (4, 8)
+    while pending and ns[-1] <= _PIECE_CAP:
+        per_call = max(1, _PIECE_CAP // sum(ns))
+        for start in range(0, len(pending), per_call):
+            batch = [(h, n) for h in pending[start : start + per_call] for n in ns]
+            rules = [_anchored_rule(*halves[h], n) for h, n in batch]
+            vals = evaluate(np.concatenate([nodes for nodes, _ in rules]))
+            col = 0
+            for (h, n), (_, weights) in zip(batch, rules):
+                integral = vals[:, col : col + n] @ weights
+                col += n
+                if prev[h] is not None and np.max(np.abs(integral - prev[h])) < tol:
+                    accepted[h] = (integral, n)
+                prev[h] = integral
+        pending = [h for h in pending if accepted[h] is None]
+        ns = (2 * ns[-1],)
+    # summed in knot order: a half fails when a rule short of its accepted one
+    # reached the smaller of _PIECE_CAP and the budget the halves before it left
+    total, budget = 0.0, _TOTAL_CAP
+    for piece, used in (a or (None, 2 * _PIECE_CAP) for a in accepted):
+        limit = min(_PIECE_CAP, budget)
+        if not used // 2 < limit:
+            raise QuadratureFailureError(f"energy quadrature did not converge within {limit} nodes")
+        total += piece
+        budget -= used
+        if budget <= 0:
+            raise QuadratureFailureError("energy quadrature exceeded its budget")
+    return total
 
 
 def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol):
@@ -319,18 +349,9 @@ def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol
         cuts = _locate_crossings(margins_at, grid, margins) if extended else []
     evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, du)
     knots = [0.0] + cuts + [1.0]
-    total = np.zeros(len(mesh.faces))
-    budget = _TOTAL_CAP
-    piece_tol = tol / (2 * len(knots))
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        mid = 0.5 * (t0 + t1)
-        for anchor, far in ((t0, mid), (t1, mid)):
-            piece, used = _gauss_anchored(evaluate, anchor, far, piece_tol, budget)
-            total += piece
-            budget -= used
-            if budget <= 0:
-                raise QuadratureFailureError("energy quadrature exceeded its budget")
-    return total
+    # each smooth piece splits at its midpoint into two halves anchored at its knots
+    halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
+    return _gauss_doubling(evaluate, halves, tol / (2 * len(knots)))
 
 
 def triangle_energy(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import curvature_jacobian, segment_face_energies, surface_energies
+from .calculus import curvature_jacobian, segment_face_energies
 from .errors import (
     BadParameterError,
     DegenerateFaceError,
@@ -288,7 +288,7 @@ def _rejecting():
 
 
 def _advance(spec, surface, weights, state, dt, target, kvec=None):
-    """One integrator pass; a failed stage raises its own error."""
+    """One integrator pass to the new coordinates u; a failed stage raises its own error."""
 
     def velocity(st, kvec=None):
         return _field(spec, surface, weights, st, target, kvec)
@@ -296,11 +296,11 @@ def _advance(spec, surface, weights, state, dt, target, kvec=None):
     u0 = state.u
     k1 = velocity(state, kvec)
     if spec.integrator == "euler":
-        return state.with_u(u0 + dt * k1)
+        return u0 + dt * k1
     k2 = velocity(state.with_u(u0 + 0.5 * dt * k1))
     k3 = velocity(state.with_u(u0 + 0.5 * dt * k2))
     k4 = velocity(state.with_u(u0 + dt * k3))
-    return state.with_u(u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(
@@ -332,12 +332,18 @@ def step(
         # the curvature Laplacian has no continuous extension, so the
         # Calabi flow stops when a face gets this close to a wall
         return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
-    halvings = 0
-    dt_try = float(dt)
+    # these kinds conserve the coordinate sum: remove each step's discretization drift
+    conserved = spec.geometry is Geometry.EUCLIDEAN and spec.kind is not FlowKind.RICCI
+    reference = float(state.u.sum()) if sum_reference is None else sum_reference
+    halvings, dt_try, drift = 0, float(dt), 0.0
     while True:
         try:
             with _rejecting():
-                new_state = _advance(spec, surface, weights, state, dt_try, target, _kvec)
+                u_new = _advance(spec, surface, weights, state, dt_try, target, _kvec)
+                if conserved:
+                    drift = (float(u_new.sum()) - reference) / surface.vertex_count
+                    u_new -= drift
+                new_state = state.with_u(u_new)
                 strict = not spec.kind.is_extended
                 if strict and _min_margin(surface, weights, new_state) <= margin_floor:
                     raise _StepRejected(StepStatus.DEGENERATED)
@@ -349,18 +355,8 @@ def step(
                 )
             halvings += 1
             dt_try *= 0.5
-
-    correction = 0.0
-    if spec.geometry is Geometry.EUCLIDEAN and spec.kind is not FlowKind.RICCI:
-        # the continuous flow conserves the coordinate sum; remove the
-        # discretization drift instead of letting it accumulate
-        reference = float(state.u.sum()) if sum_reference is None else sum_reference
-        drift = (float(new_state.u.sum()) - reference) / surface.vertex_count
-        if drift != 0.0:
-            new_state = new_state.with_u(new_state.u - drift)
-        correction = abs(drift)
     return new_state, StepOutcome(
-        status=StepStatus.OK, dt_used=dt_try, halvings=halvings, correction=correction
+        status=StepStatus.OK, dt_used=dt_try, halvings=halvings, correction=abs(drift)
     )
 
 
@@ -390,8 +386,10 @@ def run_flow(
 
     sum_reference = float(state.u.sum())
     base = base_state(spec.geometry, state.epsilon)
-    # running value of E, advanced along the segments between rows
-    energy = surface_energies(surface, weights, state, base=base, extended=True).energy
+    # running value of E = 2 pi sum(u) - (face integrals from the base),
+    # advanced along the segments between rows
+    start = segment_face_energies(surface, weights, spec.geometry, base.u, state.u)
+    energy = 2.0 * np.pi * float(state.u.sum()) - float(start.sum())
     rows = []
     cumulative_correction = 0.0
 

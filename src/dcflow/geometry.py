@@ -21,12 +21,12 @@ zero at the other two, which is the continuous extension across the
 wall that every derived quantity (curvature, areas) accepts.
 
 This module is the one per-face metric kernel of the package: lengths
-come from ``_lengths`` (per edge through ``_edge_lengths``), bounds on
-them along a segment from ``_edge_length_bounds``, margins from
-``_margins``, the wall test (min margin, degenerate corner) from
-``_degeneracy``, and angles from ``_angles_opposite``.  Curvature, the
-Jacobians, the energy quadrature and the strict-flow wall check all call
-these; none recomputes them.
+come from ``_lengths`` on the per-vertex terms of ``_vertex_terms``
+(per edge through ``_edge_lengths``), bounds on them along a segment from
+``_edge_length_bounds``, margins from ``_margins``, the wall test (min
+margin, degenerate corner) from ``_degeneracy``, and angles from
+``_angles_opposite``.  Curvature, the Jacobians, the energy quadrature
+and the strict-flow wall check all call these; none recomputes them.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class Geometry(enum.Enum):
 
 
 def _check_f_range(f: np.ndarray) -> None:
-    if np.any(np.abs(f) > F_CAP) or not np.all(np.isfinite(f)):
+    if not np.abs(f).max(initial=0.0) <= F_CAP:  # one reduction; NaN and inf fail too
         raise OverflowRangeError(f"conformal exponent exceeds |f| <= {F_CAP}")
 
 
@@ -101,14 +101,12 @@ def u_to_f(geometry: Geometry, epsilon, u):
     if geometry is Geometry.EUCLIDEAN:
         _check_f_range(u)
         return u.copy()
-    f = u.astype(np.float64).copy()
-    mask = (epsilon == 1) if epsilon.shape else np.full(u.shape, bool(epsilon == 1))
-    mask = np.broadcast_to(mask, u.shape)
+    f = u.copy()
+    mask = np.broadcast_to(epsilon == 1, u.shape)
     if np.any(mask & ~(u < 0.0)):
         raise DomainError("hyperbolic eps=1 coordinates must satisfy u < 0")
-    if np.any(mask):
-        with np.errstate(divide="ignore"):
-            f[mask] = -_logsinh(-u[mask])
+    with np.errstate(divide="ignore"):
+        f[mask] = -_logsinh(-u[mask])
     _check_f_range(f)
     return f if f.shape else float(f)
 
@@ -120,11 +118,9 @@ def f_to_u(geometry: Geometry, epsilon, f):
     epsilon = np.asarray(epsilon, dtype=np.int64)
     if geometry is Geometry.EUCLIDEAN:
         return f.copy()
-    u = f.astype(np.float64).copy()
-    mask = (epsilon == 1) if epsilon.shape else np.full(f.shape, bool(epsilon == 1))
-    mask = np.broadcast_to(mask, f.shape)
-    if np.any(mask):
-        u[mask] = -np.arcsinh(np.exp(-f[mask]))
+    u = f.copy()
+    mask = np.broadcast_to(epsilon == 1, f.shape)
+    u[mask] = -np.arcsinh(np.exp(-f[mask]))
     return u if u.shape else float(u)
 
 
@@ -141,16 +137,17 @@ class ConformalState:
     u: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=np.int64)
-        u = np.asarray(self.u, dtype=np.float64)
-        if eps.shape != u.shape:
+        object.__setattr__(self, "epsilon", np.asarray(self.epsilon, dtype=np.int64))
+        self._set_u(self.u)
+
+    def _set_u(self, u) -> None:
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != self.epsilon.shape:
             raise BadParameterError("epsilon and u must have matching shapes")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise BadParameterError("u contains non-finite values")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "u", u)
-        # Raises DomainError / OverflowRangeError for out-of-range coordinates.
-        object.__setattr__(self, "_f", u_to_f(self.geometry, eps, u))
+        # u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
+        self.__dict__.update(u=u, _f=u_to_f(self.geometry, self.epsilon, u))
 
     @property
     def f(self) -> np.ndarray:
@@ -161,7 +158,11 @@ class ConformalState:
         return cls(geometry, epsilon, f_to_u(geometry, np.asarray(epsilon), f))
 
     def with_u(self, u) -> "ConformalState":
-        return ConformalState(self.geometry, self.epsilon, u)
+        """The state at coordinates ``u``; epsilon was validated with ``self``."""
+        state = object.__new__(type(self))
+        state.__dict__.update(geometry=self.geometry, epsilon=self.epsilon)
+        state._set_u(u)
+        return state
 
 
 def base_state(geometry: Geometry, epsilon) -> ConformalState:
@@ -176,31 +177,30 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 # lengths
 
 
-def _lengths(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j) -> np.ndarray:
-    # Unchecked core of every length evaluation: the exponents must
-    # already satisfy |f| <= F_CAP.
+def _vertex_terms(geometry: Geometry, eps, f):
+    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C (hyperbolic)
+    x = np.exp(f)
     if geometry is Geometry.EUCLIDEAN:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rad = (
-                eps_i * np.exp(2.0 * f_i)
-                + eps_j * np.exp(2.0 * f_j)
-                + 2.0 * eta * np.exp(f_i + f_j)
-            )
-        if np.any(~np.isfinite(rad)):
+        return x, eps * x**2
+    return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
+
+
+def _lengths(geometry: Geometry, w_i, w_j, eta, x_i, x_j) -> np.ndarray:
+    # Unchecked core of every length, on the _vertex_terms of both ends (from |f| <= F_CAP);
+    # the caller ignores overflow and invalid values, which the checks below reject
+    if geometry is Geometry.EUCLIDEAN:
+        rad = w_i + w_j + 2.0 * eta * x_i * x_j
+        if not np.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
-        if np.any(rad <= 0.0):
+        if rad.min() <= 0.0:
             raise NumericalDomainError(
                 "non-positive squared length; weight conditions violated"
             )
         return np.sqrt(rad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_i, s_j = np.exp(f_i), np.exp(f_j)
-        c_i = np.where(eps_i == 1.0, np.hypot(1.0, s_i), 1.0)
-        c_j = np.where(eps_j == 1.0, np.hypot(1.0, s_j), 1.0)
-        ch = c_i * c_j + eta * s_i * s_j
-    if np.any(~np.isfinite(ch)):
+    ch = w_i * w_j + eta * x_i * x_j
+    if not np.isfinite(ch.max()):
         raise OverflowRangeError("hyperbolic length overflow")
-    if np.any(ch <= 1.0):
+    if ch.min() <= 1.0:
         raise NumericalDomainError("cosh(length) <= 1; weight conditions violated")
     return np.arccosh(ch)
 
@@ -211,14 +211,10 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     f_j = np.asarray(f_j, dtype=np.float64)
     _check_f_range(f_i)
     _check_f_range(f_j)
-    out = _lengths(
-        geometry,
-        np.asarray(eps_i, dtype=np.float64),
-        np.asarray(eps_j, dtype=np.float64),
-        np.asarray(eta, dtype=np.float64),
-        f_i,
-        f_j,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
+        x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
+        out = _lengths(geometry, w_i, w_j, np.asarray(eta, dtype=np.float64), x_i, x_j)
     return out if out.shape else float(out)
 
 
@@ -230,16 +226,11 @@ def _edge_lengths(geometry: Geometry, epsilon, eta, edges, f) -> np.ndarray:
     """
     f = np.asarray(f, dtype=np.float64)
     column = (-1,) + (1,) * (f.ndim - 1)
-    eps = np.asarray(epsilon, dtype=np.float64)
     i, j = edges[:, 0], edges[:, 1]
-    return _lengths(
-        geometry,
-        eps[i].reshape(column),
-        eps[j].reshape(column),
-        np.asarray(eta, dtype=np.float64).reshape(column),
-        f[i],
-        f[j],
-    )
+    eta = np.asarray(eta, dtype=np.float64).reshape(column)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, w = _vertex_terms(geometry, np.asarray(epsilon, dtype=np.float64).reshape(column), f)
+        return _lengths(geometry, w[i], w[j], eta, x[i], x[j])
 
 
 def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
@@ -253,15 +244,14 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     with |f|, so they hold for lengths evaluated in floating point too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(np.sort(f_ends, axis=1))  # e^f at the low and the high end
+        eps = np.asarray(epsilon, dtype=np.float64)[:, None]
+        x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
         i, j = edges[:, 0], edges[:, 1]
         eta = np.asarray(eta, dtype=np.float64)[:, None]
         if geometry is Geometry.EUCLIDEAN:
-            eps = np.asarray(epsilon, dtype=np.float64)[:, None]
-            terms = [eps[i] * x[i] ** 2, eps[j] * x[j] ** 2, 2.0 * eta * x[i] * x[j]]
+            terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
         else:
-            c = np.where(np.asarray(epsilon)[:, None] == 1, np.hypot(1.0, x), 1.0)
-            terms = [c[i] * c[j], eta * x[i] * x[j]]
+            terms = [w[i] * w[j], eta * x[i] * x[j]]
         ends = np.sort(terms, axis=-1)  # (term, E, end)
         slack = 32.0 * np.spacing(1.0 + np.abs(f_ends).max()) * np.abs(ends).sum(axis=(0, 2))
         lo = ends[..., 0].sum(axis=0) - slack
@@ -305,23 +295,28 @@ def _margins(a: np.ndarray) -> np.ndarray:
     ``a[..., c]`` is the length opposite corner c, so m_c is the slack of
     the inequality whose long side faces c.  The three margins sum to the
     perimeter, and at most one of them can be non-positive at a time.
+    Callers that have them pass them to the wall test and the angles as ``m``.
     """
-    return a[..., [1, 2, 0]] + a[..., [2, 0, 1]] - a
+    m = np.empty_like(a)
+    for c in range(3):  # column arithmetic: no fancy-index copies
+        np.add(a[..., (c + 1) % 3], a[..., (c + 2) % 3], out=m[..., c])
+    m -= a
+    return m
 
 
-def _degeneracy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _degeneracy(a: np.ndarray, m: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one wall test: (min margin, degenerate corner) of each triangle.
 
     A triangle is degenerate at the corner whose margin is non-positive;
     the corner is -1 when every margin is positive.
     """
-    m = _margins(a)
+    m = _margins(a) if m is None else m
     # column by column: numpy reduces a length-3 inner axis slowly
     margin = np.minimum(np.minimum(m[..., 0], m[..., 1]), m[..., 2])
     return margin, np.where(margin <= 0.0, m.argmin(axis=-1), -1)
 
 
-def _angles_opposite(geometry: Geometry, a: np.ndarray) -> np.ndarray:
+def _angles_opposite(geometry: Geometry, a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
     """Angles at the three corners given opposite lengths a[..., 0:3].
 
     Half-angle formulas on the margins clamped at 0: with P the perimeter,
@@ -335,14 +330,19 @@ def _angles_opposite(geometry: Geometry, a: np.ndarray) -> np.ndarray:
     zero margin gives exactly pi at its corner and 0 at the other two:
     the extension across the wall is the formula itself.
     """
-    m = np.maximum(_margins(a), 0.0)
+    m = np.maximum(_margins(a) if m is None else m, 0.0)
     perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
     if geometry is Geometry.EUCLIDEAN:
         r = np.sqrt(m / perim)
-        num = r[..., [1, 2, 0]] * r[..., [2, 0, 1]]
+        num = np.empty_like(r)
+        for c in range(3):  # column arithmetic, as in _margins
+            np.multiply(r[..., (c + 1) % 3], r[..., (c + 2) % 3], out=num[..., c])
     else:
         r = np.sqrt(np.expm1(-m) / np.expm1(-perim))
-        num = np.exp(-0.5 * m) * r[..., [1, 2, 0]] * r[..., [2, 0, 1]]
+        num = np.exp(-0.5 * m)
+        for c in range(3):
+            num[..., c] *= r[..., (c + 1) % 3]
+            num[..., c] *= r[..., (c + 2) % 3]
     return 2.0 * np.arctan2(num, r)
 
 
@@ -448,11 +448,12 @@ def curvature(
     """
     lengths = edge_lengths(surface, weights, state)
     a = lengths[surface.face_edges]
-    _, deg = _degeneracy(a)
+    m = _margins(a)
+    _, deg = _degeneracy(a, m)
     if not extended and np.any(deg >= 0):
         face = int(np.nonzero(deg >= 0)[0][0])
         raise DegenerateFaceError(face)
-    angles = _angles_opposite(state.geometry, a)
+    angles = _angles_opposite(state.geometry, a, m)
     acc = np.bincount(
         surface.faces.ravel(), weights=angles.ravel(), minlength=surface.vertex_count
     )

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from dcflow import flows
+from dcflow import calculus, flows
 from dcflow.calculus import (
     curvature_jacobian,
     face_corner_jacobians,
@@ -600,16 +600,22 @@ class TestRunFlow:
     def test_curvature_calls_per_step(self, monkeypatch, kind, integrator, per_step):
         # each accepted state's curvature serves both its trace row and the
         # first stage of the next step, so one per step plus one at the start
-        # for Euler, and three more stages per step for RK4
+        # for Euler, and three more stages per step for RK4; the start energy
+        # is a segment integral, so calculus computes no curvature at all
         surface, weights = torus_setup()
-        calls = []
+        calls, energy_calls = [], []
         real_curvature = flows.curvature
 
         def counting_curvature(*args, **kwargs):
             calls.append(kwargs.get("extended"))
             return real_curvature(*args, **kwargs)
 
+        def counting_energy_curvature(*args, **kwargs):
+            energy_calls.append(kwargs.get("extended"))
+            return real_curvature(*args, **kwargs)
+
         monkeypatch.setattr(flows, "curvature", counting_curvature)
+        monkeypatch.setattr(calculus, "curvature", counting_energy_curvature)
         u0 = np.random.default_rng(72).normal(0.0, 0.1, 9)
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u0 - u0.mean())
         spec = FlowSpec(
@@ -627,6 +633,7 @@ class TestRunFlow:
         assert steps > 10
         assert len(calls) == per_step * steps + 1
         assert set(calls) == {kind.is_extended}
+        assert energy_calls == []
 
         # a run stopped by max_time between two stride rows takes its last
         # row's curvature from its last step, so it makes no extra call
@@ -645,6 +652,7 @@ class TestRunFlow:
         assert trace.termination is TerminationReason.MAX_TIME
         assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.4, 0.5]
         assert len(calls) == per_step * 5 + 1
+        assert energy_calls == []
 
     def test_normalize_sum_to_records_shift(self):
         surface, weights = tetra_setup()

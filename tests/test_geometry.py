@@ -30,6 +30,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
+from dcflow.geometry import _edge_lengths
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -93,6 +94,33 @@ def test_exponent_cap():
         ConformalState(EU, np.array([0]), np.array([701.0]))
 
 
+def test_with_u_validates_u_with_the_same_error_types():
+    # with_u checks only the new coordinates; each bad input keeps its cause
+    eu = ConformalState(EU, np.ones(3, dtype=int), np.zeros(3))
+    hy = base_state(HY, np.array([1, 1, 0]))
+    for state in (eu, hy):
+        for bad in ([np.nan, -1.0, 0.0], [-1.0, np.inf, 0.0], [-1.0, -1.0, -np.inf]):
+            with pytest.raises(BadParameterError):
+                state.with_u(np.array(bad))
+        for shape in ((2,), (4,), (3, 1)):
+            with pytest.raises(BadParameterError):
+                state.with_u(-np.ones(shape))
+    for cone in ([0.0, -1.0, 0.0], [-1.0, 0.5, 0.0]):
+        with pytest.raises(DomainError):
+            hy.with_u(np.array(cone))
+    for far in ([0.0, 701.0, 0.0], [-701.0, 0.0, 0.0]):
+        with pytest.raises(OverflowRangeError):
+            eu.with_u(np.array(far))
+    # an eps = 0 vertex with |u| > 700, and a cone coordinate so close to 0 that f > 700
+    for far in ([-1.0, -1.0, 701.0], [-1e-320, -1.0, 0.0]):
+        with pytest.raises(OverflowRangeError):
+            hy.with_u(np.array(far))
+    u = np.array([-0.5, -2.0, 0.3])
+    moved = hy.with_u(u)
+    assert moved.epsilon is hy.epsilon
+    assert np.array_equal(moved.f, ConformalState(HY, hy.epsilon, u).f)
+
+
 # ---------------------------------------------------------------------------
 # edge lengths
 
@@ -136,6 +164,50 @@ def test_length_domain_violation_raises():
 def test_length_overflow_raises():
     with pytest.raises(OverflowRangeError):
         edge_length(EU, 1, 1, 1.0, 600.0, 600.0)
+
+
+def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
+    """The Euclidean length formula evaluated at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        f_i, f_j, eta = mp.mpf(float(f_i)), mp.mpf(float(f_j)), mp.mpf(float(eta))
+        rad = eps_i * mp.exp(2 * f_i) + eps_j * mp.exp(2 * f_j) + 2 * eta * mp.exp(f_i + f_j)
+        return float(mp.sqrt(rad))
+
+
+def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
+    # the per-edge kernel on a complex of separate edges (2k, 2k + 1)
+    f = np.column_stack([f_i, f_j]).ravel()
+    epsilon = np.tile([eps_i, eps_j], len(f_i))
+    edges = np.arange(f.size).reshape(-1, 2)
+    return _edge_lengths(EU, epsilon, np.full(len(edges), eta), edges, f)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eps_i, eps_j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_euclidean_lengths_match_oracle_over_full_range(eps_i, eps_j, eta):
+    # e^f is taken once per vertex and multiplied out, so the lengths must
+    # stay within a few ulp across the whole range, mixed magnitudes included
+    values = (-350.0, -1.0, 0.0, 1.0, 350.0)
+    pairs = [(a, b) for a in values for b in values] + [(300.0, -300.0), (-300.0, 300.0)]
+    f_i, f_j = np.array(pairs).T
+    want = np.array([oracle_euclidean_length(eps_i, eps_j, eta, a, b) for a, b in pairs])
+    for got in (
+        edge_length(EU, eps_i, eps_j, eta, f_i, f_j),
+        lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j),
+    ):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+def test_euclidean_length_errors_keep_their_cause():
+    with pytest.raises(OverflowRangeError):
+        edge_length(EU, 1, 1, 1.0, 400.0, 400.0)
+    with pytest.raises(OverflowRangeError):
+        lengths_of_pairs(1, 1, 1.0, np.array([400.0]), np.array([400.0]))
+    with pytest.raises(NumericalDomainError):
+        edge_length(EU, 0, 0, -1.0, 0.0, 0.0)
+    with pytest.raises(NumericalDomainError):
+        lengths_of_pairs(0, 0, -1.0, np.array([0.0]), np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,54 @@ def test_face_energies_match_quadpack(path):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
+def count_evaluations(monkeypatch):
+    """Node counts of the integrand evaluations segment_face_energies makes."""
+    sizes = []
+    energy_evaluator = calculus._energy_evaluator
+
+    def counting_evaluator(*args):
+        evaluate = energy_evaluator(*args)
+
+        def counted(ts):
+            sizes.append(ts.size)
+            return evaluate(ts)
+
+        return counted
+
+    monkeypatch.setattr(calculus, "_energy_evaluator", counting_evaluator)
+    return sizes
+
+
+def test_certified_segment_is_one_evaluation(monkeypatch):
+    # a short step certified clear of walls, whose two anchored halves both
+    # converge at n = 8, evaluates n = 4 and n = 8 on both in a single call
+    surface, weights, _ = make_setup("torus_grid", (4, 4))
+    rng = np.random.default_rng(31)
+    u_from = rng.normal(0.0, 0.1, surface.vertex_count)
+    u_to = u_from + rng.normal(0.0, 0.01, surface.vertex_count)
+    eps, eta = weights.epsilon, weights.eta
+    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, eps, eta, u_from, u_to - u_from)
+    sizes = count_evaluations(monkeypatch)
+    per_face = segment_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
+    assert sizes == [2 * (4 + 8)]
+    oracle, _ = oracle_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
+    assert np.max(np.abs(per_face - oracle)) < QUADRATURE_TOL
+
+
+@pytest.mark.filterwarnings("error", category=IntegrationWarning)
+def test_wall_crossing_path_batches_each_round(monkeypatch):
+    # several smooth pieces between wall crossings share each round's call
+    surface, weights, geometry, u_from, u_to, extended = wall_crossing_path()
+    sizes = count_evaluations(monkeypatch)
+    ours = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+    rounds = len(sizes)
+    assert 1 < rounds <= 4
+    assert max(sizes) <= calculus._PIECE_CAP
+    oracle, crossings = oracle_face_energies(surface, weights, geometry, u_from, u_to)
+    assert crossings > 0
+    assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
+
+
 def random_segments(kind, dims, geometry, seed):
     """Seeded segments from admissible states by steps in f of several sizes.
 
