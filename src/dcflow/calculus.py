@@ -79,15 +79,14 @@ _TRIANGLE = _Mesh(
 # Jacobians
 
 
-def _corner_jacobian_core(geometry, eps3, eta3, f3, a):
-    """d(theta)/d(u) as (..., 3, 3) arrays; assumes nondegenerate shapes."""
+def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m):
+    """d(theta)/d(u) as (..., 3, 3) arrays, given margins m; assumes nondegenerate shapes."""
     eps3 = np.asarray(eps3, dtype=np.float64)
     s3 = np.exp(f3)
     # Heron: b1 b2 sin(theta_c) = P^2 sqrt(x0 x1 x2) / 2 (Euclidean) and
     # sinh b1 sinh b2 sin(theta_c) = e^{P/2} E^2 sqrt(x0 x1 x2) / 2 with
     # E = -expm1(-P), on the scaled margins x of _angles_opposite, so no
     # product overflows and nothing divides by a sin(theta) rounded to 0
-    m = _margins(a)
     perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
     if geometry is Geometry.EUCLIDEAN:
         x = m / perim
@@ -147,13 +146,16 @@ def face_corner_jacobians(
     eta3 = weights.eta[surface.face_edges]
     f3 = state.f[surface.faces]
     a = edge_lengths(surface, weights, state)[surface.face_edges]
-    _, deg = _degeneracy(a)
+    m = _margins(a)
+    _, deg = _degeneracy(a, m)
     if not extended and np.any(deg >= 0):
         face = int(np.nonzero(deg >= 0)[0][0])
         raise DegenerateFaceError(face, "angle Jacobian undefined on a degeneracy wall")
     out = np.zeros((len(surface.faces), 3, 3))
     good = deg < 0 if np.any(deg >= 0) else slice(None)  # a slice copies nothing
-    out[good] = _corner_jacobian_core(state.geometry, eps3[good], eta3[good], f3[good], a[good])
+    out[good] = _corner_jacobian_core(
+        state.geometry, eps3[good], eta3[good], f3[good], a[good], m[good]
+    )
     return out
 
 
@@ -392,18 +394,12 @@ def segment_face_energies(
     """Per-face integrals of theta . du along the straight segment.
 
     The angle form is closed, so chaining segments reproduces the
-    from-base integrals; flow traces use this for incremental energy
-    updates instead of re-integrating from the base at every row.
+    from-base integrals; ``_potential_chain`` uses this for incremental
+    updates instead of re-integrating from the base at every point.
     """
+    u0, u1 = (np.asarray(u, dtype=np.float64) for u in (u_from, u_to))
     return _integrate_face_energies(
-        geometry,
-        surface,
-        weights.epsilon,
-        weights.eta,
-        np.asarray(u_from, dtype=np.float64),
-        np.asarray(u_to, dtype=np.float64),
-        extended,
-        tol,
+        geometry, surface, weights.epsilon, weights.eta, u0, u1, extended, tol
     )
 
 
@@ -443,3 +439,18 @@ def surface_energies(
         base_u=base.u.copy(),
         extended=extended,
     )
+
+
+def _potential_chain(surface, weights, geometry, target, base_u, us):
+    """Extended potential at each point of ``us``, chained along straight segments.
+
+    The first value is integrated from ``base_u`` as in ``surface_energies``.
+    """
+    per_face = segment_face_energies(surface, weights, geometry, base_u, us[0])
+    energy = 2.0 * np.pi * float(us[0].sum()) - float(per_face.sum())
+    values = [energy - float(target @ (us[0] - base_u))]
+    for u_from, u_to in zip(us, us[1:]):
+        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        energy += 2.0 * np.pi * float(u_to.sum() - u_from.sum()) - float(per_face.sum())
+        values.append(energy - float(target @ (u_to - base_u)))
+    return tuple(values)

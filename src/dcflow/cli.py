@@ -323,12 +323,12 @@ def format_trace(trace: FlowTrace) -> str:
     header += [f"u_{i}" for i in range(n)]
     header += [f"K_{i}" for i in range(n)]
     lines = [",".join(header)]
-    for row in trace.rows:
+    for row, energy in zip(trace.rows, trace.energies):
         cells = [
             _format_number(row.t),
             _format_number(row.residual),
             _format_number(row.sum_u),
-            format(row.energy, ".17g"),  # may be nan when not evaluable
+            format(energy, ".17g"),  # may be nan when not evaluable
             _format_number(row.calabi),
         ]
         cells += [_format_number(v) for v in row.u]
@@ -338,8 +338,7 @@ def format_trace(trace: FlowTrace) -> str:
 
 
 def write_trace(path: str, trace: FlowTrace) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_trace(trace))
+    _write_text(path, format_trace(trace))  # a failed energy read opens no file
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,20 @@ reaching zero gives ANOMALY at once.  ``run_flow`` computes the
 curvature of every accepted state once, for its residual check, its
 trace row and the first stage of the next step, and records rows in
 one place: at the start, every ``trace_stride`` steps and at the last
-accepted state.
+accepted state.  The flow never reads the potential it decreases, so
+``FlowTrace.energies`` integrates the row potentials on first read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import curvature_jacobian, segment_face_energies
+from .calculus import _potential_chain, curvature_jacobian
 from .errors import (
     BadParameterError,
     DegenerateFaceError,
@@ -159,7 +161,6 @@ class TraceRow:
     curvature: np.ndarray
     residual: float
     sum_u: float
-    energy: float  # potential H at the row (extended form for extended kinds)
     calabi: float
     correction: float  # cumulative magnitude of sum-drift compensation
 
@@ -169,10 +170,18 @@ class FlowTrace:
     rows: tuple[TraceRow, ...]
     termination: TerminationReason
     normalized_shift: float = 0.0
+    _path: tuple = field(default=None, compare=False, repr=False)  # read by energies
 
     @property
     def final_u(self) -> np.ndarray:
         return self.rows[-1].u
+
+    @cached_property
+    def energies(self) -> tuple[float, ...]:
+        """Potential at each row, integrated on first read; may raise QuadratureFailureError."""
+        surface, weights, geometry, base_u, target = self._path
+        us = [row.u for row in self.rows]
+        return _potential_chain(surface, weights, geometry, target, base_u, us)
 
 
 @dataclass(frozen=True)
@@ -369,9 +378,7 @@ def run_flow(
     """Integrate the flow until convergence, degeneration, or timeout.
 
     Trace rows are recorded at the start, every ``trace_stride`` steps,
-    and at the last accepted state; the potential in each row is
-    maintained by integrating the angle form along the inter-row
-    segments.
+    and at the last accepted state; the run integrates no energy.
     """
     if initial.geometry is not spec.geometry:
         raise BadParameterError("initial state geometry does not match the flow spec")
@@ -386,28 +393,18 @@ def run_flow(
 
     sum_reference = float(state.u.sum())
     base = base_state(spec.geometry, state.epsilon)
-    # running value of E = 2 pi sum(u) - (face integrals from the base),
-    # advanced along the segments between rows
-    start = segment_face_energies(surface, weights, spec.geometry, base.u, state.u)
-    energy = 2.0 * np.pi * float(state.u.sum()) - float(start.sum())
+    path = (surface, weights, spec.geometry, base.u, target)
     rows = []
     cumulative_correction = 0.0
 
     def record(t, state, kvec):
-        nonlocal energy
-        u = state.u
-        if rows:
-            last_u = rows[-1].u
-            segment = segment_face_energies(surface, weights, spec.geometry, last_u, u)
-            energy += 2.0 * np.pi * float(u.sum() - last_u.sum()) - float(segment.sum())
         rows.append(
             TraceRow(
                 t=t,
-                u=u.copy(),
+                u=state.u.copy(),
                 curvature=kvec,
                 residual=float(np.max(np.abs(kvec - target))),
-                sum_u=float(u.sum()),
-                energy=energy - float(target @ (u - base.u)),
+                sum_u=float(state.u.sum()),
                 calabi=0.5 * float(np.sum((kvec - target) ** 2)),
                 correction=cumulative_correction,
             )
@@ -440,7 +437,7 @@ def run_flow(
         try:
             kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
         except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
-            return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift)
+            return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
         residual = float(np.max(np.abs(kvec - target)))
         if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
             termination = TerminationReason.DIVERGED
@@ -450,4 +447,4 @@ def run_flow(
 
     if rows[-1].t < t:
         record(t, state, kvec)
-    return FlowTrace(tuple(rows), termination, shift)
+    return FlowTrace(tuple(rows), termination, shift, path)

@@ -313,6 +313,8 @@ def _degeneracy(a: np.ndarray, m: np.ndarray | None = None) -> tuple[np.ndarray,
     m = _margins(a) if m is None else m
     # column by column: numpy reduces a length-3 inner axis slowly
     margin = np.minimum(np.minimum(m[..., 0], m[..., 1]), m[..., 2])
+    if margin.min() > 0.0:  # every face clear (a NaN fails the test)
+        return margin, np.full(margin.shape, -1, dtype=np.intp)
     return margin, np.where(margin <= 0.0, m.argmin(axis=-1), -1)
 
 

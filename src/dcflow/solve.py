@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import curvature_jacobian, segment_face_energies, surface_energies
+from .calculus import _potential_chain, curvature_jacobian
 from .errors import (
     BadParameterError,
     DomainError,
@@ -71,17 +71,8 @@ class SolveReport:
     @cached_property
     def potential_history(self) -> tuple[float, ...]:
         surface, weights, target, iterates = self._iterates
-        geometry, epsilon = self.state.geometry, self.state.epsilon
-        guess = ConformalState(geometry, epsilon, iterates[0])
-        base = base_state(geometry, epsilon)
-        value = surface_energies(surface, weights, guess, target=target, base=base).potential
-        history = [value]
-        for u_from, u_to in zip(iterates, iterates[1:]):
-            step = u_to - u_from
-            per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
-            value += 2.0 * np.pi * float(step.sum()) - float(per_face.sum()) - float(target @ step)
-            history.append(value)
-        return tuple(history)
+        base = base_state(self.state.geometry, self.state.epsilon)
+        return _potential_chain(surface, weights, base.geometry, target, base.u, iterates)
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):

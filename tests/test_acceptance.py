@@ -82,7 +82,7 @@ def run_extended_and_check(surface, weights, geometry, target, start, equilibriu
     assert trace.termination is TerminationReason.CONVERGED
     rows = trace.rows
     assert rows[-1].residual < 1e-10
-    energies = [row.energy for row in rows]
+    energies = trace.energies
     assert all(b <= a + 1e-8 for a, b in zip(energies, energies[1:]))
     sums = np.array([row.sum_u for row in rows])
     drift = float(np.max(np.abs(sums - float(start.u.sum()))))

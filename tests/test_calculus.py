@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dcflow import calculus, geometry
 from dcflow.calculus import (
     _TRIANGLE,
     curvature_jacobian,
@@ -183,6 +184,23 @@ class TestCurvatureJacobian:
                 state.u[face],
             )
             assert np.max(np.abs(single - block)) < 1e-14
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_margins_computed_once_per_call(self, extended, monkeypatch):
+        # the wall test and the Heron core share one margin computation
+        surface, weights, _ = make_setup("torus_grid", (4, 4), 1, 1.0, Geometry.EUCLIDEAN)
+        rng = np.random.default_rng(36)
+        state = random_admissible_state(surface, weights, Geometry.EUCLIDEAN, rng)
+        real_margins, calls = geometry._margins, []
+
+        def counting_margins(a):
+            calls.append(a.shape)
+            return real_margins(a)
+
+        monkeypatch.setattr(calculus, "_margins", counting_margins)
+        monkeypatch.setattr(geometry, "_margins", counting_margins)
+        face_corner_jacobians(surface, weights, state, extended=extended)
+        assert calls == [(len(surface.faces), 3)]
 
     def test_degenerate_state_rejected(self):
         surface, weights, _ = make_setup("torus_grid", (3, 3), 0, 1.0, Geometry.EUCLIDEAN)

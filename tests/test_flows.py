@@ -14,6 +14,7 @@ from dcflow.calculus import (
 from dcflow.errors import (
     BadParameterError,
     DegenerateFaceError,
+    QuadratureFailureError,
     TargetInadmissibleError,
 )
 from dcflow.flows import (
@@ -425,7 +426,7 @@ class TestRunFlow:
         trace = run_flow(spec, surface, weights, state)
         assert trace.termination is TerminationReason.CONVERGED
         assert np.max(np.abs(trace.final_u)) < 1e-8
-        energies = [row.energy for row in trace.rows]
+        energies = trace.energies
         assert np.max(np.diff(energies)) <= 1e-8
 
     def test_hyperbolic_extended_converges(self):
@@ -439,7 +440,7 @@ class TestRunFlow:
         trace = run_flow(spec, surface, weights, state)
         assert trace.termination is TerminationReason.CONVERGED
         assert trace.rows[-1].residual < 1e-10
-        energies = [row.energy for row in trace.rows]
+        energies = trace.energies
         assert np.max(np.diff(energies)) <= 1e-8
 
     def test_sum_conservation_along_trace(self):
@@ -572,7 +573,55 @@ class TestRunFlow:
         for a, b in zip(first.rows, second.rows):
             assert a.t == b.t
             assert np.array_equal(a.u, b.u)
-            assert a.energy == b.energy
+        assert first.energies == second.energies
+
+    @pytest.mark.parametrize(
+        "setup, geometry",
+        [(torus_setup, Geometry.EUCLIDEAN), (genus2_setup, Geometry.HYPERBOLIC)],
+    )
+    def test_run_integrates_nothing_until_energies_read(self, setup, geometry, monkeypatch):
+        # the flow never reads its potential; the trace integrates it on first read
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("run_flow ran the energy quadrature")
+
+        surface, weights = setup()
+        n = surface.vertex_count
+        u0 = np.random.default_rng(72).normal(0.0, 0.2, n)
+        u0 -= u0.mean()
+        state = ConformalState(geometry, weights.epsilon, u0)
+        spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=np.zeros(n))
+        with monkeypatch.context() as patched:
+            patched.setattr(calculus, "_integrate_face_energies", no_quadrature)
+            trace = run_flow(spec, surface, weights, state)
+        assert trace.termination is TerminationReason.CONVERGED
+        energies = trace.energies
+        assert len(energies) == len(trace.rows)
+
+        def from_base(u):
+            return surface_energies(surface, weights, state.with_u(u), target=np.zeros(n)).potential
+
+        assert energies[0] == from_base(trace.rows[0].u)
+        assert abs(energies[-1] - from_base(trace.final_u)) < 1e-9
+
+    def test_unreachable_target_fails_only_on_energy_read(self):
+        # K_0 = -13 lies below the extended-angle bound 2 pi - 6 pi, so u_0
+        # escapes; the run ends on its own terms, and only reading the row
+        # energies may fail, with a quadrature error
+        surface = generate("torus_grid", 6, 6)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        target = np.full(36, 13.0 / 35.0)
+        target[0] = -13.0
+        spec = FlowSpec(
+            FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, max_time=100.0
+        )
+        start = base_state(Geometry.EUCLIDEAN, weights.epsilon)
+        trace = run_flow(spec, surface, weights, start)
+        assert trace.termination is TerminationReason.MAX_TIME
+        try:
+            energies = trace.energies
+        except QuadratureFailureError:
+            return
+        assert len(energies) == len(trace.rows)
 
     def test_rk4_matches_fine_euler(self):
         surface, weights = tetra_setup()

@@ -30,7 +30,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
-from dcflow.geometry import _edge_lengths
+from dcflow.geometry import _degeneracy, _edge_lengths, _margins
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -280,6 +280,23 @@ def test_single_triangle_ops_reject_bad_lengths(op, bad):
         for lengths in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             with pytest.raises(BadParameterError):
                 op(geometry, *lengths)
+
+
+@pytest.mark.parametrize("case", ["clear", "one wall", "nan"])
+def test_wall_test_is_one_formula_on_clear_and_degenerate_faces(case):
+    # every face clear takes a shortcut; its corners and dtype match the general rule
+    a = np.random.default_rng(8).uniform(1.0, 1.5, size=(40, 3))
+    if case == "one wall":
+        a[7] = (1.0, 3.0, 1.0)
+    elif case == "nan":
+        a[3, 0] = np.nan
+    m = _margins(a)
+    margin, corner = _degeneracy(a, m)
+    assert np.array_equal(margin, m.min(axis=-1), equal_nan=True)
+    expected = np.where(margin <= 0.0, m.argmin(axis=-1), -1)
+    assert corner.dtype == expected.dtype == np.intp
+    assert np.array_equal(corner, expected)
+    assert list(np.nonzero(corner >= 0)[0]) == ([7] if case == "one wall" else [])
 
 
 def test_at_most_one_degenerate_corner():

@@ -31,6 +31,7 @@ from dcflow import (
     solve_prescribed,
     surface_energies,
 )
+from dcflow import calculus as calculus_module
 from dcflow import solve as solve_module
 
 
@@ -525,8 +526,7 @@ class TestPotentialHistory:
 
         surface, weights, _, target, guess = case()
         with monkeypatch.context() as patched:
-            patched.setattr(solve_module, "segment_face_energies", no_quadrature)
-            patched.setattr(solve_module, "surface_energies", no_quadrature)
+            patched.setattr(calculus_module, "_integrate_face_energies", no_quadrature)
             report = solve_prescribed(
                 surface, weights, Geometry.EUCLIDEAN, target, initial_guess=guess
             )
