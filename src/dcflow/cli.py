@@ -463,13 +463,13 @@ def _cmd_flow(args) -> int:
         trace_stride=args.stride,
     )
     trace = run_flow(spec, surface, weights, state)
-    if args.trace:
-        write_trace(args.trace, trace)
     last = trace.rows[-1]
-    print(
+    print(  # before the trace, whose energy read can still fail
         f"termination: {trace.termination.value}  t = {_format_number(last.t)}  "
         f"residual = {_format_number(last.residual)}  rows = {len(trace.rows)}"
     )
+    if args.trace:
+        write_trace(args.trace, trace)
     return 0 if trace.termination is TerminationReason.CONVERGED else 1
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -163,6 +163,13 @@ class TraceRow:
     sum_u: float
     calabi: float
     correction: float  # cumulative magnitude of sum-drift compensation
+
+    def __eq__(self, other):  # value equality: the generated one fails on the arrays
+        if not isinstance(other, TraceRow):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 @dataclass(frozen=True)

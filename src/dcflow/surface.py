@@ -14,7 +14,8 @@ the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class TriangulatedSurface:
         ``face_edges[f, c]`` is the edge opposite corner ``c`` of face
         ``f``, as an index into ``edges``.
     edge_faces : (E, 2) int array
-        The two faces bounded by each edge.
+        The two faces bounded by each edge, in face order.
     vertex_degrees : (N,) int array
         Number of incident edges (equals number of incident faces).
     """
@@ -65,7 +66,6 @@ class TriangulatedSurface:
     face_edges: np.ndarray
     edge_faces: np.ndarray
     vertex_degrees: np.ndarray
-    edge_index: dict = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -79,10 +79,20 @@ class TriangulatedSurface:
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        return self.edges[:, 0] * self.vertex_count + self.edges[:, 1]  # ascending
+
     def edge_id(self, p: int, q: int) -> int:
-        """Index of the edge {p, q} in the canonical edge order."""
+        """Index of the edge {p, q} in the canonical edge order.
+
+        Raises KeyError when {p, q} is not an edge.
+        """
         key = (p, q) if p < q else (q, p)
-        return self.edge_index[key]
+        e = int(np.searchsorted(self._edge_keys, key[0] * self.vertex_count + key[1]))
+        if self.edges[e:e + 1].tolist() == [list(key)]:
+            return e
+        raise KeyError(key)
 
 
 def build_surface(vertex_count: int, face_list) -> TriangulatedSurface:
@@ -111,79 +121,57 @@ def build_surface(vertex_count: int, face_list) -> TriangulatedSurface:
         raise BadFaceError("empty face list")
     faces = np.asarray(faces, dtype=np.int64)
 
-    pairs = {}
-    for f, (i, j, k) in enumerate(faces):
-        for a, b in ((j, k), (i, k), (i, j)):
-            pairs.setdefault((int(a), int(b)), []).append(f)
-
-    edges = np.asarray(sorted(pairs), dtype=np.int64)
-    edge_index = {tuple(e): idx for idx, e in enumerate(map(tuple, edges.tolist()))}
-
-    edge_faces = np.empty((len(edges), 2), dtype=np.int64)
-    for key, owners in pairs.items():
-        if len(owners) != 2:
-            raise NotClosedSurfaceError(
-                f"edge {key} bounds {len(owners)} face(s), expected 2"
-            )
-        edge_faces[edge_index[key]] = owners
-
-    face_edges = np.empty_like(faces)
-    for f, (i, j, k) in enumerate(faces):
-        face_edges[f, 0] = edge_index[(int(j), int(k))]
-        face_edges[f, 1] = edge_index[(int(i), int(k))]
-        face_edges[f, 2] = edge_index[(int(i), int(j))]
-
-    vertex_faces = [[] for _ in range(vertex_count)]
-    for f, tri in enumerate(faces):
-        for v in tri:
-            vertex_faces[int(v)].append(f)
-
-    for v in range(vertex_count):
-        _check_vertex_link(v, faces, vertex_faces[v])
-
-    degrees = np.zeros(vertex_count, dtype=np.int64)
-    for i, j in edges:
-        degrees[i] += 1
-        degrees[j] += 1
-
+    # Side c of a face is the edge opposite corner c, keyed i*V + j (i < j).
+    sides = faces[:, [1, 0, 0]] * vertex_count + faces[:, [2, 2, 1]]
+    keys, inverse, counts = np.unique(sides.ravel(), return_inverse=True, return_counts=True)
+    unpaired = np.flatnonzero(counts[inverse] != 2)
+    if unpaired.size:
+        e = inverse[unpaired[0]]  # the edge of the first such side in face order
+        key = divmod(int(keys[e]), vertex_count)
+        raise NotClosedSurfaceError(f"edge {key} bounds {counts[e]} face(s), expected 2")
+    edges = np.stack(np.divmod(keys, vertex_count), axis=1)
+    face_edges = inverse.reshape(-1, 3)
+    edge_faces = np.argsort(inverse, kind="stable").reshape(-1, 2) // 3
+    _check_vertex_links(vertex_count, faces, face_edges, edge_faces)
     return TriangulatedSurface(
         vertex_count=vertex_count,
         faces=faces,
         edges=edges,
         face_edges=face_edges,
         edge_faces=edge_faces,
-        vertex_degrees=degrees,
-        edge_index=edge_index,
+        vertex_degrees=np.bincount(edges.ravel(), minlength=vertex_count),
     )
 
 
-def _check_vertex_link(v: int, faces: np.ndarray, incident) -> None:
-    # The link of v must be a single cycle: every link vertex has exactly
-    # two link edges, and the link edges are connected.
-    if not incident:
-        raise NonManifoldVertexError(f"vertex {v} has no incident faces")
-    adjacency = {}
-    for f in incident:
-        a, b = (int(x) for x in faces[f] if x != v)
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    for w, nbrs in adjacency.items():
-        if len(nbrs) != 2:
-            raise NonManifoldVertexError(
-                f"link of vertex {v} has degree {len(nbrs)} at vertex {w}"
-            )
-    start = next(iter(adjacency))
-    prev, cur = None, start
-    visited = 0
-    while True:
-        visited += 1
-        a, b = adjacency[cur]
-        prev, cur = cur, (b if a == prev else a)
-        if cur == start:
-            break
-        if visited > len(adjacency):
-            raise NonManifoldVertexError(f"link of vertex {v} is not a single cycle")
-    if visited != len(adjacency):
+def _check_vertex_links(vertex_count, faces, face_edges, edge_faces) -> None:
+    # As every edge bounds two faces, each link is a union of cycles.  The
+    # link neighbours of corner 3f + c are the corners at its vertex in the
+    # faces across sides c+1 and c+2.  Each round a corner and the corner
+    # its label names take the smallest label around it, then every corner
+    # takes its label's label; at the end each cycle has one corner labelled
+    # with its own number.  Without the move on the named corner the rounds
+    # grow with the degree when the faces come in random order.
+    face = np.arange(len(faces))[:, None]
+
+    def across(shift):
+        other = edge_faces[np.roll(face_edges, -shift, axis=1)].sum(axis=2) - face
+        return (3 * other + np.argmax(faces[other] == faces[:, :, None], axis=2)).ravel()
+
+    left, right = across(1), across(2)
+    corner = np.arange(faces.size)
+    label, settled = corner, None
+    while not np.array_equal(label, settled):
+        settled = label
+        smallest = np.minimum(label, np.minimum(label[left], label[right]))
+        label = smallest.copy()
+        np.minimum.at(label, settled, smallest)
+        label = label[label]
+    cycles = np.bincount(faces.ravel()[label == corner], minlength=vertex_count)
+    bad = np.flatnonzero(cycles != 1)
+    if bad.size:
+        v = int(bad[0])
+        if cycles[v] == 0:
+            raise NonManifoldVertexError(f"vertex {v} has no incident faces")
         raise NonManifoldVertexError(f"link of vertex {v} is disconnected")
 
 
@@ -228,26 +216,11 @@ def _genus2_faces():
     # Two 3x3 grid tori glued along the boundary of one removed face each.
     # Removing an open face drops Euler characteristic by one per torus and
     # the glued triangle contributes zero, so the result has chi = -2.
-    n_torus, faces_a = _torus_grid_faces(3, 3)
-    _, faces_b = _torus_grid_faces(3, 3)
-    glue_a = faces_a[0]
-    glue_b = faces_b[0]
-    faces_a = faces_a[1:]
-    faces_b = faces_b[1:]
-
-    remap = {}
-    for va, vb in zip(glue_a, glue_b):
-        remap[vb] = va
-    next_id = n_torus
-    for v in range(n_torus):
-        if v not in remap:
-            remap[v] = next_id
-            next_id += 1
-
-    merged = list(faces_a)
-    for tri in faces_b:
-        merged.append(tuple(remap[v] for v in tri))
-    return next_id, merged
+    n_torus, faces = _torus_grid_faces(3, 3)
+    glue, faces = faces[0], faces[1:]
+    rest = [v for v in range(n_torus) if v not in glue]
+    copy = dict(zip(glue, glue)) | dict(zip(rest, range(n_torus, n_torus + len(rest))))
+    return n_torus + len(rest), faces + [tuple(copy[v] for v in tri) for tri in faces]
 
 
 def generate(kind: str, *dims: int) -> TriangulatedSurface:
@@ -352,15 +325,9 @@ def validate_weights(surface: TriangulatedSurface, weights: WeightConfig) -> Wei
     edge_ok = eps[s] * eps[t] + eta > 0.0
     edge_violations = tuple(int(e) for e in np.nonzero(~edge_ok)[0])
 
-    face_violations = []
     eta_f = eta[surface.face_edges]  # (F, 3); column c is the edge opposite corner c
-    eps_f = eps[surface.faces]
-    for c in range(3):
-        lhs = eps_f[:, c] * eta_f[:, c] + eta_f[:, (c + 1) % 3] * eta_f[:, (c + 2) % 3]
-        for f in np.nonzero(lhs < 0.0)[0]:
-            face_violations.append((int(f), int(c)))
-    face_violations.sort()
+    lhs = eps[surface.faces] * eta_f + np.roll(eta_f, -1, axis=1) * np.roll(eta_f, -2, axis=1)
     return WeightValidation(
         edge_violations=edge_violations,
-        face_violations=tuple(face_violations),
+        face_violations=tuple(map(tuple, np.argwhere(lhs < 0.0).tolist())),
     )

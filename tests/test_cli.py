@@ -11,9 +11,11 @@ import pytest
 
 from dcflow import (
     ConformalState,
+    FlowTrace,
     Geometry,
     MeshDocumentError,
     NotClosedSurfaceError,
+    QuadratureFailureError,
     WeightConfig,
     curvature,
     document_from_objects,
@@ -358,6 +360,24 @@ class TestFlowCommand:
         main(["flow", mesh, "--kind", "extended-ricci", "--trace", str(t1)])
         main(["flow", mesh, "--kind", "extended-ricci", "--trace", str(t2)])
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_failed_trace_energy_read_still_reports_termination(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing_read(trace):
+            raise QuadratureFailureError("energy quadrature did not converge within 1024 nodes")
+
+        monkeypatch.setattr(FlowTrace, "energies", property(failing_read))
+        mesh = str(tmp_path / "t.json")
+        main(["gen", "torus_grid", "3", "3", "--out", mesh])
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        code = main(["flow", mesh, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("termination: converged  t = ")
+        assert captured.err == "error: energy quadrature did not converge within 1024 nodes\n"
+        assert not trace.exists()
 
     def test_bad_target_sum_exits_2(self, tmp_path, capsys):
         path = write_tetra(tmp_path)

@@ -573,6 +573,7 @@ class TestRunFlow:
         for a, b in zip(first.rows, second.rows):
             assert a.t == b.t
             assert np.array_equal(a.u, b.u)
+        assert first == second
         assert first.energies == second.energies
 
     @pytest.mark.parametrize(

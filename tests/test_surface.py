@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,36 @@ def brute_force_edges(faces):
     for i, j, k in faces:
         out.update({tuple(sorted((i, j))), tuple(sorted((i, k))), tuple(sorted((j, k)))})
     return sorted(out)
+
+
+def reference_structure(vertex_count, faces):
+    """Edge arrays of a closed surface built with dicts and loops."""
+    pairs = {}
+    for f, (i, j, k) in enumerate(faces.tolist()):
+        for side in ((j, k), (i, k), (i, j)):
+            pairs.setdefault(side, []).append(f)
+    edges = sorted(pairs)
+    index = {edge: e for e, edge in enumerate(edges)}
+    degrees = np.zeros(vertex_count, dtype=np.int64)
+    for i, j in edges:
+        degrees[i] += 1
+        degrees[j] += 1
+    return {
+        "edges": np.array(edges, dtype=np.int64),
+        "face_edges": np.array(
+            [[index[(j, k)], index[(i, k)], index[(i, j)]] for i, j, k in faces.tolist()],
+            dtype=np.int64,
+        ),
+        "edge_faces": np.array([pairs[edge] for edge in edges], dtype=np.int64),
+        "vertex_degrees": degrees,
+    }
+
+
+def bipyramid_faces(degree):
+    ring = [2 + r for r in range(degree)]
+    return [
+        (pole, ring[r], ring[(r + 1) % degree]) for pole in (0, 1) for r in range(degree)
+    ]
 
 
 def test_tetrahedron_counts():
@@ -92,6 +124,10 @@ def test_edges_are_canonical():
     for idx, (p, q) in enumerate(as_tuples):
         assert s.edge_id(p, q) == idx
         assert s.edge_id(q, p) == idx
+    # 0 and 11 are antipodal; (0, 13) and (-1, 1) have the key of edge (1, 2)
+    for p, q in ((0, 11), (11, 0), (3, 3), (0, 13), (-1, 1), (12, 13)):
+        with pytest.raises(KeyError):
+            s.edge_id(p, q)
 
 
 def test_face_edges_are_opposite():
@@ -148,6 +184,101 @@ def test_nonmanifold_vertex_rejected():
              (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
     with pytest.raises(NonManifoldVertexError):
         build_surface(7, faces)
+
+
+TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+def shifted(faces, offset):
+    return [tuple(v + offset for v in tri) for tri in faces]
+
+
+@pytest.mark.parametrize(
+    "vertex_count,faces,error,message",
+    [
+        (5, TETRA, NonManifoldVertexError, "vertex 4 has no incident faces"),
+        (
+            7,
+            shifted(TETRA, 0) + shifted(TETRA, 3),
+            NonManifoldVertexError,
+            "link of vertex 3 is disconnected",
+        ),
+        # pinched at 4 and isolated at 0 and 8: the lowest vertex is reported
+        (
+            9,
+            shifted(TETRA, 1) + shifted(TETRA, 4),
+            NonManifoldVertexError,
+            "vertex 0 has no incident faces",
+        ),
+        # pinched at 0 and isolated at 7
+        (
+            8,
+            TETRA + [(0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)],
+            NonManifoldVertexError,
+            "link of vertex 0 is disconnected",
+        ),
+        # the open edges are (0, 2), (0, 3) and (2, 3); (2, 3) comes first in face order
+        (
+            4,
+            [(1, 2, 3), (0, 1, 2), (0, 1, 3)],
+            NotClosedSurfaceError,
+            "edge (2, 3) bounds 1 face(s), expected 2",
+        ),
+        (
+            5,
+            TETRA + [(1, 2, 4)],
+            NotClosedSurfaceError,
+            "edge (1, 2) bounds 3 face(s), expected 2",
+        ),
+    ],
+)
+def test_malformed_surface_messages(vertex_count, faces, error, message):
+    with pytest.raises(error) as info:
+        build_surface(vertex_count, faces)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind,dims",
+    [
+        ("tetrahedron", ()),
+        ("octahedron", ()),
+        ("icosahedron", ()),
+        ("genus2", ()),
+        ("torus_grid", (3, 3)),
+        ("torus_grid", (7, 4)),
+    ],
+)
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_arrays_match_loop_reference(kind, dims, shuffled):
+    s = generate(kind, *dims)
+    faces = s.faces
+    if shuffled:
+        # relabel the vertices, reorder the faces and the corners within each face
+        rng = np.random.default_rng(12)
+        faces = rng.permutation(s.vertex_count)[faces][rng.permutation(s.face_count)]
+        faces = rng.permuted(faces, axis=1)
+        s = build_surface(s.vertex_count, faces.tolist())
+    assert s.faces.dtype == np.int64
+    assert np.array_equal(s.faces, np.sort(faces, axis=1))
+    for name, expected in reference_structure(s.vertex_count, s.faces).items():
+        actual = getattr(s, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_high_degree_vertices_build_fast(shuffled):
+    degree = 4000
+    faces = np.array(bipyramid_faces(degree))
+    if shuffled:
+        rng = np.random.default_rng(13)
+        faces = rng.permutation(degree + 2)[faces][rng.permutation(len(faces))]
+    start = time.perf_counter()
+    s = build_surface(degree + 2, faces.tolist())
+    elapsed = time.perf_counter() - start
+    assert sorted(s.vertex_degrees.tolist())[-2:] == [degree, degree]
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
