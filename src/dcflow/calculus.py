@@ -58,6 +58,7 @@ __all__ = [
 
 QUADRATURE_TOL = 1e-10
 _PIECE_CAP = 1 << 10
+_CERTIFY_CAP = 32  # segments per wall certificate call, fewer above 2048 vertices
 _TOTAL_CAP = 1 << 20
 
 
@@ -234,15 +235,16 @@ def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
 
 
 def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
-    # True when the length bounds keep every margin on u0 + t du, t in [0, 1],
-    # above its own rounding error; the ends are evaluated as in _segment_shape
-    u_ends = u0[:, None] + np.array([0.0, 1.0]) * du[:, None]
-    f_ends = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_ends))
+    # True when the length bounds keep every margin on u0 + t du, t in [0, 1], above its
+    # own rounding error, for each column of (V, S) u0 and du; ends as in _segment_shape
+    trailing = (1,) * (du.ndim - 1)
+    u_ends = u0[:, None] + np.array([0.0, 1.0]).reshape(2, *trailing) * du[:, None]
+    f_ends = u_to_f(geometry, np.reshape(epsilon, (-1, 1, *trailing)), u_ends)
     bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
     lo, hi = (b[mesh.face_edges] for b in bounds)
     margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
     rounding = 8.0 * np.finfo(np.float64).eps * hi.sum(axis=1, keepdims=True)
-    return bool(np.all(margin > rounding))
+    return np.all(margin > rounding, axis=(0, 1))
 
 
 def _locate_crossings(margins_at, grid, margins):
@@ -327,19 +329,19 @@ def _gauss_doubling(evaluate, halves, tol):
     return total
 
 
-def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol):
+def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol, clear=None):
     """Per-face path integrals of the angle form along the straight segment.
 
     A segment the length bounds certify clear of every wall is one smooth
     piece; otherwise a 65-point margin scan and a bisection cut it at its
-    wall crossings.  Raises DegenerateFaceError without ``extended`` when
-    the path touches a wall.
+    wall crossings (``clear``: the certificate's verdict, or None).  Raises
+    DegenerateFaceError without ``extended`` when the path touches a wall.
     """
     if np.array_equal(u0, u1):
         return np.zeros(len(mesh.faces))
     du = u1 - u0
     cuts = []
-    if not _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
+    if not (_clear_of_walls(geometry, mesh, epsilon, eta, u0, du) if clear is None else clear):
         def margins_at(ts):
             return _degeneracy(_segment_shape(geometry, mesh, epsilon, eta, u0, du, ts))[0]
 
@@ -390,6 +392,8 @@ def segment_face_energies(
     u_to,
     extended: bool = True,
     tol: float = QUADRATURE_TOL,
+    *,
+    _clear=None,
 ) -> np.ndarray:
     """Per-face integrals of theta . du along the straight segment.
 
@@ -399,7 +403,7 @@ def segment_face_energies(
     """
     u0, u1 = (np.asarray(u, dtype=np.float64) for u in (u_from, u_to))
     return _integrate_face_energies(
-        geometry, surface, weights.epsilon, weights.eta, u0, u1, extended, tol
+        geometry, surface, weights.epsilon, weights.eta, u0, u1, extended, tol, _clear
     )
 
 
@@ -446,11 +450,16 @@ def _potential_chain(surface, weights, geometry, target, base_u, us):
 
     The first value is integrated from ``base_u`` as in ``surface_energies``.
     """
-    per_face = segment_face_energies(surface, weights, geometry, base_u, us[0])
+    starts, clear = [base_u, *us[:-1]], []
+    per_call = max(1, min(_CERTIFY_CAP, (1 << 16) // len(base_u)))
+    for k in range(0, len(us), per_call):  # the wall certificate, per_call segments a call
+        u0, u1 = (np.stack(u[k : k + per_call], axis=1) for u in (starts, us))
+        clear.extend(_clear_of_walls(geometry, surface, weights.epsilon, weights.eta, u0, u1 - u0))
+    per_face = segment_face_energies(surface, weights, geometry, base_u, us[0], _clear=clear[0])
     energy = 2.0 * np.pi * float(us[0].sum()) - float(per_face.sum())
     values = [energy - float(target @ (us[0] - base_u))]
-    for u_from, u_to in zip(us, us[1:]):
-        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
+    for u_from, u_to, certified in zip(us, us[1:], clear[1:]):
+        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to, _clear=certified)
         energy += 2.0 * np.pi * float(u_to.sum() - u_from.sum()) - float(per_face.sum())
         values.append(energy - float(target @ (u_to - base_u)))
     return tuple(values)

@@ -4,9 +4,11 @@ Mesh documents are JSON: a geometry tag, a vertex count, the face
 list, per-vertex epsilon, per-edge eta keyed by the canonical "i-j"
 string (i < j), optional conformal factors tagged "u" or "f", and an
 optional target curvature array "Kbar".  Unknown keys are rejected so
-typos fail loudly.  Numbers are written with 17 significant digits,
-which round-trips 64-bit floats exactly; identical invocations produce
-byte-identical files.
+typos fail loudly.  Each field is checked in one pass and converted in
+one step; the per-item checks run only to word the first error.
+Numbers are written with 17 significant digits, which round-trips
+64-bit floats exactly, and a list, a table or an object of numbers
+with one %-format; identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 computation failure (non-convergence,
 degenerate faces, weight-condition violations), 2 unusable input
@@ -16,10 +18,12 @@ degenerate faces, weight-condition violations), 2 unusable input
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,11 +88,33 @@ def _format_number(x) -> str:
     return format(value, ".17g")
 
 
+def _one_format(items):
+    # one %-format that writes every item as _format_number does, or None
+    kinds = set(map(type, items))
+    if kinds == {float} and np.all(np.isfinite(items)):
+        return "%.17g"
+    return "%d" if kinds == {int} else None
+
+
 def _emit_json(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if type(value) is list and value:  # numbers, or rows of numbers of one length: one %-format
+        rows = set(map(type, value)) == {list} and len(set(map(len, value))) == 1
+        flat = list(chain.from_iterable(value)) if rows else value
+        spec = _one_format(flat)
+        if spec and rows:
+            row = pad + "  [" + ", ".join([spec] * len(value[0])) + "]"
+            return "[\n" + ",\n".join([row] * len(value)) % tuple(flat) + "\n" + pad + "]"
+        if spec:
+            return "[" + ", ".join([spec] * len(value)) % tuple(value) + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
+        keys, items = list(value), list(value.values())
+        spec = _one_format(items) if set(map(type, keys)) == {str} else None
+        if spec and json.dumps("".join(keys))[1:-1] == "".join(keys):  # no key needs escaping
+            rows = ",\n".join([f'{pad}  "%s": {spec}'] * len(keys))
+            return "{\n" + rows % tuple(chain.from_iterable(zip(keys, items))) + "\n" + pad + "}"
         rows = ",\n".join(
             f"{pad}  {json.dumps(str(key))}: {_emit_json(item, indent + 1)}"
             for key, item in value.items()
@@ -120,7 +146,7 @@ class MeshDocument:
 
     geometry: Geometry
     vertex_count: int
-    faces: tuple
+    faces: tuple  # the document's rows of three vertex indices
     epsilon: np.ndarray
     eta_map: dict
     factor_kind: str | None
@@ -134,28 +160,25 @@ class MeshDocument:
         propagate as their own exception types; everything that is a
         property of the document itself raises MeshDocumentError.
         """
-        surface = build_surface(self.vertex_count, [list(f) for f in self.faces])
-        known = {(int(i), int(j)) for i, j in surface.edges}
-        extra = sorted(set(self.eta_map) - known)
-        if extra:
-            i, j = extra[0]
+        surface, count = build_surface(self.vertex_count, self.faces), len(self.eta_map)
+        ends = np.fromiter(chain.from_iterable(self.eta_map), np.int64, 2 * count)
+        keys = ends[0::2] * self.vertex_count + ends[1::2]  # i * V + j, as surface._edge_keys
+        at = np.searchsorted(surface._edge_keys, keys).clip(max=surface.edge_count - 1)
+        named = surface._edge_keys[at] == keys
+        if not np.all(named):
+            i, j = divmod(int(keys[~named].min()), self.vertex_count)
             raise MeshDocumentError(f"eta key {i}-{j} does not name an edge")
-        eta = np.empty(surface.edge_count)
-        for e, (i, j) in enumerate(surface.edges):
-            key = (int(i), int(j))
-            if key not in self.eta_map:
-                raise MeshDocumentError(f"eta missing for edge {i}-{j}")
-            eta[e] = self.eta_map[key]
+        eta, given = np.empty(surface.edge_count), np.zeros(surface.edge_count, dtype=bool)
+        eta[at], given[at] = np.fromiter(self.eta_map.values(), np.float64, count), True
+        if not np.all(given):
+            i, j = surface.edges[np.argmin(given)]
+            raise MeshDocumentError(f"eta missing for edge {i}-{j}")
         weights = WeightConfig(self.epsilon.copy(), eta)
         state = None
         if self.factor_values is not None:
+            make = ConformalState if self.factor_kind == "u" else ConformalState.from_f
             try:
-                if self.factor_kind == "u":
-                    state = ConformalState(self.geometry, weights.epsilon, self.factor_values)
-                else:
-                    state = ConformalState.from_f(
-                        self.geometry, weights.epsilon, self.factor_values
-                    )
+                state = make(self.geometry, weights.epsilon, self.factor_values)
             except (DomainError, OverflowRangeError, BadParameterError) as exc:
                 raise MeshDocumentError(f"factors are not valid coordinates: {exc}")
         target = None if self.target is None else self.target.copy()
@@ -175,14 +198,45 @@ def _int_field(value, name: str) -> int:
 def _float_array(value, name: str, length: int) -> np.ndarray:
     if not isinstance(value, list) or len(value) != length:
         _schema_fail(f"{name} must be a list of {length} numbers")
-    out = np.empty(length)
-    for k, item in enumerate(value):
+    if not set(map(type, value)) <= {int, float}:  # the per-item checks word the first error
+        for k, item in enumerate(value):
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                _schema_fail(f"{name}[{k}] must be a number")
+    with contextlib.suppress(OverflowError):  # an integer too large for a float
+        out = np.array(value, dtype=np.float64)
+        if np.all(np.isfinite(out)):
+            return out
+    _schema_fail(f"{name} contains non-finite values")
+
+
+def _eta_map(raw_eta: dict, n: int) -> dict:
+    # eta by (i, j) in document order; with its ASCII digits deleted every key
+    # reads "-", and a key with no digit fails the int64 array
+    joined, values = ",".join(map(str, raw_eta)), list(raw_eta.values())
+    plain = joined.translate(str.maketrans("", "", "0123456789")) == ",".join(["-"] * len(values))
+    if plain and set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError, ValueError):
+            i, j = np.array(joined.replace("-", ",").split(","), dtype=np.int64).reshape(-1, 2).T
+            out = np.array(values, dtype=np.float64)
+            if np.all((i < j) & (j < n) & np.isfinite(out)) and np.all(np.diff(np.sort(i * n + j))):
+                return dict(zip(zip(i.tolist(), j.tolist()), out.tolist()))
+    eta_map = {}  # the per-key checks word the first error
+    for key, item in raw_eta.items():
+        match = _EDGE_KEY.match(str(key))
+        if not match:
+            _schema_fail(f"eta key {key!r} is not of the form 'i-j'")
+        i, j = int(match.group(1)), int(match.group(2))
+        if not (0 <= i < j < n):
+            _schema_fail(f"eta key {key!r} must name vertices i < j below {n}")
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            _schema_fail(f"{name}[{k}] must be a number")
-        out[k] = float(item)
-    if not np.all(np.isfinite(out)):
-        _schema_fail(f"{name} contains non-finite values")
-    return out
+            _schema_fail(f"eta[{key!r}] must be a number")
+        value = np.inf
+        with contextlib.suppress(OverflowError):  # an integer too large stays inf
+            value = float(item)
+        if not np.isfinite(value):
+            _schema_fail(f"eta[{key!r}] is not finite")
+        eta_map[(i, j)] = value
+    return eta_map
 
 
 def parse_document(data) -> MeshDocument:
@@ -190,7 +244,7 @@ def parse_document(data) -> MeshDocument:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise MeshDocumentError(f"document is not valid JSON: {exc}")
     if not isinstance(data, dict):
         _schema_fail("document root must be an object")
@@ -210,45 +264,33 @@ def parse_document(data) -> MeshDocument:
     if n < 3:
         _schema_fail("vertex_count must be at least 3")
 
+    # each field is checked in one pass; the per-item checks word the first error
     raw_faces = data["faces"]
     if not isinstance(raw_faces, list) or not raw_faces:
         _schema_fail("faces must be a non-empty list")
-    faces = []
-    for k, row in enumerate(raw_faces):
-        if not isinstance(row, list) or len(row) != 3:
-            _schema_fail(f"faces[{k}] must be a list of three vertex indices")
-        faces.append(tuple(_int_field(v, f"faces[{k}]") for v in row))
+    rows = set(map(type, raw_faces)) == {list} and set(map(len, raw_faces)) == {3}
+    if not (rows and set(map(type, chain.from_iterable(raw_faces))) == {int}):
+        for k, row in enumerate(raw_faces):
+            if not isinstance(row, list) or len(row) != 3:
+                _schema_fail(f"faces[{k}] must be a list of three vertex indices")
+            for v in row:
+                _int_field(v, f"faces[{k}]")
 
     raw_eps = data["epsilon"]
     if not isinstance(raw_eps, list) or len(raw_eps) != n:
         _schema_fail(f"epsilon must be a list of {n} values")
-    epsilon = np.empty(n, dtype=np.int64)
-    for k, item in enumerate(raw_eps):
-        value = _int_field(item, f"epsilon[{k}]")
-        if value not in (0, 1):
-            _schema_fail(f"epsilon[{k}] must be 0 or 1")
-        epsilon[k] = value
+    if set(map(type, raw_eps)) != {int} or not set(raw_eps) <= {0, 1}:
+        for k, item in enumerate(raw_eps):
+            if _int_field(item, f"epsilon[{k}]") not in (0, 1):
+                _schema_fail(f"epsilon[{k}] must be 0 or 1")
+    epsilon = np.array(raw_eps, dtype=np.int64)
 
     raw_eta = data["eta"]
     if not isinstance(raw_eta, dict):
         _schema_fail("eta must be an object keyed by 'i-j' edge names")
-    eta_map = {}
-    for key, item in raw_eta.items():
-        match = _EDGE_KEY.match(str(key))
-        if not match:
-            _schema_fail(f"eta key {key!r} is not of the form 'i-j'")
-        i, j = int(match.group(1)), int(match.group(2))
-        if not (0 <= i < j < n):
-            _schema_fail(f"eta key {key!r} must name vertices i < j below {n}")
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            _schema_fail(f"eta[{key!r}] must be a number")
-        value = float(item)
-        if not np.isfinite(value):
-            _schema_fail(f"eta[{key!r}] is not finite")
-        eta_map[(i, j)] = value
+    eta_map = _eta_map(raw_eta, n)
 
-    factor_kind = None
-    factor_values = None
+    factor_kind = factor_values = None
     if "factors" in data:
         raw = data["factors"]
         if not isinstance(raw, dict):
@@ -261,14 +303,12 @@ def parse_document(data) -> MeshDocument:
             _schema_fail("factors kind must be 'u' or 'f'")
         factor_values = _float_array(raw.get("values"), "factors values", n)
 
-    target = None
-    if "Kbar" in data:
-        target = _float_array(data["Kbar"], "Kbar", n)
+    target = _float_array(data["Kbar"], "Kbar", n) if "Kbar" in data else None
 
     return MeshDocument(
         geometry=geometry,
         vertex_count=n,
-        faces=tuple(faces),
+        faces=tuple(raw_faces),
         epsilon=epsilon,
         eta_map=eta_map,
         factor_kind=factor_kind,
@@ -294,17 +334,18 @@ def document_from_objects(
     target=None,
 ) -> dict:
     """Document payload for a surface; factors always emitted as u."""
+    names = "%d-%d," * surface.edge_count % tuple(surface.edges.ravel().tolist())
     payload = {
         "geometry": geometry.value,
         "vertex_count": surface.vertex_count,
-        "faces": [[int(v) for v in row] for row in surface.faces],
-        "epsilon": [int(v) for v in weights.epsilon],
-        "eta": {f"{i}-{j}": float(weights.eta[e]) for e, (i, j) in enumerate(surface.edges)},
+        "faces": surface.faces.tolist(),
+        "epsilon": weights.epsilon.tolist(),
+        "eta": dict(zip(names[:-1].split(","), weights.eta.tolist())),
     }
     if state is not None:
-        payload["factors"] = {"kind": "u", "values": [float(v) for v in state.u]}
+        payload["factors"] = {"kind": "u", "values": state.u.tolist()}
     if target is not None:
-        payload["Kbar"] = [float(v) for v in np.asarray(target, dtype=np.float64)]
+        payload["Kbar"] = np.asarray(target, dtype=np.float64).tolist()
     return payload
 
 
@@ -323,17 +364,15 @@ def format_trace(trace: FlowTrace) -> str:
     header += [f"u_{i}" for i in range(n)]
     header += [f"K_{i}" for i in range(n)]
     lines = [",".join(header)]
+    row_format = ",".join(["%.17g"] * len(header))
     for row, energy in zip(trace.rows, trace.energies):
-        cells = [
-            _format_number(row.t),
-            _format_number(row.residual),
-            _format_number(row.sum_u),
-            format(energy, ".17g"),  # may be nan when not evaluable
-            _format_number(row.calabi),
-        ]
-        cells += [_format_number(v) for v in row.u]
-        cells += [_format_number(v) for v in row.curvature]
-        lines.append(",".join(cells))
+        cells = [row.t, row.residual, row.sum_u, energy, row.calabi]
+        cells += row.u.tolist() + row.curvature.tolist()
+        finite = np.isfinite(cells)
+        finite[3] = True  # energy_H may be nan when not evaluable
+        if not np.all(finite):
+            raise MeshDocumentError("cannot serialize a non-finite number")
+        lines.append(row_format % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -382,7 +421,7 @@ def _resolve_cli_target(spec: str | None, doc_target, n: int):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise MeshDocumentError(f"cannot read target file {path}: {exc}")
         return _float_array(data, "target", n)
     raise MeshDocumentError(f"target must look like const:x or file:path, got {spec!r}")
@@ -436,9 +475,9 @@ def _cmd_curvature(args) -> int:
     payload = {
         "geometry": doc.geometry.value,
         "extended": bool(args.extended),
-        "lengths": [float(v) for v in report.lengths],
-        "angles": [[float(a) for a in row] for row in report.angles],
-        "curvature": [float(v) for v in report.curvature],
+        "lengths": report.lengths.tolist(),
+        "angles": report.angles.tolist(),
+        "curvature": report.curvature.tolist(),
         "gauss_bonnet_residual": gauss_bonnet_residual(report, surface.euler_characteristic),
         "degenerate_faces": [[f, c] for f, c in report.degenerate_faces],
         "total_area": None if report.total_area is None else float(report.total_area),

@@ -236,26 +236,28 @@ def _edge_lengths(geometry: Geometry, epsilon, eta, edges, f) -> np.ndarray:
 def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     """Bounds (lo, hi) on every length of ``edges`` along a segment in u.
 
-    ``f_ends`` (V, 2) holds the exponents at its two ends.  u_to_f is
-    increasing, so each f, e^f and C lie between their end values, and
-    the length formula in interval arithmetic (a term with a negative
-    weight takes the opposite end) bounds every length on the segment.
-    The bounds are widened by the formula's rounding error, which grows
-    with |f|, so they hold for lengths evaluated in floating point too.
+    ``f_ends`` (V, 2) holds the exponents at its two ends; (V, 2, S) those of S
+    segments, bounded one by one.  u_to_f is increasing, so each f, e^f and C lie
+    between their end values, and the length formula in interval arithmetic (a term
+    with a negative weight takes the opposite end) bounds every length on the segment.
+    The bounds are widened by the formula's rounding error, which grows with |f|, so
+    they hold for lengths evaluated in floating point too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = np.asarray(epsilon, dtype=np.float64)[:, None]
+        trailing = (1,) * (f_ends.ndim - 1)
+        eps = np.asarray(epsilon, dtype=np.float64).reshape(-1, *trailing)
         x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
         i, j = edges[:, 0], edges[:, 1]
-        eta = np.asarray(eta, dtype=np.float64)[:, None]
+        eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
         if geometry is Geometry.EUCLIDEAN:
             terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
         else:
             terms = [w[i] * w[j], eta * x[i] * x[j]]
-        ends = np.sort(terms, axis=-1)  # (term, E, end)
-        slack = 32.0 * np.spacing(1.0 + np.abs(f_ends).max()) * np.abs(ends).sum(axis=(0, 2))
-        lo = ends[..., 0].sum(axis=0) - slack
-        hi = ends[..., 1].sum(axis=0) + slack
+        ends = np.sort(terms, axis=2)  # (term, E, end, segment)
+        size = np.spacing(1.0 + np.abs(f_ends).max(axis=(0, 1)))  # per segment
+        slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))
+        lo = ends[:, :, 0].sum(axis=0) - slack
+        hi = ends[:, :, 1].sum(axis=0) + slack
         if geometry is Geometry.EUCLIDEAN:
             return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
         return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)

@@ -76,12 +76,15 @@ class SolveReport:
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     # Euclidean: the two eigenvalues nearest sigma are the all-ones kernel's 0 and the answer
     k = 2 if geometry is Geometry.EUCLIDEAN else 1
     start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
-    return float(np.max(eigsh(matrix, k, sigma=-1.0, v0=start, return_eigenvectors=False)))
+    try:
+        return float(np.max(eigsh(matrix, k, sigma=-1.0, v0=start, return_eigenvectors=False)))
+    except ArpackNoConvergence as exc:
+        raise MaxIterationsError(f"the convexity certificate did not converge: {exc}")
 
 
 def _newton_direction(geometry, matrix, gradient):
@@ -117,7 +120,7 @@ def solve_prescribed(
     ``max_iterations`` >= 0, TargetInadmissibleError when the target
     violates the admissibility constraints, NoInteriorSolutionError
     when the iteration converges to a generalized solution with
-    degenerate faces, and MaxIterationsError when the budget runs out.
+    degenerate faces, and MaxIterationsError when a budget runs out.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (surface.vertex_count,) or not np.all(np.isfinite(target)):

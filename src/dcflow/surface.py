@@ -105,21 +105,7 @@ def build_surface(vertex_count: int, face_list) -> TriangulatedSurface:
     """
     if vertex_count < 3:
         raise BadParameterError(f"vertex_count={vertex_count} is too small")
-    faces = []
-    seen = set()
-    for raw in face_list:
-        tri = tuple(sorted(int(v) for v in raw))
-        if len(set(tri)) != 3:
-            raise BadFaceError(f"face {raw!r} has repeated vertices")
-        if tri[0] < 0 or tri[2] >= vertex_count:
-            raise BadFaceError(f"face {raw!r} has out-of-range vertices")
-        if tri in seen:
-            raise BadFaceError(f"face {raw!r} appears more than once")
-        seen.add(tri)
-        faces.append(tri)
-    if not faces:
-        raise BadFaceError("empty face list")
-    faces = np.asarray(faces, dtype=np.int64)
+    faces = _checked_faces(vertex_count, face_list)
 
     # Side c of a face is the edge opposite corner c, keyed i*V + j (i < j).
     sides = faces[:, [1, 0, 0]] * vertex_count + faces[:, [2, 2, 1]]
@@ -141,6 +127,35 @@ def build_surface(vertex_count: int, face_list) -> TriangulatedSurface:
         edge_faces=edge_faces,
         vertex_degrees=np.bincount(edges.ravel(), minlength=vertex_count),
     )
+
+
+def _checked_faces(vertex_count, face_list) -> np.ndarray:
+    # (F, 3) rows sorted ascending, checked as arrays (a duplicate equals its predecessor in
+    # a stable sort); the loop words the first error and takes rows of any other form
+    try:
+        faces = np.sort(np.asarray(face_list), axis=-1)
+    except (TypeError, ValueError):  # ragged rows, unorderable items
+        faces = np.empty(0)
+    if faces.dtype.kind == "i" and faces.shape[1:] == (3,) and len(faces):
+        faces, order = faces.astype(np.int64, copy=False), np.lexsort(faces.T[::-1])
+        bad = (faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2])
+        bad[order[1:]] |= np.all(faces[order[1:]] == faces[order[:-1]], axis=1)
+        if not np.any(bad | (faces[:, 0] < 0) | (faces[:, 2] >= vertex_count)):
+            return faces
+    rows, seen = [], set()
+    for raw in face_list:
+        tri = tuple(sorted(int(v) for v in raw))
+        if len(set(tri)) != 3:
+            raise BadFaceError(f"face {raw!r} has repeated vertices")
+        if tri[0] < 0 or tri[2] >= vertex_count:
+            raise BadFaceError(f"face {raw!r} has out-of-range vertices")
+        if tri in seen:
+            raise BadFaceError(f"face {raw!r} appears more than once")
+        seen.add(tri)
+        rows.append(tri)
+    if not rows:
+        raise BadFaceError("empty face list")
+    return np.asarray(rows, dtype=np.int64)
 
 
 def _check_vertex_links(vertex_count, faces, face_edges, edge_faces) -> None:
@@ -202,14 +217,10 @@ def _icosahedron_faces():
 def _torus_grid_faces(n: int, m: int):
     if n < 3 or m < 3:
         raise BadParameterError("torus_grid needs n >= 3 and m >= 3")
-    def vid(i, j):
-        return (i % n) * m + (j % m)
-    faces = []
-    for i in range(n):
-        for j in range(m):
-            faces.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            faces.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return n * m, faces
+    i, j = np.divmod(np.arange(n * m), m)
+    a, b, c, d = ((i + di) % n * m + (j + dj) % m for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    # cell (i, j) gives the faces (a, b, c) and (b, d, c), in that order
+    return n * m, np.stack([a, b, c, b, d, c], axis=1).reshape(-1, 3)
 
 
 def _genus2_faces():
@@ -218,9 +229,10 @@ def _genus2_faces():
     # the glued triangle contributes zero, so the result has chi = -2.
     n_torus, faces = _torus_grid_faces(3, 3)
     glue, faces = faces[0], faces[1:]
-    rest = [v for v in range(n_torus) if v not in glue]
-    copy = dict(zip(glue, glue)) | dict(zip(rest, range(n_torus, n_torus + len(rest))))
-    return n_torus + len(rest), faces + [tuple(copy[v] for v in tri) for tri in faces]
+    rest = np.setdiff1d(np.arange(n_torus), glue)
+    copy = np.arange(n_torus)
+    copy[rest] = np.arange(n_torus, n_torus + len(rest))
+    return n_torus + len(rest), np.concatenate([faces, copy[faces]])
 
 
 def generate(kind: str, *dims: int) -> TriangulatedSurface:

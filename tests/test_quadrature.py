@@ -192,6 +192,63 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
             assert scanned.tobytes() == strict.tobytes()
 
 
+@pytest.mark.parametrize(
+    "kind, dims, geometry",
+    [("torus_grid", (6, 6), Geometry.EUCLIDEAN), ("genus2", (), Geometry.HYPERBOLIC)],
+    ids=["euclidean-torus", "hyperbolic-genus2"],
+)
+def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
+    # a trailing segment axis gives each segment its own verdict, slack included
+    surface, weights, geometry, segments = random_segments(kind, dims, geometry, 22)
+    eps, eta = weights.epsilon, weights.eta
+    u0 = np.stack([u_from for u_from, _ in segments], axis=1)
+    du = np.stack([u_to for _, u_to in segments], axis=1) - u0
+    batched = calculus._clear_of_walls(geometry, surface, eps, eta, u0, du)
+    single = [calculus._clear_of_walls(geometry, surface, eps, eta, a, b - a) for a, b in segments]
+    assert batched.tolist() == single
+    assert 0 < sum(single) < len(single)
+    f_ends = np.stack([u0, u0 + du], axis=1) if geometry is Geometry.EUCLIDEAN else None
+    if f_ends is not None:
+        lo, hi = calculus._edge_length_bounds(geometry, eps, eta, surface.edges, f_ends)
+        assert lo.shape == hi.shape == (surface.edge_count, len(segments))
+
+
+def test_potential_chain_certifies_in_chunks(monkeypatch):
+    # the chain certifies its segments in calls of at most _CERTIFY_CAP, and
+    # integrates each segment in its own call, with the same values
+    surface, weights, state = make_setup("torus_grid", (4, 4))
+    geometry, base_u = Geometry.EUCLIDEAN, state.u
+    steps = np.random.default_rng(23).normal(0.0, 0.02, (70, surface.vertex_count))
+    us = list(base_u + np.cumsum(steps, axis=0))
+    target = np.zeros(surface.vertex_count)
+    expected, energy = [], None
+    for u_from, u_to in zip([base_u, *us[:-1]], us):
+        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        rise = float(u_to.sum() - u_from.sum()) if energy is not None else float(u_to.sum())
+        step = 2.0 * np.pi * rise - float(per_face.sum())
+        energy = step if energy is None else energy + step
+        expected.append(energy - float(target @ (u_to - base_u)))
+    batches, segment_calls = [], []
+    certify, integrate = calculus._clear_of_walls, calculus.segment_face_energies
+
+    def counting_certify(geometry, mesh, epsilon, eta, u0, du):
+        batches.append(du.shape[1:])
+        return certify(geometry, mesh, epsilon, eta, u0, du)
+
+    def counting_integrate(*args, **kwargs):
+        segment_calls.append(kwargs["_clear"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "_clear_of_walls", counting_certify)
+    monkeypatch.setattr(calculus, "segment_face_energies", counting_integrate)
+    values = calculus._potential_chain(surface, weights, geometry, target, base_u, us)
+    assert list(values) == expected
+    cap = calculus._CERTIFY_CAP
+    assert batches == [(min(cap, len(us) - k),) for k in range(0, len(us), cap)]
+    assert len(batches) == 3
+    assert len(segment_calls) == len(us)
+
+
 def test_wall_certificate_refuses_a_crossing():
     surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
     eps, eta = weights.epsilon, weights.eta

@@ -441,6 +441,27 @@ class TestSparseCertificate:
         again = solve_module._restricted_smallest_eigenvalue(geometry, jacobian)
         assert again == report.certificate
 
+    def test_no_convergence_is_a_named_error(self, monkeypatch, tmp_path, capsys):
+        import scipy.sparse.linalg as sparse_linalg
+
+        def stalled(matrix, k, **kwargs):
+            raise sparse_linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence (301 iterations, 0/1 eigenvectors converged)",
+                np.zeros(0), np.zeros((matrix.shape[0], 0)),
+            )  # fmt: skip
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", stalled)
+        surface, weights, geometry, target, guess = torus_6x6_case()
+        with pytest.raises(MaxIterationsError, match="the convexity certificate did not converge"):
+            solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        mesh = str(tmp_path / "t.json")
+        assert dcflow.cli.main(["gen", "torus_grid", "3", "3", "--out", mesh]) == 0
+        capsys.readouterr()
+        assert dcflow.cli.main(["solve", mesh, "--target", "const:0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the convexity certificate did not converge: ARPACK error")
+        assert err.count("\n") == 1
+
 
 class TestSparseNewtonStep:
     def test_pinned_step_solves_the_system(self):

@@ -239,6 +239,58 @@ def test_malformed_surface_messages(vertex_count, faces, error, message):
 
 
 @pytest.mark.parametrize(
+    "faces,message",
+    [
+        ([(0, 1, 2), (0, 1, 3), [0, 2, 2], (1, 2, 3)], "face [0, 2, 2] has repeated vertices"),
+        ([(0, 1, 2), (0, 1), (0, 2, 3), (1, 2, 3)], "face (0, 1) has repeated vertices"),
+        ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3, 0)], "face (1, 2, 3, 0) has repeated vertices"),
+        ([(0, 1, 2), (0, 1, 3), (3, 0, -1), (1, 2, 3)], "face (3, 0, -1) has out-of-range vertices"),
+        ([(4, 1, 1), (0, 1, 5)], "face (4, 1, 1) has repeated vertices"),
+        ([(0, 1, 5), (4, 1, 1)], "face (0, 1, 5) has out-of-range vertices"),
+        ([(0, 1, 2), (2, 0, 1), (1, 2, 4)], "face (2, 0, 1) appears more than once"),
+        ([(0, 1, 2), (1, 2, 3), (3, 2, 1), (0, 1, 2)], "face (3, 2, 1) appears more than once"),
+        ([(0, 1, 2), (0, 1, 10**30)], "face (0, 1, 1000000000000000000000000000000) "
+         "has out-of-range vertices"),
+        ([], "empty face list"),
+    ],
+)  # fmt: skip
+def test_bad_face_messages_name_the_first_bad_face(faces, message):
+    # the array checks find the fault; the messages quote the first bad row as given
+    for face_list in (faces, iter(faces)):
+        with pytest.raises(BadFaceError) as info:
+            build_surface(4, face_list)
+        assert str(info.value) == message
+
+
+def test_face_lists_of_any_form_build_the_same_surface():
+    reference = generate("octahedron")
+    rows = reference.faces.tolist()
+    for face_list in (
+        rows, [tuple(r) for r in rows], iter(rows), reference.faces.astype(np.int32),
+        [[float(v) for v in r] for r in rows], np.array(rows, dtype=np.uint8),
+    ):  # fmt: skip
+        s = build_surface(6, face_list)
+        assert s.faces.dtype == np.int64
+        for name in ("faces", "edges", "face_edges", "edge_faces", "vertex_degrees"):
+            assert np.array_equal(getattr(s, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (6, 4)])
+def test_torus_grid_face_order(n, m):
+    # cell (i, j) gives two faces, cells row by row, as the nested loop wrote them
+    def vid(i, j):
+        return (i % n) * m + (j % m)
+
+    expected = []
+    for i in range(n):
+        for j in range(m):
+            expected.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
+            expected.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    s = generate("torus_grid", n, m)
+    assert s.faces.tolist() == [sorted(f) for f in expected]
+
+
+@pytest.mark.parametrize(
     "kind,dims",
     [
         ("tetrahedron", ()),
