@@ -229,6 +229,14 @@ def check_target(spec: FlowSpec, surface: TriangulatedSurface) -> TargetValidati
             f"target curvature must stay below 2*pi everywhere; "
             f"vertex {worst} has {target[worst]:.6g}"
         )
+    degrees = surface.vertex_degrees  # = corners at v on a closed surface; each angle <= pi
+    below = np.flatnonzero(target < (2 - degrees) * np.pi)
+    if below.size:
+        v, d = int(below[0]), int(degrees[below[0]])
+        violations.append(
+            f"vertex {v} has {d} corners, so its target curvature must be at least "
+            f"2*pi - {d}*pi = {(2 - d) * np.pi:.6g}; got {target[v]:.6g}"
+        )
     total = float(target.sum())
     chi_term = 2.0 * np.pi * surface.euler_characteristic
     if spec.geometry is Geometry.EUCLIDEAN:

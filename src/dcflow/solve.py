@@ -9,7 +9,8 @@ its step is not a finite descent direction, the step is plain gradient
 descent.  The Euclidean Hessian annihilates the all-ones vector, so its
 system is solved with vertex 0 pinned and the step shifted to zero mean,
 which keeps the coordinate sum at that of the initial guess.  The
-certificate comes from shift-invert Lanczos with a fixed start vector.
+certificate is 1/theta for the top eigenvalue theta of H^-1 on the sum-zero
+subspace, from fixed-start Lanczos on that same pinned factorization.
 
 The line search needs curvature only.  Along a trial step s the
 potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
@@ -44,6 +45,8 @@ ARMIJO_CONSTANT = 1e-4
 MAX_BACKTRACKS = 40
 MAX_RIEMANN_NODES = 8
 STEP_CAP = 10.0
+# |theta - lambda| <= ||r|| <= tol * theta; ARPACK's default, eps, makes roundoff restart it
+CERTIFICATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,25 +78,44 @@ class SolveReport:
         return _potential_chain(surface, weights, base.geometry, target, base.u, iterates)
 
 
-def _restricted_smallest_eigenvalue(geometry, matrix):
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+def _factor(matrix, pinned):
+    """SuperLU factor of ``matrix`` without its first ``pinned`` rows and columns."""
+    from scipy.sparse.linalg import splu
 
-    # Euclidean: the two eigenvalues nearest sigma are the all-ones kernel's 0 and the answer
-    k = 2 if geometry is Geometry.EUCLIDEAN else 1
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
+    # symmetric: order for A + A^T, which keeps the fill low
+    return splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def _restricted_smallest_eigenvalue(geometry, matrix):
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    pinned = int(geometry is Geometry.EUCLIDEAN)
     try:
-        return float(np.max(eigsh(matrix, k, sigma=-1.0, v0=start, return_eigenvectors=False)))
+        factor = _factor(matrix, pinned)
+    except RuntimeError:  # exactly singular: a kernel beyond the all-ones vector
+        return 0.0
+
+    def inverse(b):  # Euclidean: zero row sums make this H^+ on the sum-zero subspace
+        b = b.ravel() - pinned * b.mean()
+        x = np.zeros_like(b)
+        x[pinned:] = factor.solve(b[pinned:])
+        return x - pinned * x.mean()
+
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
+    start -= pinned * start.mean()
+    operator = LinearOperator(matrix.shape, matvec=inverse, dtype=np.float64)
+    try:
+        theta = eigsh(operator, 1, which="LA", v0=start, tol=CERTIFICATE_TOL)[0][0]
     except ArpackNoConvergence as exc:
         raise MaxIterationsError(f"the convexity certificate did not converge: {exc}")
+    return float(1.0 / theta)
 
 
 def _newton_direction(geometry, matrix, gradient):
     """Sparse Newton step, or None when it is no finite descent direction."""
-    from scipy.sparse.linalg import splu
-
     pinned = int(geometry is Geometry.EUCLIDEAN)  # vertex 0 stands in for the kernel
-    try:  # symmetric: order for A + A^T, which keeps the fill low
-        factor = splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        factor = _factor(matrix, pinned)
     except RuntimeError:  # exactly singular
         return None
     step = factor.solve(-gradient[pinned:])

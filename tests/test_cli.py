@@ -446,6 +446,19 @@ class TestSolveCommand:
         path = write_tetra(tmp_path)
         assert main(["solve", path, "--target", "const:0"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    def test_target_below_the_corner_bound_exits_2(self, tmp_path, capsys, command):
+        mesh = str(tmp_path / "t.json")
+        main(["gen", "torus_grid", "6", "6", "--epsilon", "1", "--eta", "1", "--out", mesh])
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps([-13.0] + [13.0 / 35.0] * 35))
+        capsys.readouterr()
+        assert main([command, mesh, "--target", f"file:{target}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex 0 has 6 corners, so its target curvature must be at least "
+            "2*pi - 6*pi = -12.5664; got -13\n"
+        )
+
     def test_solve_without_target_exits_2(self, tmp_path, capsys):
         path = write_tetra(tmp_path)
         assert main(["solve", path]) == 2

@@ -54,6 +54,23 @@ def torus_setup():
     return surface, weights
 
 
+def spike_push(surface):
+    """Zero-sum target shift that raises vertex 4's neighbours against it.
+
+    Near its wall a spike at vertex 4 has corner angles near pi, so its
+    curvature nears the bound 2 pi - 6 pi; lowering its own target would
+    leave the admissible range, so its target stays and its neighbours rise.
+    """
+    around = np.unique(surface.edges[np.any(surface.edges == 4, axis=1)])
+    push = np.zeros(surface.vertex_count)
+    push[around] = 1.0
+    push[4] = 0.0
+    rest = push == 0.0
+    rest[4] = False
+    push[rest] = -push.sum() / rest.sum()
+    return push
+
+
 def genus2_setup(epsilon=0):
     surface = generate("genus2")
     weights = WeightConfig.uniform(surface, epsilon, 1.0)
@@ -162,6 +179,26 @@ class TestCheckTarget:
         spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target)
         report = check_target(spec, tetra)
         assert not report.ok and "2*pi" in report.violations[0]
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_pointwise_lower_bound(self, geometry):
+        # six corners meet at each vertex of a torus grid, each angle at most
+        # pi, so no generalized metric has K_v < 2 pi - 6 pi = -4 pi
+        surface = generate("torus_grid", 6, 6)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        target = np.full(36, 13.0 / 35.0 + (geometry is Geometry.HYPERBOLIC))
+        target[0] = -13.0
+        spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target)
+        report = check_target(spec, surface)
+        assert report.violations == (
+            "vertex 0 has 6 corners, so its target curvature must be at least "
+            f"2*pi - 6*pi = {-4.0 * np.pi:.6g}; got -13",
+        )
+        with pytest.raises(TargetInadmissibleError, match="vertex 0 .* -12.5664"):
+            run_flow(spec, surface, weights, base_state(geometry, weights.epsilon))
+        target[0] = -4.0 * np.pi  # on the bound: admitted
+        target[1:] = (4.0 * np.pi + (geometry is Geometry.HYPERBOLIC)) / 35.0
+        assert check_target(FlowSpec(spec.kind, geometry, target=target), surface).ok
 
     def test_plain_euclidean_kinds_skip_sum_condition(self):
         tetra, _ = tetra_setup()
@@ -282,9 +319,7 @@ class TestStep:
         u[4] = -2.0 * np.log(2.0) + 1e-9
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
         report = curvature(surface, weights, state)
-        push = np.zeros(9)
-        push[4] = -1.0  # shrink the spike further
-        push -= push.mean()
+        push = spike_push(surface)  # shrink the spike further
         target = report.curvature + push
         spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target)
         new_state, outcome = step(spec, surface, weights, state, 1e-2)
@@ -298,9 +333,7 @@ class TestStep:
         u[4] = -2.0 * np.log(2.0) + 1e-9
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
         report = curvature(surface, weights, state, extended=True)
-        push = np.zeros(9)
-        push[4] = -1.0
-        push -= push.mean()
+        push = spike_push(surface)
         target = report.curvature + push
         spec = FlowSpec(
             FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target
@@ -308,7 +341,7 @@ class TestStep:
         new_state, outcome = step(spec, surface, weights, state, 1e-2)
         assert outcome.status is StepStatus.OK
         assert outcome.halvings == 0
-        assert new_state.u[4] < state.u[4]
+        assert curvature(surface, weights, new_state, extended=True).degenerate_faces
 
     def test_calabi_margin_slack_degenerates(self):
         surface, weights = torus_setup()
@@ -497,9 +530,7 @@ class TestRunFlow:
         u[4] = -2.0 * np.log(2.0) + 1e-9
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
         report = curvature(surface, weights, state)
-        push = np.zeros(9)
-        push[4] = -1.0
-        push -= push.mean()
+        push = spike_push(surface)
         spec = FlowSpec(
             FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=report.curvature + push
         )
@@ -514,11 +545,9 @@ class TestRunFlow:
         u = np.zeros(9)
         u[4] = -2.0 * np.log(2.0) + 1e-3
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
-        push = np.zeros(9)
-        push[4] = -1.0
-        push -= push.mean()
+        push = spike_push(surface)
         target = curvature(surface, weights, state).curvature + push
-        spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, trace_stride=5)
+        spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, trace_stride=3)
         accepted = []
         real_step = flows.step
 
@@ -531,7 +560,7 @@ class TestRunFlow:
         monkeypatch.setattr(flows, "step", recording_step)
         trace = run_flow(spec, surface, weights, state)
         assert trace.termination is TerminationReason.DEGENERATED
-        assert len(accepted) > 5 and len(accepted) % 5 != 0
+        assert len(accepted) > 5 and len(accepted) % 3 != 0
         t = 0.0
         for dt_used, _ in accepted:
             t += dt_used
@@ -605,13 +634,15 @@ class TestRunFlow:
         assert abs(energies[-1] - from_base(trace.final_u)) < 1e-9
 
     def test_unreachable_target_fails_only_on_energy_read(self):
-        # K_0 = -13 lies below the extended-angle bound 2 pi - 6 pi, so u_0
-        # escapes; the run ends on its own terms, and only reading the row
-        # energies may fail, with a quadrature error
+        # each of K_0 = K_1 = -10 clears its single-vertex bound 2 pi - 6 pi,
+        # but their sum lies below the pair's bound 4 pi - 10 pi (10 faces
+        # meet the edge 01), so u_0 and u_1 escape; the run ends on its own
+        # terms, and only reading the row energies may fail, with a
+        # quadrature error
         surface = generate("torus_grid", 6, 6)
         weights = WeightConfig.uniform(surface, 1, 1.0)
-        target = np.full(36, 13.0 / 35.0)
-        target[0] = -13.0
+        target = np.full(36, 20.0 / 34.0)
+        target[:2] = -10.0
         spec = FlowSpec(
             FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, max_time=100.0
         )

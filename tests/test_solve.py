@@ -34,6 +34,8 @@ from dcflow import (
 from dcflow import calculus as calculus_module
 from dcflow import solve as solve_module
 
+from conftest import random_admissible_state
+
 
 def torus_setup():
     surface = generate("torus_grid", 3, 3)
@@ -282,6 +284,15 @@ class TestSolveErrors:
         with pytest.raises(TargetInadmissibleError):
             solve_prescribed(surface, weights, Geometry.EUCLIDEAN, target)
 
+    def test_pointwise_lower_bound_rejected(self):
+        # the target that once ran out of iterations: K_0 = -13 < 2 pi - 6 pi
+        surface = generate("torus_grid", 6, 6)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        target = np.full(36, 13.0 / 35.0)
+        target[0] = -13.0
+        with pytest.raises(TargetInadmissibleError, match=r"vertex 0 .* = -12\.5664; got -13"):
+            solve_prescribed(surface, weights, Geometry.EUCLIDEAN, target)
+
     def test_hyperbolic_sum_bound_rejected(self):
         surface, weights = genus2_setup()
         with pytest.raises(TargetInadmissibleError):
@@ -426,9 +437,33 @@ def genus2_case():
     return surface, weights, Geometry.HYPERBOLIC, np.zeros(surface.vertex_count), None
 
 
+def flat_torus_20x20_case():
+    # the flat start already solves K = 0; lambda_1 has multiplicity 6 there
+    surface = generate("torus_grid", 20, 20)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), None
+
+
+def hyperbolic_torus_10x10_case():
+    surface = generate("torus_grid", 10, 10)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    rng = np.random.default_rng(53)
+    state = random_admissible_state(surface, weights, Geometry.HYPERBOLIC, rng, scale=0.3)
+    target = curvature(surface, weights, state).curvature  # admissible: it is attained
+    return surface, weights, Geometry.HYPERBOLIC, target, None
+
+
 class TestSparseCertificate:
     @pytest.mark.parametrize(
-        "case", [tetrahedron_case, torus_6x6_case, genus2_case], ids=lambda c: c.__name__
+        "case",
+        [
+            tetrahedron_case,
+            torus_6x6_case,
+            genus2_case,
+            flat_torus_20x20_case,
+            hyperbolic_torus_10x10_case,
+        ],
+        ids=lambda c: c.__name__,
     )
     def test_matches_dense_projected_spectrum(self, case):
         surface, weights, geometry, target, guess = case()
@@ -440,6 +475,18 @@ class TestSparseCertificate:
         # a fixed start vector: the same input gives the same bits
         again = solve_module._restricted_smallest_eigenvalue(geometry, jacobian)
         assert again == report.certificate
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_exactly_singular_factor_gives_zero(self, geometry):
+        # an integer-weighted graph Laplacian with two components: even with
+        # vertex 0 pinned, the second component's kernel is an exact zero pivot
+        ends = np.array([[0, 1], [1, 2], [2, 3], [0, 2], [4, 5], [5, 6], [4, 6]])
+        weight = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 3.0])
+        adjacency = sp.coo_matrix((weight, (ends[:, 0], ends[:, 1])), shape=(7, 7))
+        adjacency = adjacency + adjacency.T
+        laplacian = (sp.diags(np.ravel(adjacency.sum(axis=1))) - adjacency).tocsr()
+        certificate = solve_module._restricted_smallest_eigenvalue(geometry, laplacian)
+        assert certificate <= 1e-12
 
     def test_no_convergence_is_a_named_error(self, monkeypatch, tmp_path, capsys):
         import scipy.sparse.linalg as sparse_linalg
