@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +33,15 @@ from .errors import DegenerateFaceError, QuadratureFailureError
 from .geometry import (
     ConformalState,
     Geometry,
-    _angles_opposite,
+    _cross,
     _degeneracy,
     _edge_length_bounds,
     _edge_lengths,
+    _half_angles,
     _margins,
+    _metric,
     base_state,
     curvature,
-    edge_lengths,
     u_to_f,
 )
 from .surface import TriangulatedSurface, WeightConfig
@@ -62,17 +62,14 @@ _CERTIFY_CAP = 32  # segments per wall certificate call, fewer above 2048 vertic
 _TOTAL_CAP = 1 << 20
 
 
-class _Mesh(NamedTuple):
-    faces: np.ndarray
-    edges: np.ndarray
-    face_edges: np.ndarray
-
-
-# A lone triangle as a one-face complex: edge c is opposite corner c.
-_TRIANGLE = _Mesh(
+# A lone triangle as a one-face complex: edge c is opposite corner c and bounds the face.
+_TRIANGLE = TriangulatedSurface(
+    vertex_count=3,
     faces=np.array([[0, 1, 2]]),
     edges=np.array([[1, 2], [0, 2], [0, 1]]),
     face_edges=np.array([[0, 1, 2]]),
+    edge_faces=np.zeros((3, 1), dtype=np.int64),
+    vertex_degrees=np.full(3, 2),
 )
 
 
@@ -80,13 +77,13 @@ _TRIANGLE = _Mesh(
 # Jacobians
 
 
-def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m):
-    """d(theta)/d(u) as (..., 3, 3) arrays, given margins m; assumes nondegenerate shapes."""
+def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m, theta):
+    """d(theta)/d(u), (..., 3, 3), from (..., 3) lengths a, margins m, angles; nondegenerate."""
     eps3 = np.asarray(eps3, dtype=np.float64)
     s3 = np.exp(f3)
     # Heron: b1 b2 sin(theta_c) = P^2 sqrt(x0 x1 x2) / 2 (Euclidean) and
     # sinh b1 sinh b2 sin(theta_c) = e^{P/2} E^2 sqrt(x0 x1 x2) / 2 with
-    # E = -expm1(-P), on the scaled margins x of _angles_opposite, so no
+    # E = -expm1(-P), on the scaled margins x of geometry._half_angles, so no
     # product overflows and nothing divides by a sin(theta) rounded to 0
     perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
     if geometry is Geometry.EUCLIDEAN:
@@ -101,7 +98,7 @@ def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m):
         d_base = -np.exp(-0.5 * m) * np.expm1(-2.0 * a) / heron
         c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), np.sinh(a)
 
-    cos_t, t_mat = np.cos(_angles_opposite(geometry, a, m)), np.zeros(a.shape[:-1] + (3, 3))
+    cos_t, t_mat = np.cos(theta), np.zeros(a.shape[:-1] + (3, 3))
     for r in range(3):
         for e in range(3):
             t_mat[..., r, e] = d_base[..., r] if r == e else -d_base[..., r] * cos_t[..., 3 - r - e]
@@ -146,16 +143,17 @@ def face_corner_jacobians(
     eps3 = weights.epsilon[surface.faces].astype(np.float64)
     eta3 = weights.eta[surface.face_edges]
     f3 = state.f[surface.faces]
-    a = edge_lengths(surface, weights, state)[surface.face_edges]
-    m = _margins(a)
-    _, deg = _degeneracy(a, m)
-    if not extended and np.any(deg >= 0):
-        face = int(np.nonzero(deg >= 0)[0][0])
-        raise DegenerateFaceError(face, "angle Jacobian undefined on a degeneracy wall")
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = _metric(surface, weights, state.geometry, state.f, extended=True)
+    deg = _degeneracy(metric.m)[1]
+    bad = np.flatnonzero(deg >= 0)
+    if not extended and bad.size:
+        raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
     out = np.zeros((len(surface.faces), 3, 3))
-    good = deg < 0 if np.any(deg >= 0) else slice(None)  # a slice copies nothing
+    good = deg < 0 if bad.size else slice(None)  # a slice copies nothing
+    a, m = metric.a[:3].T, metric.m.T  # face-major views
     out[good] = _corner_jacobian_core(
-        state.geometry, eps3[good], eta3[good], f3[good], a[good], m[good]
+        state.geometry, eps3[good], eta3[good], f3[good], a[good], m[good], metric.angles[good]
     )
     return out
 
@@ -208,28 +206,28 @@ class EnergyValue:
     extended: bool
 
 
-def _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts):
-    # Opposite lengths (F, T, 3) at u0 + ts * du, per vertex (u -> f), per
-    # edge (lengths) and per face; the wall scan and the bisection take
-    # their margins, the quadrature their angles.
+def _segment_shape(geometry, mesh, weights, u0, du, ts):
+    # Rolled opposite lengths (5, F, T) at u0 + ts * du on the mesh's plan; the wall
+    # scan and the bisection take their margins, the quadrature their angles
     u_t = u0[:, None] + ts * du[:, None]
-    f_t = np.asarray(u_to_f(geometry, np.asarray(epsilon)[:, None], u_t))
-    lengths = _edge_lengths(geometry, epsilon, eta, mesh.edges, f_t)  # (E, T)
-    # gather corner by corner into a contiguous (F, T, 3) block, so no
-    # (F, 3, T) copy is alive while the angles are evaluated
-    a = np.empty((len(mesh.faces), ts.size, 3))
-    for c in range(3):
-        a[..., c] = lengths[mesh.face_edges[:, c]]
-    return a
+    f_t = np.asarray(u_to_f(geometry, weights.epsilon[:, None], u_t))
+    plan = mesh._plan
+    eps, cross = weights._eps_float[:, None], _cross(geometry, weights)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = _edge_lengths(geometry, plan.ends, eps, cross, f_t)  # (E, T)
+    return lengths.take(plan.corners, axis=0)
 
 
-def _energy_evaluator(geometry, mesh, epsilon, eta, u0, du):
+def _energy_evaluator(geometry, mesh, weights, u0, du):
     # ``mesh`` is a surface or the one-face _TRIANGLE
     du3 = du[mesh.faces]
 
     def evaluate(ts):
-        a = _segment_shape(geometry, mesh, epsilon, eta, u0, du, ts)
-        return np.einsum("ftc,fc->ft", _angles_opposite(geometry, a), du3)
+        a = _segment_shape(geometry, mesh, weights, u0, du, ts)
+        # einsum's rounding depends on the layout: it sums contiguous (F, T, 3) angles
+        half = np.moveaxis(_half_angles(geometry, a, _margins(a)), 0, -1)
+        theta = np.multiply(half, 2.0, order="C")
+        return np.einsum("ftc,fc->ft", theta, du3)
 
     return evaluate
 
@@ -329,7 +327,7 @@ def _gauss_doubling(evaluate, halves, tol):
     return total
 
 
-def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol, clear=None):
+def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol, clear=None):
     """Per-face path integrals of the angle form along the straight segment.
 
     A segment the length bounds certify clear of every wall is one smooth
@@ -341,9 +339,11 @@ def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol
         return np.zeros(len(mesh.faces))
     du = u1 - u0
     cuts = []
-    if not (_clear_of_walls(geometry, mesh, epsilon, eta, u0, du) if clear is None else clear):
+    if clear is None:
+        clear = _clear_of_walls(geometry, mesh, weights.epsilon, weights.eta, u0, du)
+    if not clear:
         def margins_at(ts):
-            return _degeneracy(_segment_shape(geometry, mesh, epsilon, eta, u0, du, ts))[0]
+            return _degeneracy(_margins(_segment_shape(geometry, mesh, weights, u0, du, ts)))[0]
 
         grid = np.linspace(0.0, 1.0, 65)
         margins = margins_at(grid)
@@ -351,7 +351,7 @@ def _integrate_face_energies(geometry, mesh, epsilon, eta, u0, u1, extended, tol
             face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
             raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
         cuts = _locate_crossings(margins_at, grid, margins) if extended else []
-    evaluate = _energy_evaluator(geometry, mesh, epsilon, eta, u0, du)
+    evaluate = _energy_evaluator(geometry, mesh, weights, u0, du)
     knots = [0.0] + cuts + [1.0]
     # each smooth piece splits at its midpoint into two halves anchored at its knots
     halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
@@ -374,13 +374,13 @@ def triangle_energy(
     three corners shift by t in the Euclidean case.
     """
     eps = np.asarray(epsilon_triple, dtype=np.float64).astype(np.int64).reshape(3)
-    eta = np.asarray(eta_triple, dtype=np.float64).reshape(3)
+    weights = WeightConfig(eps, np.asarray(eta_triple, dtype=np.float64).reshape(3))
     u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
     if base_triple is None:
         u0 = base_state(geometry, eps).u
     else:
         u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
-    vals = _integrate_face_energies(geometry, _TRIANGLE, eps, eta, u0, u1, extended, tol)
+    vals = _integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended, tol)
     return float(vals[0])
 
 
@@ -402,9 +402,7 @@ def segment_face_energies(
     updates instead of re-integrating from the base at every point.
     """
     u0, u1 = (np.asarray(u, dtype=np.float64) for u in (u_from, u_to))
-    return _integrate_face_energies(
-        geometry, surface, weights.epsilon, weights.eta, u0, u1, extended, tol, _clear
-    )
+    return _integrate_face_energies(geometry, surface, weights, u0, u1, extended, tol, _clear)
 
 
 def surface_energies(
@@ -427,9 +425,7 @@ def surface_energies(
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)
-    per_face = _integrate_face_energies(
-        geometry, surface, weights.epsilon, weights.eta, base.u, state.u, extended, tol
-    )
+    per_face = _integrate_face_energies(geometry, surface, weights, base.u, state.u, extended, tol)
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))

@@ -7,8 +7,9 @@ optional target curvature array "Kbar".  Unknown keys are rejected so
 typos fail loudly.  Each field is checked in one pass and converted in
 one step; the per-item checks run only to word the first error.
 Numbers are written with 17 significant digits, which round-trips
-64-bit floats exactly, and a list, a table or an object of numbers
-with one %-format; identical invocations produce byte-identical files.
+64-bit floats exactly (-0.0 as "-0.0", which JSON reads back with its
+sign), and a list, a table or an object of numbers with one %-format;
+identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 computation failure (non-convergence,
 degenerate faces, weight-condition violations), 2 unusable input
@@ -85,14 +86,17 @@ def _format_number(x) -> str:
     value = float(x)
     if not np.isfinite(value):
         raise MeshDocumentError("cannot serialize a non-finite number")
-    return format(value, ".17g")
+    text = format(value, ".17g")
+    return "-0.0" if text == "-0" else text  # JSON reads -0 back as the integer 0
 
 
 def _one_format(items):
     # one %-format that writes every item as _format_number does, or None
     kinds = set(map(type, items))
-    if kinds == {float} and np.all(np.isfinite(items)):
-        return "%.17g"
+    if kinds == {float}:
+        values = np.array(items)
+        plain = np.isfinite(values).all() and not (np.signbit(values) & (values == 0.0)).any()
+        return "%.17g" if plain else None  # -0.0 takes the per-number path
     return "%d" if kinds == {int} else None
 
 

@@ -11,17 +11,18 @@ Explicit Euler is the default integrator with classical RK4 as an
 option.  A failed stage is rejected with the status the step reports
 if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
-reaching zero gives ANOMALY at once.  ``run_flow`` computes the
-curvature of every accepted state once, for its residual check, its
-trace row and the first stage of the next step, and records rows in
-one place: at the start, every ``trace_stride`` steps and at the last
-accepted state.  The flow never reads the potential it decreases, so
-``FlowTrace.energies`` integrates the row potentials on first read.
+reaching zero gives ANOMALY at once.  Every accepted state gets one
+metric kernel pass (``geometry._metric``; a strict kind's is its wall
+test, handed on by ``step``), which serves the residual check, the trace
+row and the first stage of the next step.  ``run_flow`` runs its loop in
+one ``np.errstate`` and records rows in one place: at the start, every
+``trace_stride`` steps and at the last accepted state.  The flow never
+reads the potential it decreases, so ``FlowTrace.energies`` integrates
+the row potentials on first read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -37,7 +38,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, _degeneracy, base_state, curvature, edge_lengths
+from .geometry import ConformalState, Geometry, _metric, base_state, curvature
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -197,6 +198,7 @@ class StepOutcome:
     dt_used: float
     halvings: int = 0
     correction: float = 0.0
+    _pass: tuple = field(default=None, compare=False, repr=False)  # read by run_flow
 
 
 def resolve_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarray:
@@ -286,44 +288,25 @@ def vector_field(
     return _field(spec, surface, weights, state, _admissible_target(spec, surface))
 
 
-def _min_margin(surface, weights, state):
-    margin, _ = _degeneracy(edge_lengths(surface, weights, state)[surface.face_edges])
-    return float(margin.min())
-
-
-class _StepRejected(Exception):
-    # ``status``: what the step reports if it gives up; ``final``: no retry
-    def __init__(self, status: StepStatus, final: bool = False):
-        super().__init__(status, final)
-        self.status, self.final = status, final
-
-
-@contextlib.contextmanager
-def _rejecting():
-    """Turn the error of a failed stage into the rejection of the step."""
-    try:
-        yield
-    except DomainError as exc:  # a hyperbolic cone coordinate reached 0
-        raise _StepRejected(StepStatus.ANOMALY, final=True) from exc
-    except DegenerateFaceError as exc:
-        raise _StepRejected(StepStatus.DEGENERATED) from exc
-    except (NumericalDomainError, OverflowRangeError) as exc:
-        raise _StepRejected(StepStatus.ANOMALY) from exc
+def _wall_pass(surface, weights, state):
+    # a strict kind's wall test; where it passes, the curvature is the non-extended one
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _metric(surface, weights, state.geometry, state.f, extended=True)
 
 
 def _advance(spec, surface, weights, state, dt, target, kvec=None):
     """One integrator pass to the new coordinates u; a failed stage raises its own error."""
-
-    def velocity(st, kvec=None):
-        return _field(spec, surface, weights, st, target, kvec)
-
     u0 = state.u
-    k1 = velocity(state, kvec)
+    k1 = _field(spec, surface, weights, state, target, kvec)
     if spec.integrator == "euler":
         return u0 + dt * k1
-    k2 = velocity(state.with_u(u0 + 0.5 * dt * k1))
-    k3 = velocity(state.with_u(u0 + 0.5 * dt * k2))
-    k4 = velocity(state.with_u(u0 + dt * k3))
+
+    def velocity(u):
+        return _field(spec, surface, weights, state.with_u(u), target)
+
+    k2 = velocity(u0 + 0.5 * dt * k1)
+    k3 = velocity(u0 + 0.5 * dt * k2)
+    k4 = velocity(u0 + dt * k3)
     return u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -336,52 +319,61 @@ def step(
     *,
     sum_reference: float | None = None,
     _target=None,
-    _kvec=None,
+    _pass=None,
 ) -> tuple[ConformalState, StepOutcome]:
     """Advance one time step, halving near walls for strict kinds.
 
     Returns the new state with a StepOutcome; on DEGENERATED or ANOMALY
     the state is returned unchanged.  ``sum_reference`` is the
     coordinate sum the drift compensation restores (defaults to the
-    current sum).
+    current sum).  ``_pass``: the caller's metric kernel pass at ``state``
+    (with the kind's ``extended`` flag); a strict kind hands the pass of
+    its wall test on as ``StepOutcome._pass``.
     """
     if state.geometry is not spec.geometry:
         raise BadParameterError("state geometry does not match the flow spec")
     if dt is None:
         dt = spec.dt
     target = _admissible_target(spec, surface) if _target is None else _target
+    kind = spec.kind
+    calabi, extended = kind.is_calabi, kind.is_extended
 
-    margin_floor = CALABI_MARGIN_SLACK if spec.kind.is_calabi else 0.0
-    if spec.kind.is_calabi and _min_margin(surface, weights, state) <= margin_floor:
-        # the curvature Laplacian has no continuous extension, so the
-        # Calabi flow stops when a face gets this close to a wall
-        return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
+    margin_floor = CALABI_MARGIN_SLACK if calabi else 0.0
+    if calabi:
+        if _pass is None:
+            _pass = _wall_pass(surface, weights, state)
+        if _pass.m.min() <= margin_floor:
+            # the curvature Laplacian has no continuous extension, so the
+            # Calabi flow stops when a face gets this close to a wall
+            return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
+    kvec = None if _pass is None else _pass.curvature
     # these kinds conserve the coordinate sum: remove each step's discretization drift
-    conserved = spec.geometry is Geometry.EUCLIDEAN and spec.kind is not FlowKind.RICCI
+    conserved = spec.geometry is Geometry.EUCLIDEAN and kind is not FlowKind.RICCI
     reference = float(state.u.sum()) if sum_reference is None else sum_reference
     halvings, dt_try, drift = 0, float(dt), 0.0
     while True:
-        try:
-            with _rejecting():
-                u_new = _advance(spec, surface, weights, state, dt_try, target, _kvec)
-                if conserved:
-                    drift = (float(u_new.sum()) - reference) / surface.vertex_count
-                    u_new -= drift
-                new_state = state.with_u(u_new)
-                strict = not spec.kind.is_extended
-                if strict and _min_margin(surface, weights, new_state) <= margin_floor:
-                    raise _StepRejected(StepStatus.DEGENERATED)
-            break
-        except _StepRejected as rejected:
-            if rejected.final or spec.kind.is_extended or halvings >= MAX_HALVINGS:
-                return state, StepOutcome(
-                    status=rejected.status, dt_used=0.0, halvings=halvings
+        try:  # a failed stage rejects the step with the status it reports if it gives up
+            u_new = _advance(spec, surface, weights, state, dt_try, target, kvec)
+            if conserved:
+                drift = (float(u_new.sum()) - reference) / surface.vertex_count
+                u_new -= drift
+            new_state = state.with_u(u_new)
+            metric = None if extended else _wall_pass(surface, weights, new_state)
+            if extended or not metric.m.min() <= margin_floor:
+                return new_state, StepOutcome(
+                    StepStatus.OK, dt_try, halvings, correction=abs(drift), _pass=metric
                 )
-            halvings += 1
-            dt_try *= 0.5
-    return new_state, StepOutcome(
-        status=StepStatus.OK, dt_used=dt_try, halvings=halvings, correction=abs(drift)
-    )
+            status = StepStatus.DEGENERATED
+        except DomainError:  # a hyperbolic cone coordinate reached 0: no retry
+            return state, StepOutcome(status=StepStatus.ANOMALY, dt_used=0.0, halvings=halvings)
+        except DegenerateFaceError:
+            status = StepStatus.DEGENERATED
+        except (NumericalDomainError, OverflowRangeError):
+            status = StepStatus.ANOMALY
+        if extended or halvings >= MAX_HALVINGS:
+            return state, StepOutcome(status=status, dt_used=0.0, halvings=halvings)
+        halvings += 1
+        dt_try *= 0.5
 
 
 def run_flow(
@@ -412,54 +404,52 @@ def run_flow(
     rows = []
     cumulative_correction = 0.0
 
-    def record(t, state, kvec):
-        rows.append(
-            TraceRow(
-                t=t,
-                u=state.u.copy(),
-                curvature=kvec,
-                residual=float(np.max(np.abs(kvec - target))),
-                sum_u=float(state.u.sum()),
-                calabi=0.5 * float(np.sum((kvec - target) ** 2)),
-                correction=cumulative_correction,
-            )
-        )
+    def record(t, state, kvec, residual):
+        u, calabi = state.u, 0.5 * float(((kvec - target) ** 2).sum())
+        row = (t, u.copy(), kvec, residual, float(u.sum()), calabi, cumulative_correction)
+        rows.append(TraceRow(*row))
 
-    kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
-    record(0.0, state, kvec)
-    t, steps, residual = 0.0, 0, rows[-1].residual
-    termination = TerminationReason.CONVERGED
-    while not residual < spec.tolerance:  # a NaN residual never converges
-        if t >= spec.max_time - 1e-12:
-            termination = TerminationReason.MAX_TIME
-            break
-        dt = min(spec.dt, spec.max_time - t)
-        state_new, outcome = step(
-            spec, surface, weights, state, dt,
-            sum_reference=sum_reference, _target=target, _kvec=kvec,
-        )
-        if outcome.status is not StepStatus.OK:
-            termination = (
-                TerminationReason.DEGENERATED
-                if outcome.status is StepStatus.DEGENERATED
-                else TerminationReason.DIVERGED
-            )
-            break
-        state = state_new
-        t += outcome.dt_used
-        steps += 1
-        cumulative_correction += outcome.correction
-        try:
-            kvec = curvature(surface, weights, state, extended=spec.kind.is_extended).curvature
-        except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
-            return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
-        residual = float(np.max(np.abs(kvec - target)))
-        if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
-            termination = TerminationReason.DIVERGED
-            break
-        if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
-            record(t, state, kvec)
+    extended = spec.kind.is_extended
+    # one errstate for the whole loop; _metric's length checks reject what overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = _metric(surface, weights, spec.geometry, state.f, extended)
+        residual = float(np.abs(metric.curvature - target).max())
+        record(0.0, state, metric.curvature, residual)
+        t, steps = 0.0, 0
+        termination = TerminationReason.CONVERGED
+        while not residual < spec.tolerance:  # a NaN residual never converges
+            if t >= spec.max_time - 1e-12:
+                termination = TerminationReason.MAX_TIME
+                break
+            dt = min(spec.dt, spec.max_time - t)
+            state_new, outcome = step(
+                spec, surface, weights, state, dt,
+                sum_reference=sum_reference, _target=target, _pass=metric,
+            )  # fmt: skip
+            if outcome.status is not StepStatus.OK:
+                termination = (
+                    TerminationReason.DEGENERATED
+                    if outcome.status is StepStatus.DEGENERATED
+                    else TerminationReason.DIVERGED
+                )
+                break
+            state = state_new
+            t += outcome.dt_used
+            steps += 1
+            cumulative_correction += outcome.correction
+            metric = outcome._pass  # a strict kind's wall test pass
+            if metric is None:
+                try:
+                    metric = _metric(surface, weights, spec.geometry, state.f, extended)
+                except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
+                    return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
+            residual = float(np.abs(metric.curvature - target).max())
+            if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
+                termination = TerminationReason.DIVERGED
+                break
+            if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
+                record(t, state, metric.curvature, residual)
 
     if rows[-1].t < t:
-        record(t, state, kvec)
+        record(t, state, metric.curvature, residual)
     return FlowTrace(tuple(rows), termination, shift, path)

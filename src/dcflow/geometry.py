@@ -20,19 +20,29 @@ geometries; at a zero margin they give pi at the offending corner and
 zero at the other two, which is the continuous extension across the
 wall that every derived quantity (curvature, areas) accepts.
 
-This module is the one per-face metric kernel of the package: lengths
-come from ``_lengths`` on the per-vertex terms of ``_vertex_terms``
-(per edge through ``_edge_lengths``), bounds on them along a segment from
-``_edge_length_bounds``, margins from ``_margins``, the wall test (min
-margin, degenerate corner) from ``_degeneracy``, and angles from
-``_angles_opposite``.  Curvature, the Jacobians, the energy quadrature
-and the strict-flow wall check all call these; none recomputes them.
+``_metric`` is the one metric kernel of the package: one pass from the
+exponents f to lengths, margins, angles and curvature, on a plan cached
+per surface (``TriangulatedSurface._plan``).  One take of the plan's
+``ends`` gathers x_i, x_j, w_i, w_j of every edge from the stacked
+per-vertex terms [x, w] of ``_vertex_terms`` (2 eta is cached on the
+``WeightConfig``); one take of its ``corners`` gives the lengths opposite
+corners 0, 1, 2, 0, 1 of every face.  So the pass is corner-major: the
+margins (``_margins``), the wall test (``_degeneracy``) and the half
+angles (``_half_angles``) are operations on whole (3, F) rows.  Each
+elementwise operation and each per-vertex sum is the one the face-major
+(F, 3) formulas make, in the same order, and the angles go back to (F, 3)
+order before ``bincount`` sums them, so the layout changes no bit.
+Curvature, the Jacobians, the energy integrand and the strict-flow wall
+test take every quantity from these functions.  The caller of ``_metric``
+holds ``np.errstate``, so a flow loop enters it once.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,10 +154,14 @@ class ConformalState:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.epsilon.shape:
             raise BadParameterError("epsilon and u must have matching shapes")
-        if not np.isfinite(u).all():
-            raise BadParameterError("u contains non-finite values")
+        euclidean = self.geometry is Geometry.EUCLIDEAN  # f = u: one reduction checks both
+        if not (np.abs(u).max(initial=0.0) <= F_CAP if euclidean else np.isfinite(u).all()):
+            if not np.isfinite(u).all():
+                raise BadParameterError("u contains non-finite values")
+            _check_f_range(u)
         # u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
-        self.__dict__.update(u=u, _f=u_to_f(self.geometry, self.epsilon, u))
+        f = u.copy() if euclidean else u_to_f(self.geometry, self.epsilon, u)
+        self.__dict__.update(u=u, _f=f)
 
     @property
     def f(self) -> np.ndarray:
@@ -185,20 +199,18 @@ def _vertex_terms(geometry: Geometry, eps, f):
     return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
 
 
-def _lengths(geometry: Geometry, w_i, w_j, eta, x_i, x_j) -> np.ndarray:
-    # Unchecked core of every length, on the _vertex_terms of both ends (from |f| <= F_CAP);
-    # the caller ignores overflow and invalid values, which the checks below reject
+def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
+    # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP) and the cross
+    # weight 2 eta (Euclidean) or eta; the checks reject what overflowed or went invalid
     if geometry is Geometry.EUCLIDEAN:
-        rad = w_i + w_j + 2.0 * eta * x_i * x_j
-        if not np.isfinite(rad.max()):  # max propagates NaN
+        rad = w_i + w_j + cross * x_i * x_j
+        if not math.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
         if rad.min() <= 0.0:
-            raise NumericalDomainError(
-                "non-positive squared length; weight conditions violated"
-            )
+            raise NumericalDomainError("non-positive squared length; weight conditions violated")
         return np.sqrt(rad)
-    ch = w_i * w_j + eta * x_i * x_j
-    if not np.isfinite(ch.max()):
+    ch = w_i * w_j + cross * x_i * x_j
+    if not math.isfinite(ch.max()):
         raise OverflowRangeError("hyperbolic length overflow")
     if ch.min() <= 1.0:
         raise NumericalDomainError("cosh(length) <= 1; weight conditions violated")
@@ -211,26 +223,25 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     f_j = np.asarray(f_j, dtype=np.float64)
     _check_f_range(f_i)
     _check_f_range(f_j)
+    cross = (2.0 if geometry is Geometry.EUCLIDEAN else 1.0) * np.asarray(eta, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
         x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
-        out = _lengths(geometry, w_i, w_j, np.asarray(eta, dtype=np.float64), x_i, x_j)
+        out = _lengths(geometry, w_i, w_j, cross, x_i, x_j)
     return out if out.shape else float(out)
 
 
-def _edge_lengths(geometry: Geometry, epsilon, eta, edges, f) -> np.ndarray:
-    """Lengths of ``edges`` from per-vertex exponents ``f`` of shape (V, ...).
+def _cross(geometry: Geometry, weights: WeightConfig) -> np.ndarray:
+    return weights._eta2 if geometry is Geometry.EUCLIDEAN else weights.eta  # of _lengths
 
-    ``eta`` holds one weight per edge; the result has shape (E, ...),
-    broadcasting over the trailing axes of ``f``.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    column = (-1,) + (1,) * (f.ndim - 1)
-    i, j = edges[:, 0], edges[:, 1]
-    eta = np.asarray(eta, dtype=np.float64).reshape(column)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, w = _vertex_terms(geometry, np.asarray(epsilon, dtype=np.float64).reshape(column), f)
-        return _lengths(geometry, w[i], w[j], eta, x[i], x[j])
+
+def _edge_lengths(geometry: Geometry, ends, eps, cross, f) -> np.ndarray:
+    """Lengths (E, ...) from exponents ``f`` (V, ...) under the caller's np.errstate.
+
+    The plan's ``ends`` (2, E) gathers the per-vertex terms x and w at both ends of
+    every edge; ``eps`` broadcasts against ``f``, ``cross`` against the lengths."""
+    x, w = (terms.take(ends, axis=0) for terms in _vertex_terms(geometry, eps, f))
+    return _lengths(geometry, w[0], w[1], cross, x[0], x[1])
 
 
 def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
@@ -267,9 +278,9 @@ def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
     """Lengths of all edges in canonical edge order."""
-    return _edge_lengths(
-        state.geometry, weights.epsilon, weights.eta, surface.edges, state.f
-    )
+    cross = _cross(state.geometry, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _edge_lengths(state.geometry, surface._plan.ends, weights._eps_float, cross, state.f)
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +303,31 @@ class DegeneracyClass:
 
 
 def _margins(a: np.ndarray) -> np.ndarray:
-    """Margins m_c = a[c+1] + a[c+2] - a[c] of the triangle inequalities.
+    """Margins m_c = a_{c+1} + a_{c+2} - a_c of the triangle inequalities, shape (3, ...).
 
-    ``a[..., c]`` is the length opposite corner c, so m_c is the slack of
-    the inequality whose long side faces c.  The three margins sum to the
-    perimeter, and at most one of them can be non-positive at a time.
-    Callers that have them pass them to the wall test and the angles as ``m``.
+    ``a`` is rolled: its rows hold the lengths opposite corners 0, 1, 2, 0, 1
+    (the plan's ``corners``), so each term is a row window with no copy.
+    m_c is the slack of the inequality whose long side faces c.  The margins
+    sum to the perimeter, and at most one of them can be non-positive.
     """
-    m = np.empty_like(a)
-    for c in range(3):  # column arithmetic: no fancy-index copies
-        np.add(a[..., (c + 1) % 3], a[..., (c + 2) % 3], out=m[..., c])
-    m -= a
-    return m
+    m = a[1:4] + a[2:5]
+    return np.subtract(m, a[:3], out=m)
 
 
-def _degeneracy(a: np.ndarray, m: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The one wall test: (min margin, degenerate corner) of each triangle.
+def _degeneracy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one wall test: (min margin, degenerate corner) of each triangle from margins m.
 
     A triangle is degenerate at the corner whose margin is non-positive;
     the corner is -1 when every margin is positive.
     """
-    m = _margins(a) if m is None else m
-    # column by column: numpy reduces a length-3 inner axis slowly
-    margin = np.minimum(np.minimum(m[..., 0], m[..., 1]), m[..., 2])
+    margin = np.minimum(np.minimum(m[0], m[1]), m[2])
     if margin.min() > 0.0:  # every face clear (a NaN fails the test)
         return margin, np.full(margin.shape, -1, dtype=np.intp)
-    return margin, np.where(margin <= 0.0, m.argmin(axis=-1), -1)
+    return margin, np.where(margin <= 0.0, m.argmin(axis=0), -1)
 
 
-def _angles_opposite(geometry: Geometry, a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-    """Angles at the three corners given opposite lengths a[..., 0:3].
+def _half_angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Half angles (3, ...) at the three corners from rolled lengths ``a`` and margins ``m``.
 
     Half-angle formulas on the margins clamped at 0: with P the perimeter,
     x_c = m_c / P (Euclidean) or expm1(-m_c) / expm1(-P) (hyperbolic)
@@ -334,29 +340,31 @@ def _angles_opposite(geometry: Geometry, a: np.ndarray, m: np.ndarray | None = N
     zero margin gives exactly pi at its corner and 0 at the other two:
     the extension across the wall is the formula itself.
     """
-    m = np.maximum(_margins(a) if m is None else m, 0.0)
-    perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
-    if geometry is Geometry.EUCLIDEAN:
-        r = np.sqrt(m / perim)
-        num = np.empty_like(r)
-        for c in range(3):  # column arithmetic, as in _margins
-            np.multiply(r[..., (c + 1) % 3], r[..., (c + 2) % 3], out=num[..., c])
-    else:
-        r = np.sqrt(np.expm1(-m) / np.expm1(-perim))
-        num = np.exp(-0.5 * m)
-        for c in range(3):
-            num[..., c] *= r[..., (c + 1) % 3]
-            num[..., c] *= r[..., (c + 2) % 3]
-    return 2.0 * np.arctan2(num, r)
+    r, perim = np.maximum(m, 0.0), a[0] + a[1] + a[2]  # in place below: few arrays alive
+    euclidean = geometry is Geometry.EUCLIDEAN
+    num = np.empty_like(r) if euclidean else np.exp(-0.5 * r)
+    if not euclidean:
+        np.expm1(-r, out=r)
+        perim = np.expm1(-perim)
+    np.sqrt(np.divide(r, perim, out=r), out=r)
+    for c in range(3):  # row arithmetic: no rolled copy of r
+        if euclidean:
+            np.multiply(r[(c + 1) % 3], r[(c + 2) % 3], out=num[c, ...])
+        else:
+            num[c] *= r[(c + 1) % 3]
+            num[c] *= r[(c + 2) % 3]
+    return np.arctan2(num, r, out=num)  # callers double them as they lay them out
 
 
-def _triangle(l_ij, l_ik, l_jk) -> tuple[np.ndarray, int]:
-    # Opposite lengths and degenerate corner of one triangle given by
+def _triangle(l_ij, l_ik, l_jk) -> tuple[np.ndarray, np.ndarray, int]:
+    # Rolled opposite lengths, margins and degenerate corner of one triangle given by
     # side-named lengths; the shared entry of the single-triangle ops.
-    a = np.stack([np.asarray(x, dtype=np.float64) for x in (l_jk, l_ik, l_ij)], axis=-1)
+    a = np.array([l_jk, l_ik, l_ij], dtype=np.float64)
     if not np.all(np.isfinite(a) & (a > 0.0)):
         raise BadParameterError("lengths must be positive and finite")
-    return a, int(_degeneracy(a)[1])
+    a = a[[0, 1, 2, 0, 1]]
+    m = _margins(a)
+    return a, m, int(_degeneracy(m)[1])
 
 
 def classify_triangle(geometry: Geometry, l_ij, l_ik, l_jk) -> DegeneracyClass:
@@ -365,7 +373,7 @@ def classify_triangle(geometry: Geometry, l_ij, l_ik, l_jk) -> DegeneracyClass:
     The predicate is the same in both geometries: corner q is degenerate
     when the opposite edge is at least as long as the other two combined.
     """
-    _, corner = _triangle(l_ij, l_ik, l_jk)
+    corner = _triangle(l_ij, l_ik, l_jk)[2]
     return DegeneracyClass(corner=None if corner < 0 else corner)
 
 
@@ -386,8 +394,8 @@ def extended_triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     triangle degenerate at q the value is pi at q and 0 at the other two
     corners, which is the continuous limit.
     """
-    a, _ = _triangle(l_ij, l_ik, l_jk)
-    return tuple(float(theta) for theta in _angles_opposite(geometry, a))
+    a, m, _ = _triangle(l_ij, l_ik, l_jk)
+    return tuple(2.0 * float(half) for half in _half_angles(geometry, a, m))
 
 
 def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
@@ -438,6 +446,33 @@ class MetricReport:
         return tuple((int(f), int(self.degenerate_corner[f])) for f in rows)
 
 
+class _Metric(NamedTuple):
+    # one kernel pass: a (5, F) rolled and m (3, F) corner-major, angles (F, 3)
+    lengths: np.ndarray
+    a: np.ndarray
+    m: np.ndarray
+    angles: np.ndarray
+    curvature: np.ndarray
+
+
+def _metric(
+    surface: TriangulatedSurface, weights: WeightConfig, geometry: Geometry, f, extended: bool
+) -> _Metric:
+    """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
+
+    The caller holds np.errstate(over="ignore", invalid="ignore").  Without
+    ``extended`` the first degenerate face raises DegenerateFaceError."""
+    plan = surface._plan
+    lengths = _edge_lengths(geometry, plan.ends, weights._eps_float, _cross(geometry, weights), f)
+    a = lengths.take(plan.corners)
+    m = _margins(a)
+    if not extended and m.min() <= 0.0:  # the wall test's shortcut: some face is degenerate
+        raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
+    angles = np.multiply(_half_angles(geometry, a, m).T, 2.0, order="C")  # (F, 3): bincount's order
+    acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
+    return _Metric(lengths, a, m, angles, 2.0 * np.pi - acc)
+
+
 def curvature(
     surface: TriangulatedSurface,
     weights: WeightConfig,
@@ -450,34 +485,13 @@ def curvature(
     extended angles; otherwise the first degenerate face raises
     DegenerateFaceError.
     """
-    lengths = edge_lengths(surface, weights, state)
-    a = lengths[surface.face_edges]
-    m = _margins(a)
-    _, deg = _degeneracy(a, m)
-    if not extended and np.any(deg >= 0):
-        face = int(np.nonzero(deg >= 0)[0][0])
-        raise DegenerateFaceError(face)
-    angles = _angles_opposite(state.geometry, a, m)
-    acc = np.bincount(
-        surface.faces.ravel(), weights=angles.ravel(), minlength=surface.vertex_count
-    )
-    k = 2.0 * np.pi - acc
-    if state.geometry is Geometry.HYPERBOLIC:
-        face_areas = np.pi - angles.sum(axis=1)
-        total_area = float(face_areas.sum())
-    else:
-        face_areas = None
-        total_area = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = _metric(surface, weights, state.geometry, state.f, extended)
+    areas = np.pi - metric.angles.sum(axis=1) if state.geometry is Geometry.HYPERBOLIC else None
     return MetricReport(
-        geometry=state.geometry,
-        extended=extended,
-        lengths=lengths,
-        angles=angles,
-        degenerate_corner=deg,
-        curvature=k,
-        face_areas=face_areas,
-        total_area=total_area,
-    )
+        state.geometry, extended, metric.lengths, metric.angles, _degeneracy(metric.m)[1],
+        metric.curvature, areas, None if areas is None else float(areas.sum()),
+    )  # fmt: skip
 
 
 def gauss_bonnet_residual(report: MetricReport, euler_characteristic: int) -> float:

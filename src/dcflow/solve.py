@@ -56,7 +56,10 @@ class SolveReport:
     ``certificate`` is the smallest eigenvalue of the curvature
     Jacobian at the solution, restricted to the sum-zero subspace for
     Euclidean geometry; positivity certifies local strict convexity
-    and hence local rigidity of the solution.  ``potential_history``
+    and hence local rigidity of the solution.  Its accuracy is the roundoff
+    of the pinned solves, about machine epsilon times the condition number
+    of the Jacobian (0.9e-12 to 1.9e-12 relative on a flat 100x100 torus),
+    not ``CERTIFICATE_TOL``.  ``potential_history``
     holds the potential at the guess and after each accepted step: the
     first from the base state, the rest chained from segment
     increments.  It is integrated on first access, which raises

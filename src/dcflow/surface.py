@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,12 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("tetrahedron", "octahedron", "icosahedron", "torus_grid", "genus2")
+
+
+class _Plan(NamedTuple):  # gather indices of the metric kernel, geometry._metric
+    ends: np.ndarray  # (2, E): the ends i, j of each edge, edges.T
+    corners: np.ndarray  # (5, F): the edges opposite corners 0, 1, 2, 0, 1 of each face
+    faces: np.ndarray  # faces.ravel(): the corners' vertices in (F, 3) order
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,11 @@ class TriangulatedSurface:
     @property
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        ends, opposite = np.ascontiguousarray(self.edges.T), self.face_edges.T
+        return _Plan(ends, opposite[[0, 1, 2, 0, 1]], self.faces.ravel())
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
@@ -295,6 +307,14 @@ class WeightConfig:
             epsilon=np.full(surface.vertex_count, epsilon, dtype=np.int64),
             eta=np.full(surface.edge_count, float(eta)),
         )
+
+    @cached_property
+    def _eps_float(self) -> np.ndarray:
+        return self.epsilon.astype(np.float64)
+
+    @cached_property
+    def _eta2(self) -> np.ndarray:  # the Euclidean cross-term weight of each edge
+        return 2.0 * self.eta
 
     @property
     def cone_vertex_count(self) -> int:

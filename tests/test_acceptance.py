@@ -32,7 +32,7 @@ from dcflow import (
     triangle_energy,
     validate_weights,
 )
-from dcflow.geometry import _angles_opposite, _degeneracy, _edge_lengths
+from dcflow.geometry import _half_angles, _degeneracy, _edge_lengths, _margins
 
 from conftest import fd_gradient, fd_jacobian, random_admissible_state
 
@@ -466,16 +466,19 @@ class TestAcceptance:
             u0 = center - 0.05 * direction
             u1 = center + 0.05 * direction
             u_path = (1.0 - ts)[:, None] * u0 + ts[:, None] * u1
+            plan = surface._plan
             lengths = _edge_lengths(  # Euclidean: u = f
-                Geometry.EUCLIDEAN, weights.epsilon, weights.eta, surface.edges, u_path.T
-            )
-            a = lengths.T[:, surface.face_edges]
-            _, deg = _degeneracy(a)
+                Geometry.EUCLIDEAN, plan.ends, weights._eps_float[:, None],
+                weights._eta2[:, None], u_path.T,
+            )  # fmt: skip
+            a = lengths.take(plan.corners, axis=0)  # (5, F, T)
+            m = _margins(a)
+            deg = _degeneracy(m)[1].T
             crossings = int(np.sum((deg[1:] >= 0) != (deg[:-1] >= 0)))
             if crossings == 0:
                 continue
             crossing_paths += 1
-            theta = _angles_opposite(Geometry.EUCLIDEAN, a)
+            theta = 2.0 * np.moveaxis(_half_angles(Geometry.EUCLIDEAN, a, m), -1, 0)  # (T, 3, F)
             jump = float(np.max(np.abs(np.diff(theta, axis=0))))
             worst = max(worst, jump)
             assert jump < 1e-2

@@ -20,8 +20,8 @@ from dcflow.errors import (
 from dcflow.geometry import (
     ConformalState,
     Geometry,
-    _edge_lengths,
     base_state,
+    edge_lengths,
     curvature,
     extended_triangle_angles,
     triangle_angles,
@@ -43,17 +43,21 @@ def random_triple(geometry, rng):
             u3 = np.where(eps3 == 1, -rng.uniform(0.3, 1.5, 3), rng.uniform(-0.5, 0.5, 3))
         else:
             u3 = rng.uniform(-0.5, 0.5, 3)
-        f3 = np.asarray(u_to_f(geometry, eps3, u3))
-        a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
+        a = triangle_lengths(geometry, eps3, eta3, u3)
         margins = np.array([a[(c + 1) % 3] + a[(c + 2) % 3] - a[c] for c in range(3)])
         if margins.min() > 0.1:
             return eps3, eta3, u3
     raise AssertionError("no admissible triple found")
 
 
+def triangle_lengths(geometry, eps3, eta3, u3):
+    # a[c] is opposite corner c
+    state = ConformalState(geometry, eps3, u3)
+    return edge_lengths(_TRIANGLE, WeightConfig(eps3, eta3), state)
+
+
 def face_angles(geometry, eps3, eta3, u3):
-    f3 = np.asarray(u_to_f(geometry, np.asarray(eps3), np.asarray(u3)))
-    a = _edge_lengths(geometry, eps3, eta3, _TRIANGLE.edges, f3)
+    a = triangle_lengths(geometry, eps3, eta3, u3)
     # a[c] is opposite corner c; triangle_angles takes side-named lengths
     return triangle_angles(geometry, a[2], a[1], a[0])
 
@@ -200,7 +204,7 @@ class TestCurvatureJacobian:
         monkeypatch.setattr(calculus, "_margins", counting_margins)
         monkeypatch.setattr(geometry, "_margins", counting_margins)
         face_corner_jacobians(surface, weights, state, extended=extended)
-        assert calls == [(len(surface.faces), 3)]
+        assert calls == [(5, len(surface.faces))]
 
     def test_degenerate_state_rejected(self):
         surface, weights, _ = make_setup("torus_grid", (3, 3), 0, 1.0, Geometry.EUCLIDEAN)

@@ -22,7 +22,7 @@ from dcflow.flows import (
     FlowSpec,
     StepStatus,
     TerminationReason,
-    _min_margin,
+    _wall_pass,
     check_target,
     resolve_target,
     run_flow,
@@ -363,7 +363,7 @@ class TestStep:
                     if classify_triangle(state.geometry, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
                 ]
                 assert bool(faces) is side
-                assert (_min_margin(surface, weights, state) <= 0.0) is side
+                assert bool(_wall_pass(surface, weights, state).m.min() <= 0.0) is side
                 if not side:
                     curvature(surface, weights, state, extended=False)
                     face_corner_jacobians(surface, weights, state, extended=False)
@@ -679,23 +679,29 @@ class TestRunFlow:
         ids=["extended-euler", "modified-rk4"],
     )
     def test_curvature_calls_per_step(self, monkeypatch, kind, integrator, per_step):
-        # each accepted state's curvature serves both its trace row and the
-        # first stage of the next step, so one per step plus one at the start
-        # for Euler, and three more stages per step for RK4; the start energy
-        # is a segment integral, so calculus computes no curvature at all
+        # each accepted state's metric kernel pass (the wall test's, for a strict
+        # kind) serves its trace row and the first stage of the next step, so one
+        # per step plus one at the start for Euler, and three more stages per step
+        # for RK4; the start energy is a segment integral, so calculus computes no
+        # curvature at all
         surface, weights = torus_setup()
         calls, energy_calls = [], []
-        real_curvature = flows.curvature
+        real_curvature, real_metric = flows.curvature, flows._metric
 
         def counting_curvature(*args, **kwargs):
             calls.append(kwargs.get("extended"))
             return real_curvature(*args, **kwargs)
+
+        def counting_metric(*args, **kwargs):
+            calls.append("kernel")
+            return real_metric(*args, **kwargs)
 
         def counting_energy_curvature(*args, **kwargs):
             energy_calls.append(kwargs.get("extended"))
             return real_curvature(*args, **kwargs)
 
         monkeypatch.setattr(flows, "curvature", counting_curvature)
+        monkeypatch.setattr(flows, "_metric", counting_metric)
         monkeypatch.setattr(calculus, "curvature", counting_energy_curvature)
         u0 = np.random.default_rng(72).normal(0.0, 0.1, 9)
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u0 - u0.mean())
@@ -713,7 +719,7 @@ class TestRunFlow:
         steps = len(trace.rows) - 1
         assert steps > 10
         assert len(calls) == per_step * steps + 1
-        assert set(calls) == {kind.is_extended}
+        assert set(calls) - {"kernel"} <= {kind.is_extended}
         assert energy_calls == []
 
         # a run stopped by max_time between two stride rows takes its last

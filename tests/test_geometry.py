@@ -179,8 +179,9 @@ def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
     # the per-edge kernel on a complex of separate edges (2k, 2k + 1)
     f = np.column_stack([f_i, f_j]).ravel()
     epsilon = np.tile([eps_i, eps_j], len(f_i))
-    edges = np.arange(f.size).reshape(-1, 2)
-    return _edge_lengths(EU, epsilon, np.full(len(edges), eta), edges, f)
+    ends = np.arange(f.size).reshape(-1, 2).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _edge_lengths(EU, ends, epsilon.astype(float), np.full(len(f_i), 2.0 * eta), f)
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
@@ -285,15 +286,15 @@ def test_single_triangle_ops_reject_bad_lengths(op, bad):
 @pytest.mark.parametrize("case", ["clear", "one wall", "nan"])
 def test_wall_test_is_one_formula_on_clear_and_degenerate_faces(case):
     # every face clear takes a shortcut; its corners and dtype match the general rule
-    a = np.random.default_rng(8).uniform(1.0, 1.5, size=(40, 3))
+    a = np.random.default_rng(8).uniform(1.0, 1.5, size=(3, 40))  # corner-major
     if case == "one wall":
-        a[7] = (1.0, 3.0, 1.0)
+        a[:, 7] = (1.0, 3.0, 1.0)
     elif case == "nan":
-        a[3, 0] = np.nan
-    m = _margins(a)
-    margin, corner = _degeneracy(a, m)
-    assert np.array_equal(margin, m.min(axis=-1), equal_nan=True)
-    expected = np.where(margin <= 0.0, m.argmin(axis=-1), -1)
+        a[0, 3] = np.nan
+    m = _margins(a[[0, 1, 2, 0, 1]])  # rolled rows
+    margin, corner = _degeneracy(m)
+    assert np.array_equal(margin, m.min(axis=0), equal_nan=True)
+    expected = np.where(margin <= 0.0, m.argmin(axis=0), -1)
     assert corner.dtype == expected.dtype == np.intp
     assert np.array_equal(corner, expected)
     assert list(np.nonzero(corner >= 0)[0]) == ([7] if case == "one wall" else [])
