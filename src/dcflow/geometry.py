@@ -22,16 +22,16 @@ wall that every derived quantity (curvature, areas) accepts.
 
 ``_metric`` is the one metric kernel of the package: one pass from the
 exponents f to lengths, margins, angles and curvature, on a plan cached
-per surface (``TriangulatedSurface._plan``).  One take of the plan's
-``ends`` gathers x_i, x_j, w_i, w_j of every edge from the stacked
-per-vertex terms [x, w] of ``_vertex_terms`` (2 eta is cached on the
-``WeightConfig``); one take of its ``corners`` gives the lengths opposite
-corners 0, 1, 2, 0, 1 of every face.  So the pass is corner-major: the
-margins (``_margins``), the wall test (``_degeneracy``) and the half
-angles (``_half_angles``) are operations on whole (3, F) rows.  Each
-elementwise operation and each per-vertex sum is the one the face-major
-(F, 3) formulas make, in the same order, and the angles go back to (F, 3)
-order before ``bincount`` sums them, so the layout changes no bit.
+per surface (``TriangulatedSurface._plan``).  The plan's ``ends`` gather
+the per-vertex terms x and w of ``_vertex_terms`` at both ends of every
+edge (float eps and 2 eta are cached on the ``WeightConfig``); one take
+of its ``corners`` gives the lengths opposite corners 0, 1, 2, 0, 1 of
+every face.  So the pass is corner-major: the margins (``_margins``), the
+wall test (``_degeneracy``) and the half angles (``_half_angles``) are
+operations on whole (3, F) rows.  Each elementwise operation and each
+per-vertex sum is the one the face-major (F, 3) formulas make, in the
+same order, and the angles go back to (F, 3) order before ``bincount``
+sums them, so the layout changes no bit.
 Curvature, the Jacobians, the energy integrand and the strict-flow wall
 test take every quantity from these functions.  The caller of ``_metric``
 holds ``np.errstate``, so a flow loop enters it once.
