@@ -232,7 +232,7 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
 
 
 def _cross(geometry: Geometry, weights: WeightConfig) -> np.ndarray:
-    return weights._eta2 if geometry is Geometry.EUCLIDEAN else weights.eta  # of _lengths
+    return weights._eta2 if geometry is Geometry.EUCLIDEAN else weights.eta  # _lengths' cross
 
 
 def _edge_lengths(geometry: Geometry, ends, eps, cross, f) -> np.ndarray:
