@@ -32,7 +32,7 @@ from dcflow import (
     triangle_energy,
     validate_weights,
 )
-from dcflow.geometry import _half_angles, _degeneracy, _edge_lengths, _margins
+from dcflow.geometry import _degeneracy, _edge_lengths, _half_angles, _margins
 
 from conftest import fd_gradient, fd_jacobian, random_admissible_state
 

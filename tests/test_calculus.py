@@ -21,11 +21,10 @@ from dcflow.geometry import (
     ConformalState,
     Geometry,
     base_state,
-    edge_lengths,
     curvature,
+    edge_lengths,
     extended_triangle_angles,
     triangle_angles,
-    u_to_f,
 )
 from dcflow.surface import WeightConfig, generate
 
