@@ -28,7 +28,7 @@ from dcflow import (
     run_flow,
     solve_prescribed,
 )
-from dcflow.calculus import face_corner_jacobians
+from dcflow.calculus import face_corner_jacobians, triangle_energy
 
 EU, HY = Geometry.EUCLIDEAN, Geometry.HYPERBOLIC
 
@@ -104,7 +104,11 @@ FLOWS = {
     ),
     "extended-hyperbolic": lambda: flow_case(
         FlowKind.EXTENDED_MODIFIED_RICCI, HY, 4, 1, np.random.default_rng(3).normal(0.0, 0.3, 16),
-        target=np.full(16, 0.1), max_time=3.0,
+        energies=True, target=np.full(16, 0.1), max_time=3.0,
+    ),
+    "modified-hyperbolic": lambda: flow_case(
+        FlowKind.MODIFIED_RICCI, HY, 4, 1, np.random.default_rng(7).normal(0.0, 0.3, 16),
+        target=np.full(16, 0.1), max_time=2.0, trace_stride=5,
     ),
     "extended-eps0-walls": lambda: flow_case(
         FlowKind.EXTENDED_MODIFIED_RICCI, EU, 4, 0, wall_start(), energies=True,
@@ -160,6 +164,16 @@ def solve_case(geometry, n, target):
     return digest(report.state.u, np.array([report.iterations]))
 
 
+def triangle_case():
+    # lone-triangle energies in both geometries, one path across a wall
+    values = [
+        triangle_energy(EU, [1, 1, 1], [1.0, 1.0, 1.0], [0.3, -0.2, 0.1]),
+        triangle_energy(EU, [0, 0, 0], [1.0, 1.0, 1.0], [-3.0, 0.0, 0.0], extended=True),
+        triangle_energy(HY, [1, 0, 1], [1.2, 0.8, 1.5], [-0.4, 0.2, -0.9]),
+    ]
+    return digest(np.array(values))
+
+
 SOLVES = {
     "euclidean-6x6": lambda: solve_case(EU, 6, 0.0),
     "hyperbolic-5x5": lambda: solve_case(HY, 5, 0.1),
@@ -169,6 +183,7 @@ CASES = {
     **{f"flow/{k}": v for k, v in FLOWS.items()},
     **{f"curvature/{k}": v for k, v in METRICS.items()},
     **{f"solve/{k}": v for k, v in SOLVES.items()},
+    "energy/triangle": triangle_case,
 }
 
 # recorded on RECORDED_ON with the face-major metric kernel, before the corner-major one
@@ -177,12 +192,14 @@ DIGESTS = {
     "curvature/euclidean-random": "29e43277a8cefba129ae3fd061acca319ebd96be4a4c3abba43ce8ad68366024",
     "curvature/hyperbolic-degenerate": "88b0b0cffea44ca2a07d5fdc66cb729654f341b67993b9cd19f0fbedb24f626d",
     "curvature/hyperbolic-random": "94907e022a65ed0b77d43e1102ed4c44d3e3b13935893af6c94e96695f0a3907",
+    "energy/triangle": "c63011347771626e9f16868b5c9a21848809ce73b36e1f5659c0b7608b55d0f3",
     "flow/extended-eps0-walls": "22b1763e86c71638c77aedea5c4233401e68094dd0f0ae8f6eabfaf323f556f4",
     "flow/extended-euler": "60b9af4aa74f85677cdafc9491ebc1b4b59d955d66f3a17cea41e9dc33db2c5c",
-    "flow/extended-hyperbolic": "109c8449ac2a90219f6d8547fcc915a2533c0dc6b268a98f908bcc69d176d225",
+    "flow/extended-hyperbolic": "d254ecec49dcb22d1b2a46bc6796c6fbea419eac60e1cc6c23dc9a034d614cb4",
     "flow/extended-rk4": "8881004bc32b3974b44f0ccc23ff666ea0485b85924f6694c9421817fef86974",
     "flow/modified-calabi": "0370b9a652d2b8f957dbecb5fb7dbcd0e7bff408902ecbb94c4bf0d83c98e62f",
     "flow/modified-halvings": "d78ed80752c6abd8d19c8ecd8fee2c2b6e3158b84b124daee82ac7d71745c561",
+    "flow/modified-hyperbolic": "a09157e467bed3f53aa0f9c942d45646dbd313be5f3eb4f552c7fd8a7343f0be",
     "flow/ricci": "36571d2331ad96d9bc7367b905e6fe614258e3d3cd57629afdb7888d12463558",
     "solve/euclidean-6x6": "2654d43ab29e9cc17f8a0970cc6226017edd5718b22b8e44f230f8675563b8d1",
     "solve/hyperbolic-5x5": "79006ecf349c1094a333d609f16333a3b54e678f365d7cc8134ffcceff20f3ce",
