@@ -33,11 +33,10 @@ from .errors import DegenerateFaceError, QuadratureFailureError
 from .geometry import (
     ConformalState,
     Geometry,
-    _cross,
+    _angles,
     _degeneracy,
     _edge_length_bounds,
     _edge_lengths,
-    _half_angles,
     _margins,
     _metric,
     base_state,
@@ -83,7 +82,7 @@ def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m, theta):
     s3 = np.exp(f3)
     # Heron: b1 b2 sin(theta_c) = P^2 sqrt(x0 x1 x2) / 2 (Euclidean) and
     # sinh b1 sinh b2 sin(theta_c) = e^{P/2} E^2 sqrt(x0 x1 x2) / 2 with
-    # E = -expm1(-P), on the scaled margins x of geometry._half_angles, so no
+    # E = -expm1(-P), on the scaled margins x of geometry._angles, so no
     # product overflows and nothing divides by a sin(theta) rounded to 0
     perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
     if geometry is Geometry.EUCLIDEAN:
@@ -143,8 +142,7 @@ def face_corner_jacobians(
     eps3 = weights.epsilon[surface.faces].astype(np.float64)
     eta3 = weights.eta[surface.face_edges]
     f3 = state.f[surface.faces]
-    with np.errstate(over="ignore", invalid="ignore"):
-        metric = _metric(surface, weights, state.geometry, state.f, extended=True)
+    metric = _metric(surface, weights, state.geometry, state.f, extended=True)
     deg = _degeneracy(metric.m)[1]
     bad = np.flatnonzero(deg >= 0)
     if not extended and bad.size:
@@ -211,11 +209,8 @@ def _segment_shape(geometry, mesh, weights, u0, du, ts):
     # scan and the bisection take their margins, the quadrature their angles
     u_t = u0[:, None] + ts * du[:, None]
     f_t = np.asarray(u_to_f(geometry, weights.epsilon[:, None], u_t))
-    plan = mesh._plan
-    eps, cross = weights._eps_float[:, None], _cross(geometry, weights)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        lengths = _edge_lengths(geometry, plan.ends, eps, cross, f_t)  # (E, T)
-    return lengths.take(plan.corners, axis=0)
+    lengths = _edge_lengths(geometry, mesh._plan.ends, weights, f_t)  # (E, T)
+    return lengths.take(mesh._plan.corners, axis=0)
 
 
 def _energy_evaluator(geometry, mesh, weights, u0, du):
@@ -225,8 +220,7 @@ def _energy_evaluator(geometry, mesh, weights, u0, du):
     def evaluate(ts):
         a = _segment_shape(geometry, mesh, weights, u0, du, ts)
         # einsum's rounding depends on the layout: it sums contiguous (F, T, 3) angles
-        half = np.moveaxis(_half_angles(geometry, a, _margins(a)), 0, -1)
-        theta = np.multiply(half, 2.0, order="C")
+        theta = np.ascontiguousarray(np.moveaxis(_angles(geometry, a, _margins(a)), 0, -1))
         return np.einsum("ftc,fc->ft", theta, du3)
 
     return evaluate

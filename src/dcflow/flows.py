@@ -14,11 +14,10 @@ strict kinds retry both at half the step; a hyperbolic cone coordinate
 reaching zero gives ANOMALY at once.  Every accepted state gets one
 metric kernel pass (``geometry._metric``; a strict kind's is its wall
 test, handed on by ``step``), which serves the residual check, the trace
-row and the first stage of the next step.  ``run_flow`` runs its loop in
-one ``np.errstate`` and records rows in one place: at the start, every
-``trace_stride`` steps and at the last accepted state.  The flow never
-reads the potential it decreases, so ``FlowTrace.energies`` integrates
-the row potentials on first read.
+row and the first stage of the next step.  ``run_flow`` records rows in
+one place: at the start, every ``trace_stride`` steps and at the last
+accepted state.  The flow never reads the potential it decreases, so
+``FlowTrace.energies`` integrates the row potentials on first read.
 """
 
 from __future__ import annotations
@@ -290,8 +289,7 @@ def vector_field(
 
 def _wall_pass(surface, weights, state):
     # a strict kind's wall test; where it passes, the curvature is the non-extended one
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _metric(surface, weights, state.geometry, state.f, extended=True)
+    return _metric(surface, weights, state.geometry, state.f, extended=True)
 
 
 def _advance(spec, surface, weights, state, dt, target, kvec=None):
@@ -410,45 +408,43 @@ def run_flow(
         rows.append(TraceRow(*row))
 
     extended = spec.kind.is_extended
-    # one errstate for the whole loop; _metric's length checks reject what overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
-        metric = _metric(surface, weights, spec.geometry, state.f, extended)
+    metric = _metric(surface, weights, spec.geometry, state.f, extended)
+    residual = float(np.abs(metric.curvature - target).max())
+    record(0.0, state, metric.curvature, residual)
+    t, steps = 0.0, 0
+    termination = TerminationReason.CONVERGED
+    while not residual < spec.tolerance:  # a NaN residual never converges
+        if t >= spec.max_time - 1e-12:
+            termination = TerminationReason.MAX_TIME
+            break
+        dt = min(spec.dt, spec.max_time - t)
+        state_new, outcome = step(
+            spec, surface, weights, state, dt,
+            sum_reference=sum_reference, _target=target, _pass=metric,
+        )  # fmt: skip
+        if outcome.status is not StepStatus.OK:
+            termination = (
+                TerminationReason.DEGENERATED
+                if outcome.status is StepStatus.DEGENERATED
+                else TerminationReason.DIVERGED
+            )
+            break
+        state = state_new
+        t += outcome.dt_used
+        steps += 1
+        cumulative_correction += outcome.correction
+        metric = outcome._pass  # a strict kind's wall test pass
+        if metric is None:
+            try:
+                metric = _metric(surface, weights, spec.geometry, state.f, extended)
+            except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
+                return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
         residual = float(np.abs(metric.curvature - target).max())
-        record(0.0, state, metric.curvature, residual)
-        t, steps = 0.0, 0
-        termination = TerminationReason.CONVERGED
-        while not residual < spec.tolerance:  # a NaN residual never converges
-            if t >= spec.max_time - 1e-12:
-                termination = TerminationReason.MAX_TIME
-                break
-            dt = min(spec.dt, spec.max_time - t)
-            state_new, outcome = step(
-                spec, surface, weights, state, dt,
-                sum_reference=sum_reference, _target=target, _pass=metric,
-            )  # fmt: skip
-            if outcome.status is not StepStatus.OK:
-                termination = (
-                    TerminationReason.DEGENERATED
-                    if outcome.status is StepStatus.DEGENERATED
-                    else TerminationReason.DIVERGED
-                )
-                break
-            state = state_new
-            t += outcome.dt_used
-            steps += 1
-            cumulative_correction += outcome.correction
-            metric = outcome._pass  # a strict kind's wall test pass
-            if metric is None:
-                try:
-                    metric = _metric(surface, weights, spec.geometry, state.f, extended)
-                except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
-                    return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
-            residual = float(np.abs(metric.curvature - target).max())
-            if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
-                termination = TerminationReason.DIVERGED
-                break
-            if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
-                record(t, state, metric.curvature, residual)
+        if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
+            termination = TerminationReason.DIVERGED
+            break
+        if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
+            record(t, state, metric.curvature, residual)
 
     if rows[-1].t < t:
         record(t, state, metric.curvature, residual)

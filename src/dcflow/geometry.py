@@ -24,17 +24,17 @@ wall that every derived quantity (curvature, areas) accepts.
 exponents f to lengths, margins, angles and curvature, on a plan cached
 per surface (``TriangulatedSurface._plan``).  The plan's ``ends`` gather
 the per-vertex terms x and w of ``_vertex_terms`` at both ends of every
-edge (float eps and 2 eta are cached on the ``WeightConfig``); one take
-of its ``corners`` gives the lengths opposite corners 0, 1, 2, 0, 1 of
-every face.  So the pass is corner-major: the margins (``_margins``), the
-wall test (``_degeneracy``) and the half angles (``_half_angles``) are
-operations on whole (3, F) rows.  Each elementwise operation and each
-per-vertex sum is the one the face-major (F, 3) formulas make, in the
-same order, and the angles go back to (F, 3) order before ``bincount``
-sums them, so the layout changes no bit.
+edge; one take of its ``corners`` gives the lengths opposite corners 0,
+1, 2, 0, 1 of every face.  So the pass is corner-major: the margins
+(``_margins``), the wall test (``_degeneracy``) and the angles
+(``_angles``) are operations on whole (3, F) rows.  Each elementwise
+operation and each per-vertex sum is the one the face-major (F, 3)
+formulas make, in the same order, and the angles go back to (F, 3) order
+before ``bincount`` sums them, so the layout changes no bit.
 Curvature, the Jacobians, the energy integrand and the strict-flow wall
-test take every quantity from these functions.  The caller of ``_metric``
-holds ``np.errstate``, so a flow loop enters it once.
+test take every quantity from these functions.  Only the length formula
+can overflow or go invalid; the functions that evaluate it run under one
+``np.errstate`` and its checks reject what did.
 """
 
 from __future__ import annotations
@@ -77,6 +77,10 @@ __all__ = [
 
 # |f| beyond this cannot be exponentiated in double precision.
 F_CAP = 700.0
+
+# The length evaluators run under this: their checks reject what overflowed or went
+# invalid.  As a decorator it keeps its state per call, so nested calls are safe.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class Geometry(enum.Enum):
@@ -199,17 +203,17 @@ def _vertex_terms(geometry: Geometry, eps, f):
     return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
 
 
-def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
-    # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP) and the cross
-    # weight 2 eta (Euclidean) or eta; the checks reject what overflowed or went invalid
+def _lengths(geometry: Geometry, w_i, w_j, eta, x_i, x_j) -> np.ndarray:
+    # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP); the
+    # checks reject what overflowed or went invalid
     if geometry is Geometry.EUCLIDEAN:
-        rad = w_i + w_j + cross * x_i * x_j
+        rad = w_i + w_j + 2.0 * eta * x_i * x_j
         if not math.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
         if rad.min() <= 0.0:
             raise NumericalDomainError("non-positive squared length; weight conditions violated")
         return np.sqrt(rad)
-    ch = w_i * w_j + cross * x_i * x_j
+    ch = w_i * w_j + eta * x_i * x_j
     if not math.isfinite(ch.max()):
         raise OverflowRangeError("hyperbolic length overflow")
     if ch.min() <= 1.0:
@@ -217,33 +221,33 @@ def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
     return np.arccosh(ch)
 
 
+@_quiet
 def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     """Length of one edge from the exponents at its ends.  Broadcasts."""
     f_i = np.asarray(f_i, dtype=np.float64)
     f_j = np.asarray(f_j, dtype=np.float64)
     _check_f_range(f_i)
     _check_f_range(f_j)
-    cross = (2.0 if geometry is Geometry.EUCLIDEAN else 1.0) * np.asarray(eta, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
-        x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
-        out = _lengths(geometry, w_i, w_j, cross, x_i, x_j)
+    x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
+    x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
+    out = _lengths(geometry, w_i, w_j, np.asarray(eta, dtype=np.float64), x_i, x_j)
     return out if out.shape else float(out)
 
 
-def _cross(geometry: Geometry, weights: WeightConfig) -> np.ndarray:
-    return weights._eta2 if geometry is Geometry.EUCLIDEAN else weights.eta  # _lengths' cross
+@_quiet
+def _edge_lengths(geometry: Geometry, ends, weights: WeightConfig, f) -> np.ndarray:
+    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...).
 
-
-def _edge_lengths(geometry: Geometry, ends, eps, cross, f) -> np.ndarray:
-    """Lengths (E, ...) from exponents ``f`` (V, ...) under the caller's np.errstate.
-
-    The plan's ``ends`` (2, E) gathers the per-vertex terms x and w at both ends of
-    every edge; ``eps`` broadcasts against ``f``, ``cross`` against the lengths."""
+    ``ends`` (2, E), a surface's ``_plan.ends``, gathers the per-vertex terms x and
+    w at both ends of every edge; the result broadcasts over the trailing axes of f.
+    """
+    column = (-1,) + (1,) * (f.ndim - 1)
+    eps = weights.epsilon.astype(np.float64).reshape(column)
     x, w = (terms.take(ends, axis=0) for terms in _vertex_terms(geometry, eps, f))
-    return _lengths(geometry, w[0], w[1], cross, x[0], x[1])
+    return _lengths(geometry, w[0], w[1], weights.eta.reshape(column), x[0], x[1])
 
 
+@_quiet
 def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     """Bounds (lo, hi) on every length of ``edges`` along a segment in u.
 
@@ -254,33 +258,30 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     The bounds are widened by the formula's rounding error, which grows with |f|, so
     they hold for lengths evaluated in floating point too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        trailing = (1,) * (f_ends.ndim - 1)
-        eps = np.asarray(epsilon, dtype=np.float64).reshape(-1, *trailing)
-        x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
-        i, j = edges[:, 0], edges[:, 1]
-        eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
-        if geometry is Geometry.EUCLIDEAN:
-            terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
-        else:
-            terms = [w[i] * w[j], eta * x[i] * x[j]]
-        ends = np.sort(terms, axis=2)  # (term, E, end, segment)
-        size = np.spacing(1.0 + np.abs(f_ends).max(axis=(0, 1)))  # per segment
-        slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))
-        lo = ends[:, :, 0].sum(axis=0) - slack
-        hi = ends[:, :, 1].sum(axis=0) + slack
-        if geometry is Geometry.EUCLIDEAN:
-            return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
-        return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
+    trailing = (1,) * (f_ends.ndim - 1)
+    eps = np.asarray(epsilon, dtype=np.float64).reshape(-1, *trailing)
+    x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
+    i, j = edges[:, 0], edges[:, 1]
+    eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
+    if geometry is Geometry.EUCLIDEAN:
+        terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
+    else:
+        terms = [w[i] * w[j], eta * x[i] * x[j]]
+    ends = np.sort(terms, axis=2)  # (term, E, end, segment)
+    size = np.spacing(1.0 + np.abs(f_ends).max(axis=(0, 1)))  # per segment
+    slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))
+    lo = ends[:, :, 0].sum(axis=0) - slack
+    hi = ends[:, :, 1].sum(axis=0) + slack
+    if geometry is Geometry.EUCLIDEAN:
+        return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
+    return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
 
 
 def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
     """Lengths of all edges in canonical edge order."""
-    cross = _cross(state.geometry, weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _edge_lengths(state.geometry, surface._plan.ends, weights._eps_float, cross, state.f)
+    return _edge_lengths(state.geometry, surface._plan.ends, weights, state.f)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +327,8 @@ def _degeneracy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin, np.where(margin <= 0.0, m.argmin(axis=0), -1)
 
 
-def _half_angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Half angles (3, ...) at the three corners from rolled lengths ``a`` and margins ``m``.
+def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Angles (3, ...) at the three corners from rolled lengths ``a`` and margins ``m``.
 
     Half-angle formulas on the margins clamped at 0: with P the perimeter,
     x_c = m_c / P (Euclidean) or expm1(-m_c) / expm1(-P) (hyperbolic)
@@ -353,7 +354,8 @@ def _half_angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray
         else:
             num[c] *= r[(c + 1) % 3]
             num[c] *= r[(c + 2) % 3]
-    return np.arctan2(num, r, out=num)  # callers double them as they lay them out
+    half = np.arctan2(num, r, out=num)
+    return np.multiply(half, 2.0, out=half)
 
 
 def _triangle(l_ij, l_ik, l_jk) -> tuple[np.ndarray, np.ndarray, int]:
@@ -395,7 +397,7 @@ def extended_triangle_angles(geometry: Geometry, l_ij, l_ik, l_jk):
     corners, which is the continuous limit.
     """
     a, m, _ = _triangle(l_ij, l_ik, l_jk)
-    return tuple(2.0 * float(half) for half in _half_angles(geometry, a, m))
+    return tuple(float(theta) for theta in _angles(geometry, a, m))
 
 
 def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
@@ -460,15 +462,14 @@ def _metric(
 ) -> _Metric:
     """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
 
-    The caller holds np.errstate(over="ignore", invalid="ignore").  Without
-    ``extended`` the first degenerate face raises DegenerateFaceError."""
+    Without ``extended`` the first degenerate face raises DegenerateFaceError."""
     plan = surface._plan
-    lengths = _edge_lengths(geometry, plan.ends, weights._eps_float, _cross(geometry, weights), f)
+    lengths = _edge_lengths(geometry, plan.ends, weights, f)
     a = lengths.take(plan.corners)
     m = _margins(a)
     if not extended and m.min() <= 0.0:  # the wall test's shortcut: some face is degenerate
         raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
-    angles = np.multiply(_half_angles(geometry, a, m).T, 2.0, order="C")  # (F, 3): bincount's order
+    angles = np.ascontiguousarray(_angles(geometry, a, m).T)  # (F, 3): bincount's order
     acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
     return _Metric(lengths, a, m, angles, 2.0 * np.pi - acc)
 
@@ -485,8 +486,7 @@ def curvature(
     extended angles; otherwise the first degenerate face raises
     DegenerateFaceError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        metric = _metric(surface, weights, state.geometry, state.f, extended)
+    metric = _metric(surface, weights, state.geometry, state.f, extended)
     areas = np.pi - metric.angles.sum(axis=1) if state.geometry is Geometry.HYPERBOLIC else None
     return MetricReport(
         state.geometry, extended, metric.lengths, metric.angles, _degeneracy(metric.m)[1],

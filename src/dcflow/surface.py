@@ -308,14 +308,6 @@ class WeightConfig:
             eta=np.full(surface.edge_count, float(eta)),
         )
 
-    @cached_property
-    def _eps_float(self) -> np.ndarray:
-        return self.epsilon.astype(np.float64)
-
-    @cached_property
-    def _eta2(self) -> np.ndarray:  # the Euclidean cross-term weight of each edge
-        return 2.0 * self.eta
-
     @property
     def cone_vertex_count(self) -> int:
         """Number of vertices with epsilon = 1."""

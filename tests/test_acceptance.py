@@ -32,7 +32,7 @@ from dcflow import (
     triangle_energy,
     validate_weights,
 )
-from dcflow.geometry import _degeneracy, _edge_lengths, _half_angles, _margins
+from dcflow.geometry import _angles, _degeneracy, _edge_lengths, _margins
 
 from conftest import fd_gradient, fd_jacobian, random_admissible_state
 
@@ -467,10 +467,7 @@ class TestAcceptance:
             u1 = center + 0.05 * direction
             u_path = (1.0 - ts)[:, None] * u0 + ts[:, None] * u1
             plan = surface._plan
-            lengths = _edge_lengths(  # Euclidean: u = f
-                Geometry.EUCLIDEAN, plan.ends, weights._eps_float[:, None],
-                weights._eta2[:, None], u_path.T,
-            )  # fmt: skip
+            lengths = _edge_lengths(Geometry.EUCLIDEAN, plan.ends, weights, u_path.T)  # u = f
             a = lengths.take(plan.corners, axis=0)  # (5, F, T)
             m = _margins(a)
             deg = _degeneracy(m)[1].T
@@ -478,7 +475,7 @@ class TestAcceptance:
             if crossings == 0:
                 continue
             crossing_paths += 1
-            theta = 2.0 * np.moveaxis(_half_angles(Geometry.EUCLIDEAN, a, m), -1, 0)  # (T, 3, F)
+            theta = np.moveaxis(_angles(Geometry.EUCLIDEAN, a, m), -1, 0)  # (T, 3, F)
             jump = float(np.max(np.abs(np.diff(theta, axis=0))))
             worst = max(worst, jump)
             assert jump < 1e-2

@@ -675,15 +675,19 @@ class TestRunFlow:
 
     @pytest.mark.parametrize(
         "kind, integrator, per_step",
-        [(FlowKind.EXTENDED_MODIFIED_RICCI, "euler", 1), (FlowKind.MODIFIED_RICCI, "rk4", 4)],
+        [
+            (FlowKind.EXTENDED_MODIFIED_RICCI, "euler", [True]),
+            (FlowKind.MODIFIED_RICCI, "rk4", [False, False, False, True]),
+        ],
         ids=["extended-euler", "modified-rk4"],
     )
     def test_curvature_calls_per_step(self, monkeypatch, kind, integrator, per_step):
-        # each accepted state's metric kernel pass (the wall test's, for a strict
-        # kind) serves its trace row and the first stage of the next step, so one
-        # per step plus one at the start for Euler, and three more stages per step
-        # for RK4; the start energy is a segment integral, so calculus computes no
-        # curvature at all
+        # each accepted state's metric kernel pass serves its trace row and the
+        # first stage of the next step, so one per step plus one at the start for
+        # Euler.  The extended kind evaluates every pass extended; the strict RK4
+        # step makes three strict stage calls, then its wall test, an extended
+        # pass that it hands on.  The start energy is a segment integral, so
+        # calculus computes no curvature at all
         surface, weights = torus_setup()
         calls, energy_calls = [], []
         real_curvature, real_metric = flows.curvature, flows._metric
@@ -693,7 +697,7 @@ class TestRunFlow:
             return real_curvature(*args, **kwargs)
 
         def counting_metric(*args, **kwargs):
-            calls.append("kernel")
+            calls.append(args[4] if len(args) > 4 else kwargs["extended"])
             return real_metric(*args, **kwargs)
 
         def counting_energy_curvature(*args, **kwargs):
@@ -718,8 +722,7 @@ class TestRunFlow:
         assert trace.termination is TerminationReason.CONVERGED
         steps = len(trace.rows) - 1
         assert steps > 10
-        assert len(calls) == per_step * steps + 1
-        assert set(calls) - {"kernel"} <= {kind.is_extended}
+        assert calls == [kind.is_extended] + per_step * steps
         assert energy_calls == []
 
         # a run stopped by max_time between two stride rows takes its last
@@ -738,7 +741,7 @@ class TestRunFlow:
         trace = run_flow(short, surface, weights, state)
         assert trace.termination is TerminationReason.MAX_TIME
         assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.4, 0.5]
-        assert len(calls) == per_step * 5 + 1
+        assert calls == [kind.is_extended] + per_step * 5
         assert energy_calls == []
 
     def test_normalize_sum_to_records_shift(self):

@@ -180,8 +180,7 @@ def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
     f = np.column_stack([f_i, f_j]).ravel()
     epsilon = np.tile([eps_i, eps_j], len(f_i))
     ends = np.arange(f.size).reshape(-1, 2).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _edge_lengths(EU, ends, epsilon.astype(float), np.full(len(f_i), 2.0 * eta), f)
+    return _edge_lengths(EU, ends, WeightConfig(epsilon, np.full(len(f_i), eta)), f)
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
