@@ -1,11 +1,12 @@
 """Derivatives and energies of the angle data.
 
-The angle Jacobian of one triangle factors through the chain
-
-    d(theta) / d(u) = d(theta)/d(lengths) . d(lengths)/d(f) . d(f)/d(u)
-
-with the cosine-rule derivatives on the left, their sin(theta) from Heron,
-and d(f_c)/d(u_c) = 1 except at hyperbolic cone corners, where it is C_c.
+The curvature Jacobian dK/du is a weighted graph Laplacian plus a diagonal:
+in a face d(theta_i)/d(u_j) = d(theta_j)/d(u_i) (Glickenstein's h_ij,k / l_ij in
+the Euclidean case), so each edge carries one weight, summed over its two
+faces.  Each face's three edge and three diagonal shares come from the chain
+rule through the cosine rule, in both geometries, with the sines and cosines
+of its angles taken from the triangle margins; ``bincount`` sums them into the
+data of a CSR pattern cached on the surface.
 
 Energies are line integrals of the (closed) angle one-form along the
 straight segment from a base state.  The integrand is continuous but
@@ -37,8 +38,8 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _edge_lengths,
+    _edge_terms,
     _margins,
-    _metric,
     base_state,
     curvature,
     u_to_f,
@@ -63,12 +64,8 @@ _TOTAL_CAP = 1 << 20
 
 # A lone triangle as a one-face complex: edge c is opposite corner c and bounds the face.
 _TRIANGLE = TriangulatedSurface(
-    vertex_count=3,
-    faces=np.array([[0, 1, 2]]),
-    edges=np.array([[1, 2], [0, 2], [0, 1]]),
-    face_edges=np.array([[0, 1, 2]]),
-    edge_faces=np.zeros((3, 1), dtype=np.int64),
-    vertex_degrees=np.full(3, 2),
+    3, np.array([[0, 1, 2]]), np.array([[1, 2], [0, 2], [0, 1]]), np.array([[0, 1, 2]]),
+    np.zeros((3, 1), dtype=np.int64), np.full(3, 2),
 )
 
 
@@ -76,41 +73,65 @@ _TRIANGLE = TriangulatedSurface(
 # Jacobians
 
 
-def _corner_jacobian_core(geometry, eps3, eta3, f3, a, m, theta):
-    """d(theta)/d(u), (..., 3, 3), from (..., 3) lengths a, margins m, angles; nondegenerate."""
-    eps3 = np.asarray(eps3, dtype=np.float64)
-    s3 = np.exp(f3)
-    # Heron: b1 b2 sin(theta_c) = P^2 sqrt(x0 x1 x2) / 2 (Euclidean) and
-    # sinh b1 sinh b2 sin(theta_c) = e^{P/2} E^2 sqrt(x0 x1 x2) / 2 with
-    # E = -expm1(-P), on the scaled margins x of geometry._angles, so no
-    # product overflows and nothing divides by a sin(theta) rounded to 0
-    perim = a[..., :1] + a[..., 1:2] + a[..., 2:]
-    if geometry is Geometry.EUCLIDEAN:
-        x = m / perim
-        d_base = 2.0 * (a / perim) / (perim * np.sqrt(x[..., :1] * x[..., 1:2] * x[..., 2:]))
-        c3, dl_scale = np.ones_like(f3), a
+def _face_shares(surface, weights, geometry, f, extended):
+    """The faces' shares of dK/du, (6, F), in the bins of ``_plan.bins``: row c is
+    -d(theta_c)/d(u_c) and row 3 + c is -d(theta_c)/d(u_{c+1}), summed on the edge
+    opposite corner c + 2.  With d_c = d(theta_c)/d(a_c) and the edges at corner c
+    opposite c + 1 (P) and c + 2 (Q), the chain rule gives
+
+        d(theta_{c+1})/d(u_c) = d_{c+1} (dP/du_c - cos(theta_c) dQ/du_c),
+        d(theta_c)/d(u_c) = -d_c (cos(theta_{c+2}) dP/du_c + cos(theta_{c+1}) dQ/du_c).
+
+    cos(theta_c) = (x_c^2 - w_c X) / (x_c^2 + w_c X) and Heron's d_c = a_c / (P^2 sqrt(X)
+    / 2) or -e^{-m_c/2} expm1(-2 a_c) / (E^2 sqrt(X)), E = -expm1(-P), on the scaled
+    margins x of ``geometry._angles`` (X = x0 x1 x2, w_c = 1 or e^{-m_c}), so nothing
+    divides by a sin(theta) rounded to 0.  dl/du_i is (w_i + eta x_i x_j) / l or
+    (eps_i x_i^2 C_j + eta x_i x_j C_i) / sinh l.  Degenerate faces get zeros with
+    ``extended``; without it the first one raises DegenerateFaceError.
+    """
+    plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
+    x, w = _edge_terms(geometry, plan.ends, weights, f)
+    lengths = _edge_lengths(geometry, plan.ends, weights, f, (x, w))
+    a = lengths.take(plan.corners)
+    m = _margins(a)
+    bad = np.flatnonzero(_degeneracy(m)[1] >= 0)
+    if bad.size and not extended:
+        raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
+    cross = weights.eta * x[0] * x[1]
+    if euclidean:  # dl/du at both ends of every edge, (2, E)
+        x = np.add(w, cross, out=x)
     else:
-        # sinh a_c = e^{P/2} e^{-m_c/2} (-expm1(-2 a_c)) / 2
-        scale = -np.expm1(-perim)
-        x = -np.expm1(-m) / scale
-        heron = scale * scale * np.sqrt(x[..., :1] * x[..., 1:2] * x[..., 2:])
-        d_base = -np.exp(-0.5 * m) * np.expm1(-2.0 * a) / heron
-        c3, dl_scale = np.where(eps3 == 1.0, np.hypot(1.0, s3), 1.0), np.sinh(a)
-
-    cos_t, t_mat = np.cos(theta), np.zeros(a.shape[:-1] + (3, 3))
-    for r in range(3):
-        for e in range(3):
-            t_mat[..., r, e] = d_base[..., r] if r == e else -d_base[..., r] * cos_t[..., 3 - r - e]
-
-    # d(l_e)/d(u_i) at both ends i of edge e, with d(f_i)/d(u_i) = C_i
-    l_mat = np.zeros(a.shape[:-1] + (3, 3))
-    for e in range(3):
-        p, q = (e + 1) % 3, (e + 2) % 3
-        cross = eta3[..., e] * s3[..., p] * s3[..., q]
-        for i, j in ((p, q), (q, p)):
-            dl = (eps3[..., i] * s3[..., i] ** 2 * c3[..., j] / c3[..., i] + cross) / dl_scale[..., e]
-            l_mat[..., e, i] = dl * c3[..., i]
-    return t_mat @ l_mat
+        x = np.multiply((weights.epsilon * np.exp(2.0 * f)).take(plan.ends), w[::-1], out=x)
+        x += cross * w
+        lengths = np.sinh(lengths)
+    x /= lengths
+    dp, dq = shares = x.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares in place
+    del lengths, x, w, cross  # a small heap peak: glibc does not trim and refault it per call
+    with np.errstate(**({"divide": "ignore", "invalid": "ignore"} if bad.size else {})):
+        perim = a[0] + a[1] + a[2]
+        scale = perim if euclidean else -np.expm1(-perim)
+        r = (m if euclidean else -np.expm1(-m)) / scale
+        product = r[0] * r[1] * r[2]
+        heron = (0.5 if euclidean else 1.0) * scale * scale * np.sqrt(product)
+        d, wx = a, product  # d_c = d[c] / heron, rolled like a
+        if not euclidean:
+            wx = np.exp(-0.5 * m)
+            d = (wx * -np.expm1(-2.0 * a[:3])).take([0, 1, 2, 0, 1], axis=0)
+            wx *= wx
+            wx *= product
+        r *= r
+        cos = ((r - wx) / (r + wx)).take([0, 1, 2, 0, 1], axis=0)
+        np.multiply(cos[1:4], dq, out=r)
+        dq *= cos[:3]
+        dq -= dp
+        dq *= d[1:4]
+        dp *= cos[2:5]
+        dp += r
+        dp *= d[:3]
+        shares /= heron
+    shares = shares.reshape(6, -1)
+    shares[:, bad] = 0.0
+    return shares
 
 
 def triangle_jacobian(geometry: Geometry, epsilon_triple, eta_triple, u_triple) -> np.ndarray:
@@ -132,27 +153,18 @@ def face_corner_jacobians(
     state: ConformalState,
     extended: bool = False,
 ) -> np.ndarray:
-    """Per-face angle Jacobians, shape (F, 3, 3).
+    """Per-face angle Jacobians, shape (F, 3, 3), each exactly symmetric.
 
     Raises DegenerateFaceError when any face sits on or past a wall,
     unless ``extended`` is set, in which case degenerate faces get zero
     blocks: the extended angles are constant there, so zero is their
     derivative everywhere inside the degenerate region.
     """
-    eps3 = weights.epsilon[surface.faces].astype(np.float64)
-    eta3 = weights.eta[surface.face_edges]
-    f3 = state.f[surface.faces]
-    metric = _metric(surface, weights, state.geometry, state.f, extended=True)
-    deg = _degeneracy(metric.m)[1]
-    bad = np.flatnonzero(deg >= 0)
-    if not extended and bad.size:
-        raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
-    out = np.zeros((len(surface.faces), 3, 3))
-    good = deg < 0 if bad.size else slice(None)  # a slice copies nothing
-    a, m = metric.a[:3].T, metric.m.T  # face-major views
-    out[good] = _corner_jacobian_core(
-        state.geometry, eps3[good], eta3[good], f3[good], a[good], m[good], metric.angles[good]
-    )
+    shares = _face_shares(surface, weights, state.geometry, state.f, extended)
+    out = np.empty((len(surface.faces), 3, 3))
+    for c in range(3):
+        out[:, c, c] = -shares[c]
+        out[:, c, (c + 1) % 3] = out[:, (c + 1) % 3, c] = -shares[3 + c]
     return out
 
 
@@ -162,22 +174,20 @@ def curvature_jacobian(
     state: ConformalState,
     extended: bool = False,
 ) -> "scipy.sparse.csr_matrix":
-    """Sparse d(K)/d(u); adjacency-structured, symmetric.
+    """Sparse d(K)/d(u): one weight per edge at (i, j) and (j, i), plus the diagonal.
 
-    Positive semi-definite with kernel spanned by the all-ones vector
-    for Euclidean states, positive definite for hyperbolic ones.  With
-    ``extended`` set, degenerate faces contribute nothing, matching the
-    derivative of the extended curvature inside degenerate regions.
+    Bit for bit symmetric.  Positive semi-definite with kernel spanned by the
+    all-ones vector (zero row sums) for Euclidean states, positive definite for
+    hyperbolic ones.  With ``extended`` set, degenerate faces contribute
+    nothing, matching the derivative of the extended curvature inside
+    degenerate regions; without it the first one raises DegenerateFaceError.
     """
     import scipy.sparse as sp  # on first use, so importing the package skips it
 
-    jac = face_corner_jacobians(surface, weights, state, extended=extended)
-    n = surface.vertex_count
-    rows = np.repeat(surface.faces, 3, axis=1).ravel()  # r index varies slower
-    cols = np.tile(surface.faces, (1, 3)).ravel()
-    data = -jac.reshape(len(surface.faces), 9).ravel()
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    plan, n = surface._plan, surface.vertex_count
+    shares = _face_shares(surface, weights, state.geometry, state.f, extended)
+    sums = np.bincount(plan.bins.ravel(), shares.ravel(), len(surface.edges) + n)
+    return sp.csr_matrix((sums.take(plan.entries), plan.indices, plan.indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +380,8 @@ def triangle_energy(
     eps = np.asarray(epsilon_triple, dtype=np.float64).astype(np.int64).reshape(3)
     weights = WeightConfig(eps, np.asarray(eta_triple, dtype=np.float64).reshape(3))
     u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
-    if base_triple is None:
-        u0 = base_state(geometry, eps).u
-    else:
-        u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
+    base = base_state(geometry, eps).u if base_triple is None else base_triple
+    u0 = np.asarray(base, dtype=np.float64).reshape(3)
     vals = _integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended, tol)
     return float(vals[0])
 
@@ -414,25 +422,15 @@ def surface_energies(
     base crosses or touches a wall.
     """
     geometry = state.geometry
-    if base is None:
-        base = base_state(geometry, state.epsilon)
-    if target is None:
-        target = np.zeros(surface.vertex_count)
-    target = np.asarray(target, dtype=np.float64)
+    base = base_state(geometry, state.epsilon) if base is None else base
+    target = np.zeros(surface.vertex_count) if target is None else np.asarray(target, float)
     per_face = _integrate_face_energies(geometry, surface, weights, base.u, state.u, extended, tol)
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))
     report = curvature(surface, weights, state, extended=extended)
     calabi = 0.5 * float(np.sum((target - report.curvature) ** 2))
-    return EnergyValue(
-        energy=energy,
-        potential=potential,
-        calabi=calabi,
-        per_face=per_face,
-        base_u=base.u.copy(),
-        extended=extended,
-    )
+    return EnergyValue(energy, potential, calabi, per_face, base.u.copy(), extended)
 
 
 def _potential_chain(surface, weights, geometry, target, base_u, us):

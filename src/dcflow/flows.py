@@ -80,12 +80,7 @@ class FlowKind(enum.Enum):
 
     @property
     def is_modified(self) -> bool:
-        return self in (
-            FlowKind.NORMALIZED_RICCI,
-            FlowKind.MODIFIED_RICCI,
-            FlowKind.EXTENDED_MODIFIED_RICCI,
-            FlowKind.MODIFIED_CALABI,
-        )
+        return self not in (FlowKind.RICCI, FlowKind.CALABI)
 
 
 class TerminationReason(enum.Enum):

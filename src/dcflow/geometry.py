@@ -235,16 +235,19 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
 
 
 @_quiet
-def _edge_lengths(geometry: Geometry, ends, weights: WeightConfig, f) -> np.ndarray:
-    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...).
+def _edge_terms(geometry: Geometry, ends, weights: WeightConfig, f):
+    """x and w of ``_vertex_terms`` from exponents ``f`` (V, ...) at the ``ends`` (2, E) of
+    every edge, (2, E, ...) each, broadcasting over the trailing axes of f."""
+    eps = weights.epsilon.astype(np.float64).reshape((-1,) + (1,) * (f.ndim - 1))
+    return tuple(terms.take(ends, axis=0) for terms in _vertex_terms(geometry, eps, f))
 
-    ``ends`` (2, E), a surface's ``_plan.ends``, gathers the per-vertex terms x and
-    w at both ends of every edge; the result broadcasts over the trailing axes of f.
-    """
-    column = (-1,) + (1,) * (f.ndim - 1)
-    eps = weights.epsilon.astype(np.float64).reshape(column)
-    x, w = (terms.take(ends, axis=0) for terms in _vertex_terms(geometry, eps, f))
-    return _lengths(geometry, w[0], w[1], weights.eta.reshape(column), x[0], x[1])
+
+@_quiet
+def _edge_lengths(geometry: Geometry, ends, weights: WeightConfig, f, terms=None) -> np.ndarray:
+    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...), or from their ``_edge_terms``."""
+    x, w = _edge_terms(geometry, ends, weights, f) if terms is None else terms
+    eta = weights.eta.reshape((-1,) + (1,) * (f.ndim - 1))
+    return _lengths(geometry, w[0], w[1], eta, x[0], x[1])
 
 
 @_quiet
@@ -409,11 +412,7 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
     corner's wall empty.
     """
     eps = np.asarray(eps_triple, dtype=np.float64)
-    eta = np.asarray(eta_triple, dtype=np.float64)
-    out = np.empty(3)
-    for c in range(3):
-        out[c] = eta[c] ** 2 - eps[(c + 1) % 3] * eps[(c + 2) % 3]
-    return out
+    return np.asarray(eta_triple, dtype=np.float64) ** 2 - np.roll(eps, -1) * np.roll(eps, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +518,4 @@ def coshl_bounds(eps_j: int, eta: float) -> tuple[float, float]:
     eta = float(eta)
     if eps_j * 1 + eta <= 0.0:
         raise BadParameterError("edge weight condition eps_i eps_j + eta > 0 fails")
-    mu = 1.0 + abs(eta)
-    if eta > 0.0:
-        lam = min(1.0, eta)
-    else:
-        lam = 0.5 * (1.0 + eta)
-    return lam, mu
+    return (min(1.0, eta) if eta > 0.0 else 0.5 * (1.0 + eta)), 1.0 + abs(eta)

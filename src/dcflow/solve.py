@@ -1,16 +1,20 @@
 """Direct prescribed-curvature solver.
 
-Damped Newton iteration on the extended potential, whose gradient is
-the extended curvature deficit.  The potential is convex, C1 on the
-whole coordinate space, and C2 away from the degeneracy walls; in the
-interior of a degenerate region the Hessian simply drops the blocks of
-the degenerate faces.  When that sparse Hessian cannot be factored, or
-its step is not a finite descent direction, the step is plain gradient
-descent.  The Euclidean Hessian annihilates the all-ones vector, so its
-system is solved with vertex 0 pinned and the step shifted to zero mean,
-which keeps the coordinate sum at that of the initial guess.  The
-certificate is 1/theta for the top eigenvalue theta of H^-1 on the sum-zero
-subspace, from fixed-start Lanczos on that same pinned factorization.
+Damped inexact Newton iteration on the extended potential, whose
+gradient is the extended curvature deficit.  The potential is convex, C1
+on the whole coordinate space, and C2 away from the degeneracy walls; in
+the interior of a degenerate region the Hessian, the edge-weight
+curvature Jacobian, drops the degenerate faces.  The step is conjugate
+gradients on H s = -g from s = 0, stopped by the forcing FORCING * min(1,
+||g||) of Eisenstat and Walker, which tightens with ||g|| and keeps the
+local convergence quadratic; it solves to no less than CG_FLOOR times the
+tolerance and stops after CG_ITERATIONS.  When CG breaks down or its step
+is no finite descent direction, the step is plain gradient descent.  The
+Euclidean Hessian annihilates the all-ones vector, so CG runs on the
+sum-zero subspace, which keeps the coordinate sum at that of the initial
+guess.  The one factorization of a solve is the certificate's: 1/theta
+for the top eigenvalue theta of H^-1 on the sum-zero subspace, from
+fixed-start Lanczos on H factored with vertex 0 pinned (Euclidean).
 
 The line search needs curvature only.  Along a trial step s the
 potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
@@ -45,6 +49,9 @@ ARMIJO_CONSTANT = 1e-4
 MAX_BACKTRACKS = 40
 MAX_RIEMANN_NODES = 8
 STEP_CAP = 10.0
+FORCING = 1e-2  # CG's relative residual, times min(1, ||g||)
+CG_FLOOR = 1e-3
+CG_ITERATIONS = 1000
 # |theta - lambda| <= ||r|| <= tol * theta; ARPACK's default, eps, makes roundoff restart it
 CERTIFICATE_TOL = 1e-12
 
@@ -85,8 +92,7 @@ def _factor(matrix, pinned):
     """SuperLU factor of ``matrix`` without its first ``pinned`` rows and columns."""
     from scipy.sparse.linalg import splu
 
-    # symmetric: order for A + A^T, which keeps the fill low
-    return splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")  # A + A^T: low fill
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
@@ -114,20 +120,31 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
     return float(1.0 / theta)
 
 
-def _newton_direction(geometry, matrix, gradient):
-    """Sparse Newton step, or None when it is no finite descent direction."""
-    pinned = int(geometry is Geometry.EUCLIDEAN)  # vertex 0 stands in for the kernel
-    try:
-        factor = _factor(matrix, pinned)
-    except RuntimeError:  # exactly singular
-        return None
-    step = factor.solve(-gradient[pinned:])
-    if pinned:
-        step = np.concatenate(([0.0], step))
-        step -= step.mean()
-    if not np.all(np.isfinite(step)) or gradient @ step >= 0.0:
-        return None
-    return step
+def _newton_direction(geometry, matrix, gradient, floor=0.0):
+    """Inexact Newton step by CG on H s = -g from s = 0, or None on breakdown.
+
+    CG stops at ||H s + g|| <= max(FORCING min(1, ||g||) ||g||, floor) or after
+    CG_ITERATIONS steps; each iterate is a descent direction when H is positive
+    semi-definite.  p.Hp <= 0, a non-finite step or one that is no descent gives None.
+    """
+    euclidean = geometry is Geometry.EUCLIDEAN  # then the kernel of H is the all-ones vector
+    residual = (gradient.mean() if euclidean else 0.0) - gradient
+    step, direction, rr = np.zeros_like(residual), residual.copy(), float(residual @ residual)
+    stop = max((FORCING * min(1.0, np.sqrt(rr))) ** 2 * rr, floor * floor)
+    for _ in range(CG_ITERATIONS):
+        if not rr > stop:  # NaN stops too and fails the checks below
+            break
+        image = matrix @ direction
+        curvature = float(direction @ image)
+        if not curvature > 0.0:
+            return None
+        step += (rr / curvature) * direction
+        residual -= (rr / curvature) * image
+        rr, previous = float(residual @ residual), rr
+        direction *= rr / previous
+        direction += residual
+    step -= step.mean() if euclidean else 0.0
+    return step if np.all(np.isfinite(step)) and gradient @ step < 0.0 else None
 
 
 def solve_prescribed(
@@ -153,16 +170,12 @@ def solve_prescribed(
     if max_iterations < 0:
         raise BadParameterError("max_iterations must be non-negative")
     # the spec rejects a tolerance that is not positive, NaN included
-    kind = FlowKind.EXTENDED_MODIFIED_RICCI
-    probe = FlowSpec(kind, geometry, target=target, tolerance=tolerance)
+    probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target, tolerance=tolerance)
     target = _admissible_target(probe, surface)
 
-    if initial_guess is None:
-        state = base_state(geometry, weights.epsilon)
-    else:
-        if initial_guess.geometry is not geometry:
-            raise BadParameterError("initial guess geometry mismatch")
-        state = initial_guess
+    if initial_guess is not None and initial_guess.geometry is not geometry:
+        raise BadParameterError("initial guess geometry mismatch")
+    state = base_state(geometry, weights.epsilon) if initial_guess is None else initial_guess
     sum_reference = float(state.u.sum())
 
     def report_at(st):
@@ -200,22 +213,15 @@ def solve_prescribed(
             certificate = _restricted_smallest_eigenvalue(
                 geometry, curvature_jacobian(surface, weights, state)
             )
-            return SolveReport(
-                state=state,
-                residual=residual,
-                iterations=iteration,
-                certificate=certificate,
-                method=method,
-                _iterates=(surface, weights, target, tuple(iterates)),
-            )
+            path = (surface, weights, target, tuple(iterates))
+            return SolveReport(state, residual, iteration, certificate, method, path)
         if iteration == max_iterations:
             break
 
         hessian = curvature_jacobian(surface, weights, state, extended=True)
-        direction = _newton_direction(geometry, hessian, gradient)
+        direction = _newton_direction(geometry, hessian, gradient, CG_FLOOR * tolerance)
         method = "newton" if direction is not None else "gradient-descent"
-        if direction is None:
-            direction = -gradient
+        direction = -gradient if direction is None else direction
         slope = float(gradient @ direction)
 
         alpha = min(1.0, STEP_CAP / max(float(np.max(np.abs(direction))), 1e-12))
@@ -234,13 +240,11 @@ def solve_prescribed(
             alpha *= 0.5
         if accepted is None:
             raise MaxIterationsError(
-                f"line search stalled at iteration {iteration} "
-                f"(residual {residual:.3e})"
+                f"line search stalled at iteration {iteration} (residual {residual:.3e})"
             )
         state, report = candidate, accepted
         iterates.append(state.u)
 
     raise MaxIterationsError(
-        f"no convergence after {max_iterations} iterations "
-        f"(residual {residual:.3e})"
+        f"no convergence after {max_iterations} iterations (residual {residual:.3e})"
     )

@@ -39,10 +39,15 @@ __all__ = [
 GENERATOR_KINDS = ("tetrahedron", "octahedron", "icosahedron", "torus_grid", "genus2")
 
 
-class _Plan(NamedTuple):  # gather indices of the metric kernel, geometry._metric
+class _Plan(NamedTuple):  # index arrays of geometry._metric and calculus.curvature_jacobian
     ends: np.ndarray  # (2, E): the ends i, j of each edge, edges.T
     corners: np.ndarray  # (5, F): the edges opposite corners 0, 1, 2, 0, 1 of each face
     faces: np.ndarray  # faces.ravel(): the corners' vertices in (F, 3) order
+    tangents: np.ndarray  # (2, 3, F): e + E side, corner c's end of its edges opposite c + 1, c + 2
+    bins: np.ndarray  # (6, F): E + the vertex at c, then the edge opposite c + 2 (Jacobian shares)
+    indptr: np.ndarray  # a CSR pattern with entries (i, j) and (j, i) per edge and (v, v)
+    indices: np.ndarray  # per vertex,
+    entries: np.ndarray  # and the bin that fills each entry
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,20 @@ class TriangulatedSurface:
 
     @cached_property
     def _plan(self) -> _Plan:
-        ends, opposite = np.ascontiguousarray(self.edges.T), self.face_edges.T
-        return _Plan(ends, opposite[[0, 1, 2, 0, 1]], self.faces.ravel())
+        n, e = self.vertex_count, len(self.edges)
+        ends, corners = np.ascontiguousarray(self.edges.T), self.face_edges.T[[0, 1, 2, 0, 1]]
+        at = np.stack([corners[1:4], corners[2:5]])
+        rows, cols = np.concatenate([ends, ends[::-1], [np.arange(n)] * 2], axis=1)
+        order = np.argsort(rows * n + cols)
+        plan = _Plan(
+            ends, corners, self.faces.ravel(), at + e * (self.faces.T != ends[0].take(at)),
+            np.concatenate([e + self.faces.T, corners[2:5]]),
+            np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32),
+            cols[order].astype(np.int32), np.r_[:e, :e, e : e + n][order],
+        )  # fmt: skip
+        for array in plan:  # shared by every matrix built on the pattern
+            array.setflags(write=False)
+        return plan
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Tests for angle Jacobians and path-integral energies."""
 
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -212,6 +215,182 @@ class TestCurvatureJacobian:
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
         with pytest.raises(DegenerateFaceError):
             curvature_jacobian(surface, weights, state)
+
+
+REFERENCE_BLOCKS = Path(__file__).parent / "data" / "jacobian_blocks.npz"
+
+
+def near_wall(surface, weights, geometry, clear, past, halvings=12):
+    """A state between 2^-halvings and twice that short of a wall, on the segment from
+    ``clear``, where every face is nondegenerate, to ``past``, where some face is past
+    its wall (t = 1); the closest face's margin is then about 1e-4 of its perimeter.
+    """
+    def degenerate(t):
+        state = ConformalState(geometry, weights.epsilon, clear + t * (past - clear))
+        return bool(curvature(surface, weights, state, extended=True).degenerate_faces)
+
+    lo, hi = 0.0, 1.0
+    assert not degenerate(lo) and degenerate(hi)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if degenerate(mid) else (mid, hi)
+    return ConformalState(geometry, weights.epsilon, clear + (2 * lo - hi) * (past - clear))
+
+
+def jacobian_cases():
+    """(surface, weights, state, extended) by name: both geometries, random and near-wall states.
+
+    The ``degenerate`` cases have faces past their walls and take the extended
+    Jacobian; the others are strictly nondegenerate.
+    """
+    cases = {}
+    for geometry in GEOMETRIES:
+        rng = np.random.default_rng(11)
+        surface = generate("torus_grid", 5, 5)
+        weights = WeightConfig(rng.integers(0, 2, 25), rng.uniform(0.5, 2.0, surface.edge_count))
+        u = rng.normal(0.0, 0.1, 25)
+        if geometry is Geometry.HYPERBOLIC:
+            u[weights.epsilon == 1] = -np.abs(u[weights.epsilon == 1]) - 0.1
+        cases[f"{geometry.value}-random"] = (surface, weights, ConformalState(geometry, weights.epsilon, u), False)
+
+        weights = WeightConfig.uniform(surface, 0, 1.0)
+        u = rng.normal(0.0, 0.3, 25)
+        u[[4, 12]] = -3.0
+        if geometry is Geometry.HYPERBOLIC:
+            u -= 0.5
+        cases[f"{geometry.value}-degenerate"] = (surface, weights, ConformalState(geometry, weights.epsilon, u), True)
+
+    # eps = 1, eta = 2 puts the walls of a 3x3 torus at finite coordinates
+    surface = generate("torus_grid", 3, 3)
+    weights = WeightConfig.uniform(surface, 1, 2.0)
+    rng = np.random.default_rng(71)
+    clear = rng.normal(0.0, 0.05, 9)
+    i, j = surface.edges[0]
+    clear[[i, j]] = np.log(4.0 + 3.0 * np.sqrt(2.0)) - 0.5  # both ends of edge 0 drive its faces
+    past = clear.copy()
+    past[[i, j]] += 1.0
+    state = near_wall(surface, weights, Geometry.EUCLIDEAN, clear, past)
+    cases["euclidean-near-wall"] = (surface, weights, state, False)
+    clear = -1.0 + rng.normal(0.0, 0.05, 9)
+    clear[0] = -0.01  # a small e^{f_0} makes the faces at vertex 0 degenerate there
+    past = clear.copy()
+    past[0] = -6.0
+    state = near_wall(surface, weights, Geometry.HYPERBOLIC, clear, past)
+    cases["hyperbolic-near-wall"] = (surface, weights, state, False)
+    return cases
+
+
+def mp_face_jacobian(geometry, eps3, eta3, u3):
+    """d(theta)/d(u) of one face by mpmath at 40 digits: the cosine rule, differentiated numerically."""
+    mp.mp.dps = 40
+    eta3, u3 = [mp.mpf(float(v)) for v in eta3], [mp.mpf(float(v)) for v in u3]
+
+    def angles(u):
+        x = [mp.exp(-mp.log(mp.sinh(-v)) if geometry is Geometry.HYPERBOLIC and e else v)
+             for v, e in zip(u, eps3)]  # fmt: skip
+        if geometry is Geometry.EUCLIDEAN:
+            a = [mp.sqrt(eps3[p] * x[p] ** 2 + eps3[q] * x[q] ** 2 + 2 * h * x[p] * x[q])
+                 for p, q, h in zip((1, 2, 0), (2, 0, 1), eta3)]  # fmt: skip
+            return [mp.acos((a[(c + 1) % 3] ** 2 + a[(c + 2) % 3] ** 2 - a[c] ** 2)
+                            / (2 * a[(c + 1) % 3] * a[(c + 2) % 3])) for c in range(3)]  # fmt: skip
+        cosh = [mp.sqrt((1 + eps3[p] * x[p] ** 2) * (1 + eps3[q] * x[q] ** 2)) + h * x[p] * x[q]
+                for p, q, h in zip((1, 2, 0), (2, 0, 1), eta3)]  # fmt: skip
+        sinh = [mp.sqrt(ch * ch - 1) for ch in cosh]
+        return [mp.acos((cosh[(c + 1) % 3] * cosh[(c + 2) % 3] - cosh[c])
+                        / (sinh[(c + 1) % 3] * sinh[(c + 2) % 3])) for c in range(3)]  # fmt: skip
+
+    def shifted(col, t):
+        return angles([v + t if c == col else v for c, v in enumerate(u3)])
+
+    return np.array([[float(mp.diff(lambda t: shifted(col, t)[r], 0)) for col in range(3)]
+                     for r in range(3)])  # fmt: skip
+
+
+class TestEdgeWeightJacobian:
+    """The Jacobian as one weight per edge and a diagonal, on a cached CSR pattern.
+
+    ``REFERENCE_BLOCKS`` holds the blocks of ``jacobian_cases`` as the face-major
+    chain-rule core (the product d(theta)/d(a) . d(a)/d(u) of two 3x3 matrices
+    per face) computed them before the edge-weight form replaced it.
+    """
+
+    @pytest.mark.parametrize("name", sorted(jacobian_cases()))
+    def test_matches_recorded_blocks(self, name):
+        surface, weights, state, extended = jacobian_cases()[name]
+        blocks = face_corner_jacobians(surface, weights, state, extended=extended)
+        reference = np.load(REFERENCE_BLOCKS)[name]
+        assert np.max(np.abs(blocks - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(jacobian_cases()) if "degenerate" not in n])
+    def test_as_accurate_as_recorded_blocks(self, name):
+        # against mpmath, no worse than the recorded core beyond an ulp or so; beside
+        # a wall both inherit the rounding of the margins they share
+        surface, weights, state, _ = jacobian_cases()[name]
+        exact = np.array([
+            mp_face_jacobian(state.geometry, weights.epsilon[face], weights.eta[edges], state.u[face])
+            for face, edges in zip(surface.faces, surface.face_edges)
+        ])  # fmt: skip
+        blocks = face_corner_jacobians(surface, weights, state)
+        reference = np.load(REFERENCE_BLOCKS)[name]
+        scale = np.max(np.abs(exact))
+        error, recorded = (np.max(np.abs(b - exact)) / scale for b in (blocks, reference))
+        assert error <= recorded + 1e-15
+
+    @pytest.mark.parametrize("name", sorted(jacobian_cases()))
+    def test_matches_finite_differences(self, name):
+        surface, weights, state, extended = jacobian_cases()[name]
+        mat = curvature_jacobian(surface, weights, state, extended=extended).toarray()
+
+        def curvature_of(u):
+            return curvature(surface, weights, state.with_u(u), extended=extended).curvature
+
+        ref = fd_jacobian(curvature_of, state.u, 1e-7)
+        assert np.max(np.abs(mat - ref)) < 5e-8 * np.max(np.abs(mat))
+
+    @pytest.mark.parametrize("name", sorted(jacobian_cases()))
+    def test_bitwise_symmetric(self, name):
+        surface, weights, state, extended = jacobian_cases()[name]
+        mat = curvature_jacobian(surface, weights, state, extended=extended)
+        np.testing.assert_array_equal(mat.toarray(), mat.T.toarray())
+        blocks = face_corner_jacobians(surface, weights, state, extended=extended)
+        np.testing.assert_array_equal(blocks, blocks.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(jacobian_cases()) if "euclidean" in n])
+    def test_euclidean_row_sums_vanish(self, name):
+        surface, weights, state, extended = jacobian_cases()[name]
+        mat = curvature_jacobian(surface, weights, state, extended=extended)
+        rows = mat @ np.ones(surface.vertex_count)
+        assert np.max(np.abs(rows)) <= 8 * np.finfo(float).eps * np.max(np.abs(mat.data))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(jacobian_cases()) if "degenerate" in n])
+    def test_degenerate_faces_contribute_nothing(self, name):
+        surface, weights, state, _ = jacobian_cases()[name]
+        corner = curvature(surface, weights, state, extended=True).degenerate_corner
+        blocks = face_corner_jacobians(surface, weights, state, extended=True)
+        assert not np.any(blocks[corner >= 0])
+        dense = np.zeros((surface.vertex_count,) * 2)
+        for face, block in zip(surface.faces[corner < 0], blocks[corner < 0]):
+            dense[np.ix_(face, face)] -= block
+        mat = curvature_jacobian(surface, weights, state, extended=True).toarray()
+        assert np.max(np.abs(mat - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("name", [n for n in sorted(jacobian_cases()) if "degenerate" in n])
+    def test_strict_raises_at_first_degenerate_face(self, name):
+        surface, weights, state, _ = jacobian_cases()[name]
+        first = curvature(surface, weights, state, extended=True).degenerate_faces[0][0]
+        for jacobian in (curvature_jacobian, face_corner_jacobians):
+            with pytest.raises(DegenerateFaceError) as raised:
+                jacobian(surface, weights, state)
+            assert raised.value.face_index == first
+
+    def test_pattern_is_shared_and_read_only(self):
+        surface, weights, state, _ = jacobian_cases()["euclidean-random"]
+        first, second = (curvature_jacobian(surface, weights, state) for _ in range(2))
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
+        assert first.has_canonical_format
+        with pytest.raises(ValueError):
+            first.indices[0] = 0
 
 
 class TestTriangleEnergy:

@@ -11,6 +11,7 @@ output into DIGESTS.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import platform
 
@@ -124,7 +125,7 @@ FLOWS = {
 }  # fmt: skip
 
 
-def metric_case(geometry, epsilon, degenerate):
+def metric_state(geometry, epsilon, degenerate):
     surface = generate("torus_grid", 5, 5)
     rng = np.random.default_rng(11)
     eps = np.full(25, epsilon) if degenerate else rng.integers(0, 2, 25)
@@ -135,17 +136,24 @@ def metric_case(geometry, epsilon, degenerate):
     if geometry is HY:
         u[weights.epsilon == 1] = -np.abs(u[weights.epsilon == 1]) - 0.1
     state = ConformalState(geometry, weights.epsilon, u)
-    report = curvature(surface, weights, state, extended=True)
-    assert bool(report.degenerate_faces) is degenerate
-    jacobians = face_corner_jacobians(surface, weights, state, extended=True)
-    parts = [report.lengths, report.angles, report.degenerate_corner, report.curvature, jacobians]
-    if geometry is HY:
+    assert bool(curvature(surface, weights, state, extended=True).degenerate_faces) is degenerate
+    return surface, weights, state
+
+
+def metric_case(*args):
+    report = curvature(*metric_state(*args), extended=True)
+    parts = [report.lengths, report.angles, report.degenerate_corner, report.curvature]
+    if report.geometry is HY:
         parts += [report.face_areas, np.array([report.total_area])]
     return digest(*parts)
 
 
-METRICS = {
-    f"{geometry.value}-{name}": (lambda g=geometry, e=eps, d=degenerate: metric_case(g, e, d))
+def jacobian_case(*args):
+    return digest(face_corner_jacobians(*metric_state(*args), extended=True))
+
+
+STATES = {
+    f"{geometry.value}-{name}": (geometry, eps, degenerate)
     for geometry in (EU, HY)
     for name, eps, degenerate in (("random", None, False), ("degenerate", 0, True))
 }
@@ -181,28 +189,36 @@ SOLVES = {
 
 CASES = {
     **{f"flow/{k}": v for k, v in FLOWS.items()},
-    **{f"curvature/{k}": v for k, v in METRICS.items()},
+    **{f"curvature/{k}": functools.partial(metric_case, *v) for k, v in STATES.items()},
+    **{f"jacobian/{k}": functools.partial(jacobian_case, *v) for k, v in STATES.items()},
     **{f"solve/{k}": v for k, v in SOLVES.items()},
     "energy/triangle": triangle_case,
 }
 
-# recorded on RECORDED_ON with the face-major metric kernel, before the corner-major one
+# recorded on RECORDED_ON: the curvature, energy and flow digests other than
+# modified-calabi with the face-major metric kernel, before the corner-major one (the
+# curvature digests split from the Jacobian blocks then); the jacobian, solve and
+# modified-calabi digests with the edge-weight Jacobian and the Newton-CG step
 DIGESTS = {
-    "curvature/euclidean-degenerate": "4bf1a4f0b83cd6d033f4ff1be4f24f581edd8f88942ea3b13a8e6eb381a3e5b3",
-    "curvature/euclidean-random": "29e43277a8cefba129ae3fd061acca319ebd96be4a4c3abba43ce8ad68366024",
-    "curvature/hyperbolic-degenerate": "88b0b0cffea44ca2a07d5fdc66cb729654f341b67993b9cd19f0fbedb24f626d",
-    "curvature/hyperbolic-random": "94907e022a65ed0b77d43e1102ed4c44d3e3b13935893af6c94e96695f0a3907",
+    "curvature/euclidean-degenerate": "36d21dfef021cf1a454fc5d385d3dc42ec94c9fb34fa979c23b6f821ed13b514",
+    "curvature/euclidean-random": "13fceb45bc9102e9391bb1e22238cd8ddae5a68e0fa07bcebbf9220467b6cd7e",
+    "curvature/hyperbolic-degenerate": "6b9df8e81b76141410ad47feacaf5aac72cda66a0cd63a4e6c634aafe66d05ca",
+    "curvature/hyperbolic-random": "6b8aea6920cb9e0595d8b4dcab1ef3e30dfb317121b941f6d84fb69cf553f72c",
     "energy/triangle": "c63011347771626e9f16868b5c9a21848809ce73b36e1f5659c0b7608b55d0f3",
     "flow/extended-eps0-walls": "22b1763e86c71638c77aedea5c4233401e68094dd0f0ae8f6eabfaf323f556f4",
     "flow/extended-euler": "60b9af4aa74f85677cdafc9491ebc1b4b59d955d66f3a17cea41e9dc33db2c5c",
     "flow/extended-hyperbolic": "d254ecec49dcb22d1b2a46bc6796c6fbea419eac60e1cc6c23dc9a034d614cb4",
     "flow/extended-rk4": "8881004bc32b3974b44f0ccc23ff666ea0485b85924f6694c9421817fef86974",
-    "flow/modified-calabi": "0370b9a652d2b8f957dbecb5fb7dbcd0e7bff408902ecbb94c4bf0d83c98e62f",
+    "flow/modified-calabi": "4ebc44831fa311706639a9b9cee4bfb4f7c8e33a8d344b6bdec1bfbb7544a0e8",
     "flow/modified-halvings": "d78ed80752c6abd8d19c8ecd8fee2c2b6e3158b84b124daee82ac7d71745c561",
     "flow/modified-hyperbolic": "a09157e467bed3f53aa0f9c942d45646dbd313be5f3eb4f552c7fd8a7343f0be",
     "flow/ricci": "36571d2331ad96d9bc7367b905e6fe614258e3d3cd57629afdb7888d12463558",
-    "solve/euclidean-6x6": "2654d43ab29e9cc17f8a0970cc6226017edd5718b22b8e44f230f8675563b8d1",
-    "solve/hyperbolic-5x5": "79006ecf349c1094a333d609f16333a3b54e678f365d7cc8134ffcceff20f3ce",
+    "jacobian/euclidean-degenerate": "45e2d638773a6e05be61ee3767e5bed960e7da20e1ecc4e0e374dace8355423c",
+    "jacobian/euclidean-random": "82294d250a085b7ffc4f803633a4b093de66a9568f8cdeb9d81d085dfc840670",
+    "jacobian/hyperbolic-degenerate": "4f89aafc239501f8e7e3bafdf7cada3014cb26ed2998f643921e690e30f67ff4",
+    "jacobian/hyperbolic-random": "520bf25ed8c6c2981a3cd41858361050e381b7d36068498e3dcd54336a19cbdf",
+    "solve/euclidean-6x6": "5ffd421819b3ddbc6337530c28a72a9f099a712af536ba56843060b8bcfa8292",
+    "solve/hyperbolic-5x5": "c2c921ce22827c37b6e6f477df73367e752ed99cc2d1aa149e662721b079d130",
 }
 
 

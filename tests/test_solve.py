@@ -511,14 +511,32 @@ class TestSparseCertificate:
 
 
 class TestSparseNewtonStep:
-    def test_pinned_step_solves_the_system(self):
+    @pytest.mark.parametrize("scale", [0.2, 1e-4])
+    def test_step_meets_its_forcing(self, scale):
+        # CG stops at ||H s + g|| <= FORCING min(1, ||g||) ||g||: loose far from a
+        # solution, quadratically tight near one
         surface, weights = torus_setup()
-        state = random_euclidean_guess(surface, weights, 51, scale=0.2)
+        state = random_euclidean_guess(surface, weights, 51, scale=scale)
         gradient = curvature(surface, weights, state).curvature  # sums to zero on a torus
         hessian = curvature_jacobian(surface, weights, state, extended=True)
         step = solve_module._newton_direction(Geometry.EUCLIDEAN, hessian, gradient)
+        norm = np.linalg.norm(gradient - gradient.mean())
         assert abs(step.sum()) < 1e-12
-        assert np.max(np.abs(hessian @ step + gradient)) < 1e-12
+        assert gradient @ step < 0.0
+        forcing = solve_module.FORCING * min(1.0, norm)
+        assert np.linalg.norm(hessian @ step + gradient) <= forcing * norm * (1.0 + 1e-9)
+        exact = np.linalg.lstsq(hessian.toarray(), -gradient, rcond=None)[0]
+        exact -= exact.mean()
+        assert np.linalg.norm(step - exact) <= 10.0 * forcing * np.linalg.norm(exact)
+
+    def test_floor_stops_at_the_solver_tolerance(self):
+        surface, weights = torus_setup()
+        state = random_euclidean_guess(surface, weights, 51, scale=0.2)
+        gradient = curvature(surface, weights, state).curvature
+        hessian = curvature_jacobian(surface, weights, state, extended=True)
+        step = solve_module._newton_direction(Geometry.EUCLIDEAN, hessian, gradient, floor=0.5)
+        residual = np.linalg.norm(hessian @ step + gradient)
+        assert solve_module.FORCING * np.linalg.norm(gradient) < residual <= 0.5
 
     @pytest.mark.parametrize("geometry", list(Geometry))
     def test_nan_block_falls_back(self, geometry):
@@ -533,12 +551,21 @@ class TestSparseNewtonStep:
         assert solve_module._newton_direction(geometry, hessian.tocsr(), gradient) is None
 
     @pytest.mark.parametrize("geometry", list(Geometry))
-    def test_two_dimensional_kernel_falls_back(self, geometry):
-        # two disjoint triangle Laplacians: PSD with the two indicator kernels
+    def test_two_dimensional_kernel_still_steps(self, geometry):
+        # two disjoint triangle Laplacians: PSD with the two indicator kernels; the
+        # gradient lies in the range, where CG from 0 finds the exact solution
         block = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         matrix = sp.block_diag([block, block], format="csr")
         gradient = np.array([1.0, -1.0, 0.0, 0.5, 0.0, -0.5])
-        assert solve_module._newton_direction(geometry, matrix, gradient) is None
+        step = solve_module._newton_direction(geometry, matrix, gradient)
+        assert np.max(np.abs(matrix @ step + gradient)) < 1e-15
+        assert gradient @ step < 0.0
+        assert abs(step.sum()) < 1e-15
+
+    def test_negative_curvature_falls_back(self):
+        # an indefinite matrix: CG meets p.Hp < 0 and gives no step
+        matrix = sp.diags([1.0, -1.0]).tocsr()
+        assert solve_module._newton_direction(Geometry.HYPERBOLIC, matrix, np.ones(2)) is None
 
     def test_solve_steps_past_a_nan_hessian(self, monkeypatch):
         original = solve_module.curvature_jacobian
@@ -565,6 +592,47 @@ class TestSparseNewtonStep:
         assert corrupted
         assert report.residual < 1e-10
         assert np.all(np.isfinite(report.potential_history))
+
+
+class TestNewtonCG:
+    @pytest.mark.parametrize(
+        "case",
+        [torus_6x6_case, degenerate_cone_case, genus2_case, hyperbolic_torus_10x10_case],
+        ids=lambda c: c.__name__,
+    )
+    def test_one_factorization_per_solve(self, case, monkeypatch):
+        # the Newton steps run CG; only the convexity certificate factors H
+        calls = []
+
+        def counting(matrix, pinned):
+            calls.append(matrix.shape)
+            return factor(matrix, pinned)
+
+        factor = solve_module._factor
+        monkeypatch.setattr(solve_module, "_factor", counting)
+        surface, weights, geometry, target, guess = case()
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert report.iterations > 1
+        assert report.residual < 1e-10
+        assert report.method == "newton"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "case", [torus_6x6_case, hyperbolic_torus_10x10_case], ids=lambda c: c.__name__
+    )
+    def test_identical_solves_are_bit_identical(self, case):
+        surface, weights, geometry, target, guess = case()
+        if guess is None:
+            guess = random_admissible_state(
+                surface, weights, geometry, np.random.default_rng(54), scale=0.3
+            )
+        reports = [
+            solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+            for _ in range(2)
+        ]
+        assert reports[0].iterations > 1
+        np.testing.assert_array_equal(reports[0].state.u, reports[1].state.u)
+        assert reports[0].certificate == reports[1].certificate
 
 
 class TestPotentialHistory:
