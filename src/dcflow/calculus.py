@@ -64,8 +64,12 @@ _TOTAL_CAP = 1 << 20
 
 # A lone triangle as a one-face complex: edge c is opposite corner c and bounds the face.
 _TRIANGLE = TriangulatedSurface(
-    3, np.array([[0, 1, 2]]), np.array([[1, 2], [0, 2], [0, 1]]), np.array([[0, 1, 2]]),
-    np.zeros((3, 1), dtype=np.int64), np.full(3, 2),
+    vertex_count=3,
+    faces=np.array([[0, 1, 2]]),
+    edges=np.array([[1, 2], [0, 2], [0, 1]]),
+    face_edges=np.array([[0, 1, 2]]),
+    edge_faces=np.zeros((3, 1), dtype=np.int64),
+    vertex_degrees=np.full(3, 2),
 )
 
 
@@ -74,19 +78,16 @@ _TRIANGLE = TriangulatedSurface(
 
 
 def _face_shares(surface, weights, geometry, f, extended):
-    """The faces' shares of dK/du, (6, F), in the bins of ``_plan.bins``: row c is
-    -d(theta_c)/d(u_c) and row 3 + c is -d(theta_c)/d(u_{c+1}), summed on the edge
-    opposite corner c + 2.  With d_c = d(theta_c)/d(a_c) and the edges at corner c
-    opposite c + 1 (P) and c + 2 (Q), the chain rule gives
+    """The faces' shares of dK/du, (6, F), in the bins of ``_plan.bins``.
 
-        d(theta_{c+1})/d(u_c) = d_{c+1} (dP/du_c - cos(theta_c) dQ/du_c),
-        d(theta_c)/d(u_c) = -d_c (cos(theta_{c+2}) dP/du_c + cos(theta_{c+1}) dQ/du_c).
-
-    cos(theta_c) = (x_c^2 - w_c X) / (x_c^2 + w_c X) and Heron's d_c = a_c / (P^2 sqrt(X)
-    / 2) or -e^{-m_c/2} expm1(-2 a_c) / (E^2 sqrt(X)), E = -expm1(-P), on the scaled
-    margins x of ``geometry._angles`` (X = x0 x1 x2, w_c = 1 or e^{-m_c}), so nothing
-    divides by a sin(theta) rounded to 0.  dl/du_i is (w_i + eta x_i x_j) / l or
-    (eps_i x_i^2 C_j + eta x_i x_j C_i) / sinh l.  Degenerate faces get zeros with
+    Row c is -d(theta_c)/d(u_c); row 3 + c is -d(theta_c)/d(u_{c+1}), for the edge
+    opposite corner c + 2.  With d_c = d(theta_c)/d(a_c) and P, Q the edges at c
+    opposite c + 1 and c + 2, d(theta_{c+1})/d(u_c) = d_{c+1} (dP/du_c - cos(theta_c)
+    dQ/du_c) and d(theta_c)/d(u_c) = -d_c (cos(theta_{c+2}) dP/du_c + cos(theta_{c+1})
+    dQ/du_c).  On the scaled margins x of ``geometry._angles`` (X = x0 x1 x2, w_c = 1
+    or e^{-m_c}), cos(theta_c) = (x_c^2 - w_c X) / (x_c^2 + w_c X) and Heron gives
+    d_c = 2 a_c / (P^2 sqrt(X)) or -e^{-m_c/2} expm1(-2 a_c) / (expm1(-P)^2 sqrt(X)):
+    nothing divides by a sin(theta) rounded to 0.  Degenerate faces get zeros with
     ``extended``; without it the first one raises DegenerateFaceError.
     """
     plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
@@ -380,8 +381,10 @@ def triangle_energy(
     eps = np.asarray(epsilon_triple, dtype=np.float64).astype(np.int64).reshape(3)
     weights = WeightConfig(eps, np.asarray(eta_triple, dtype=np.float64).reshape(3))
     u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
-    base = base_state(geometry, eps).u if base_triple is None else base_triple
-    u0 = np.asarray(base, dtype=np.float64).reshape(3)
+    if base_triple is None:
+        u0 = base_state(geometry, eps).u
+    else:
+        u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
     vals = _integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended, tol)
     return float(vals[0])
 
@@ -422,15 +425,25 @@ def surface_energies(
     base crosses or touches a wall.
     """
     geometry = state.geometry
-    base = base_state(geometry, state.epsilon) if base is None else base
-    target = np.zeros(surface.vertex_count) if target is None else np.asarray(target, float)
+    if base is None:
+        base = base_state(geometry, state.epsilon)
+    if target is None:
+        target = np.zeros(surface.vertex_count)
+    target = np.asarray(target, dtype=np.float64)
     per_face = _integrate_face_energies(geometry, surface, weights, base.u, state.u, extended, tol)
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))
     report = curvature(surface, weights, state, extended=extended)
     calabi = 0.5 * float(np.sum((target - report.curvature) ** 2))
-    return EnergyValue(energy, potential, calabi, per_face, base.u.copy(), extended)
+    return EnergyValue(
+        energy=energy,
+        potential=potential,
+        calabi=calabi,
+        per_face=per_face,
+        base_u=base.u.copy(),
+        extended=extended,
+    )
 
 
 def _potential_chain(surface, weights, geometry, target, base_u, us):

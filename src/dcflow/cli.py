@@ -309,8 +309,16 @@ def parse_document(data) -> MeshDocument:
 
     target = _float_array(data["Kbar"], "Kbar", n) if "Kbar" in data else None
 
-    faces = tuple(raw_faces)
-    return MeshDocument(geometry, n, faces, epsilon, eta_map, factor_kind, factor_values, target)
+    return MeshDocument(
+        geometry=geometry,
+        vertex_count=n,
+        faces=tuple(raw_faces),
+        epsilon=epsilon,
+        eta_map=eta_map,
+        factor_kind=factor_kind,
+        factor_values=factor_values,
+        target=target,
+    )
 
 
 def load_document(path: str) -> MeshDocument:

@@ -80,7 +80,12 @@ class FlowKind(enum.Enum):
 
     @property
     def is_modified(self) -> bool:
-        return self not in (FlowKind.RICCI, FlowKind.CALABI)
+        return self in (
+            FlowKind.NORMALIZED_RICCI,
+            FlowKind.MODIFIED_RICCI,
+            FlowKind.EXTENDED_MODIFIED_RICCI,
+            FlowKind.MODIFIED_CALABI,
+        )
 
 
 class TerminationReason(enum.Enum):

@@ -31,8 +31,9 @@ edge; one take of its ``corners`` gives the lengths opposite corners 0,
 operation and each per-vertex sum is the one the face-major (F, 3)
 formulas make, in the same order, and the angles go back to (F, 3) order
 before ``bincount`` sums them, so the layout changes no bit.
-Curvature, the Jacobians, the energy integrand and the strict-flow wall
-test take every quantity from these functions.  Only the length formula
+Curvature, the energy integrand and the strict-flow wall test take every
+quantity from these functions; the Jacobians take the lengths, terms and
+margins, and their cosines from the same scaled margins.  Only the length formula
 can overflow or go invalid; the functions that evaluate it run under one
 ``np.errstate`` and its checks reject what did.
 """
@@ -412,7 +413,11 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
     corner's wall empty.
     """
     eps = np.asarray(eps_triple, dtype=np.float64)
-    return np.asarray(eta_triple, dtype=np.float64) ** 2 - np.roll(eps, -1) * np.roll(eps, -2)
+    eta = np.asarray(eta_triple, dtype=np.float64)
+    out = np.empty(3)
+    for c in range(3):
+        out[c] = eta[c] ** 2 - eps[(c + 1) % 3] * eps[(c + 2) % 3]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +453,8 @@ class MetricReport:
 
 
 class _Metric(NamedTuple):
-    # one kernel pass: a (5, F) rolled and m (3, F) corner-major, angles (F, 3)
+    # one kernel pass: margins m (3, F) corner-major, angles (F, 3)
     lengths: np.ndarray
-    a: np.ndarray
     m: np.ndarray
     angles: np.ndarray
     curvature: np.ndarray
@@ -470,7 +474,7 @@ def _metric(
         raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
     angles = np.ascontiguousarray(_angles(geometry, a, m).T)  # (F, 3): bincount's order
     acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
-    return _Metric(lengths, a, m, angles, 2.0 * np.pi - acc)
+    return _Metric(lengths, m, angles, 2.0 * np.pi - acc)
 
 
 def curvature(
@@ -518,4 +522,9 @@ def coshl_bounds(eps_j: int, eta: float) -> tuple[float, float]:
     eta = float(eta)
     if eps_j * 1 + eta <= 0.0:
         raise BadParameterError("edge weight condition eps_i eps_j + eta > 0 fails")
-    return (min(1.0, eta) if eta > 0.0 else 0.5 * (1.0 + eta)), 1.0 + abs(eta)
+    mu = 1.0 + abs(eta)
+    if eta > 0.0:
+        lam = min(1.0, eta)
+    else:
+        lam = 0.5 * (1.0 + eta)
+    return lam, mu

@@ -1,20 +1,17 @@
 """Direct prescribed-curvature solver.
 
-Damped inexact Newton iteration on the extended potential, whose
-gradient is the extended curvature deficit.  The potential is convex, C1
-on the whole coordinate space, and C2 away from the degeneracy walls; in
-the interior of a degenerate region the Hessian, the edge-weight
-curvature Jacobian, drops the degenerate faces.  The step is conjugate
-gradients on H s = -g from s = 0, stopped by the forcing FORCING * min(1,
-||g||) of Eisenstat and Walker, which tightens with ||g|| and keeps the
-local convergence quadratic; it solves to no less than CG_FLOOR times the
-tolerance and stops after CG_ITERATIONS.  When CG breaks down or its step
-is no finite descent direction, the step is plain gradient descent.  The
-Euclidean Hessian annihilates the all-ones vector, so CG runs on the
-sum-zero subspace, which keeps the coordinate sum at that of the initial
-guess.  The one factorization of a solve is the certificate's: 1/theta
-for the top eigenvalue theta of H^-1 on the sum-zero subspace, from
-fixed-start Lanczos on H factored with vertex 0 pinned (Euclidean).
+Damped inexact Newton iteration on the extended potential, whose gradient is
+the extended curvature deficit.  The potential is convex, C1 on the whole
+coordinate space, and C2 away from the degeneracy walls; in the interior of
+a degenerate region the Hessian drops the degenerate faces.  The step is CG
+on H s = -g from 0 with Eisenstat-Walker forcing FORCING * min(1, ||g||),
+which keeps the local convergence quadratic; on breakdown, or a step that
+is no finite descent direction, it is plain gradient descent.  The
+Euclidean H annihilates the all-ones vector, so CG runs on the sum-zero
+subspace and the coordinate sum stays that of the initial guess.  The one
+factorization of a solve is the certificate's: 1/theta for the top
+eigenvalue theta of H^-1 on the sum-zero subspace, by fixed-start Lanczos
+on H factored with vertex 0 pinned (Euclidean).
 
 The line search needs curvature only.  Along a trial step s the
 potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
@@ -50,7 +47,7 @@ MAX_BACKTRACKS = 40
 MAX_RIEMANN_NODES = 8
 STEP_CAP = 10.0
 FORCING = 1e-2  # CG's relative residual, times min(1, ||g||)
-CG_FLOOR = 1e-3
+CG_FLOOR = 1e-3  # CG's absolute residual floor, times the tolerance: no digits the test can't see
 CG_ITERATIONS = 1000
 # |theta - lambda| <= ||r|| <= tol * theta; ARPACK's default, eps, makes roundoff restart it
 CERTIFICATE_TOL = 1e-12
@@ -92,7 +89,8 @@ def _factor(matrix, pinned):
     """SuperLU factor of ``matrix`` without its first ``pinned`` rows and columns."""
     from scipy.sparse.linalg import splu
 
-    return splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")  # A + A^T: low fill
+    # symmetric: order for A + A^T, which keeps the fill low
+    return splu(matrix[pinned:, pinned:].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
@@ -121,11 +119,11 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
 
 
 def _newton_direction(geometry, matrix, gradient, floor=0.0):
-    """Inexact Newton step by CG on H s = -g from s = 0, or None on breakdown.
+    """CG on H s = -g from 0 to ||H s + g|| <= max(FORCING min(1, ||g||) ||g||, floor).
 
-    CG stops at ||H s + g|| <= max(FORCING min(1, ||g||) ||g||, floor) or after
-    CG_ITERATIONS steps; each iterate is a descent direction when H is positive
-    semi-definite.  p.Hp <= 0, a non-finite step or one that is no descent gives None.
+    Any iterate is a descent direction on a positive semi-definite H, so the
+    CG_ITERATIONS cap needs no fallback; p.Hp <= 0 or a step that is no finite
+    descent direction gives None.
     """
     euclidean = geometry is Geometry.EUCLIDEAN  # then the kernel of H is the all-ones vector
     residual = (gradient.mean() if euclidean else 0.0) - gradient
@@ -170,12 +168,16 @@ def solve_prescribed(
     if max_iterations < 0:
         raise BadParameterError("max_iterations must be non-negative")
     # the spec rejects a tolerance that is not positive, NaN included
-    probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target, tolerance=tolerance)
+    kind = FlowKind.EXTENDED_MODIFIED_RICCI
+    probe = FlowSpec(kind, geometry, target=target, tolerance=tolerance)
     target = _admissible_target(probe, surface)
 
-    if initial_guess is not None and initial_guess.geometry is not geometry:
-        raise BadParameterError("initial guess geometry mismatch")
-    state = base_state(geometry, weights.epsilon) if initial_guess is None else initial_guess
+    if initial_guess is None:
+        state = base_state(geometry, weights.epsilon)
+    else:
+        if initial_guess.geometry is not geometry:
+            raise BadParameterError("initial guess geometry mismatch")
+        state = initial_guess
     sum_reference = float(state.u.sum())
 
     def report_at(st):
@@ -213,15 +215,22 @@ def solve_prescribed(
             certificate = _restricted_smallest_eigenvalue(
                 geometry, curvature_jacobian(surface, weights, state)
             )
-            path = (surface, weights, target, tuple(iterates))
-            return SolveReport(state, residual, iteration, certificate, method, path)
+            return SolveReport(
+                state=state,
+                residual=residual,
+                iterations=iteration,
+                certificate=certificate,
+                method=method,
+                _iterates=(surface, weights, target, tuple(iterates)),
+            )
         if iteration == max_iterations:
             break
 
         hessian = curvature_jacobian(surface, weights, state, extended=True)
         direction = _newton_direction(geometry, hessian, gradient, CG_FLOOR * tolerance)
         method = "newton" if direction is not None else "gradient-descent"
-        direction = -gradient if direction is None else direction
+        if direction is None:
+            direction = -gradient
         slope = float(gradient @ direction)
 
         alpha = min(1.0, STEP_CAP / max(float(np.max(np.abs(direction))), 1e-12))
@@ -240,11 +249,13 @@ def solve_prescribed(
             alpha *= 0.5
         if accepted is None:
             raise MaxIterationsError(
-                f"line search stalled at iteration {iteration} (residual {residual:.3e})"
+                f"line search stalled at iteration {iteration} "
+                f"(residual {residual:.3e})"
             )
         state, report = candidate, accepted
         iterates.append(state.u)
 
     raise MaxIterationsError(
-        f"no convergence after {max_iterations} iterations (residual {residual:.3e})"
+        f"no convergence after {max_iterations} iterations "
+        f"(residual {residual:.3e})"
     )
