@@ -47,7 +47,7 @@ MAX_BACKTRACKS = 40
 MAX_RIEMANN_NODES = 8
 STEP_CAP = 10.0
 FORCING = 1e-2  # CG's relative residual, times min(1, ||g||)
-CG_FLOOR = 1e-3  # CG's absolute residual floor, times the tolerance: no digits the test can't see
+CG_FLOOR = 1e-3  # CG's absolute residual floor, times the solver tolerance
 CG_ITERATIONS = 1000
 # |theta - lambda| <= ||r|| <= tol * theta; ARPACK's default, eps, makes roundoff restart it
 CERTIFICATE_TOL = 1e-12
@@ -136,8 +136,9 @@ def _newton_direction(geometry, matrix, gradient, floor=0.0):
         curvature = float(direction @ image)
         if not curvature > 0.0:
             return None
-        step += (rr / curvature) * direction
-        residual -= (rr / curvature) * image
+        alpha = rr / curvature
+        step += alpha * direction
+        residual -= alpha * image
         rr, previous = float(residual @ residual), rr
         direction *= rr / previous
         direction += residual

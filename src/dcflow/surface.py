@@ -43,11 +43,11 @@ class _Plan(NamedTuple):  # index arrays of geometry._metric and calculus.curvat
     ends: np.ndarray  # (2, E): the ends i, j of each edge, edges.T
     corners: np.ndarray  # (5, F): the edges opposite corners 0, 1, 2, 0, 1 of each face
     faces: np.ndarray  # faces.ravel(): the corners' vertices in (F, 3) order
-    tangents: np.ndarray  # (2, 3, F): e + E side, corner c's end of its edges opposite c + 1, c + 2
+    tangents: np.ndarray  # (2, 3, F): corner c's end e + E * side of edges opposite c + 1, c + 2
     bins: np.ndarray  # (6, F): E + the vertex at c, then the edge opposite c + 2 (Jacobian shares)
-    indptr: np.ndarray  # a CSR pattern with entries (i, j) and (j, i) per edge and (v, v)
-    indices: np.ndarray  # per vertex,
-    entries: np.ndarray  # and the bin that fills each entry
+    indptr: np.ndarray  # CSR pattern: entries (i, j), (j, i) per edge and (v, v) per vertex
+    indices: np.ndarray
+    entries: np.ndarray  # the bin whose sum fills each entry
 
 
 @dataclass(frozen=True)
