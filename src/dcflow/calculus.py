@@ -38,8 +38,8 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _edge_lengths,
-    _edge_terms,
     _margins,
+    _vertex_terms,
     base_state,
     curvature,
     u_to_f,
@@ -91,7 +91,9 @@ def _face_shares(surface, weights, geometry, f, extended):
     ``extended``; without it the first one raises DegenerateFaceError.
     """
     plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
-    x, w = _edge_terms(geometry, plan.ends, weights, f)
+    with np.errstate(over="ignore", invalid="ignore"):  # the length checks reject it
+        terms = _vertex_terms(geometry, weights.epsilon.astype(np.float64), f)
+        x, w = (t.take(plan.ends) for t in terms)
     lengths = _edge_lengths(geometry, plan.ends, weights, f, (x, w))
     a = lengths.take(plan.corners)
     m = _margins(a)
@@ -107,7 +109,7 @@ def _face_shares(surface, weights, geometry, f, extended):
         lengths = np.sinh(lengths)
     x /= lengths
     dp, dq = shares = x.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares in place
-    del lengths, x, w, cross  # a small heap peak: glibc does not trim and refault it per call
+    del terms, lengths, x, w, cross  # fewer arrays alive: less heap to fault in per call
     with np.errstate(**({"divide": "ignore", "invalid": "ignore"} if bad.size else {})):
         perim = a[0] + a[1] + a[2]
         scale = perim if euclidean else -np.expm1(-perim)

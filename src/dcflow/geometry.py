@@ -236,19 +236,19 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
 
 
 @_quiet
-def _edge_terms(geometry: Geometry, ends, weights: WeightConfig, f):
-    """x and w of ``_vertex_terms`` from exponents ``f`` (V, ...) at the ``ends`` (2, E) of
-    every edge, (2, E, ...) each, broadcasting over the trailing axes of f."""
-    eps = weights.epsilon.astype(np.float64).reshape((-1,) + (1,) * (f.ndim - 1))
-    return tuple(terms.take(ends, axis=0) for terms in _vertex_terms(geometry, eps, f))
-
-
-@_quiet
 def _edge_lengths(geometry: Geometry, ends, weights: WeightConfig, f, terms=None) -> np.ndarray:
-    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...), or from their ``_edge_terms``."""
-    x, w = _edge_terms(geometry, ends, weights, f) if terms is None else terms
-    eta = weights.eta.reshape((-1,) + (1,) * (f.ndim - 1))
-    return _lengths(geometry, w[0], w[1], eta, x[0], x[1])
+    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...).
+
+    ``ends`` (2, E), a surface's ``_plan.ends``, gathers the per-vertex terms x and
+    w at both ends of every edge, unless the caller passes them as ``terms``; the
+    result broadcasts over the trailing axes of f.
+    """
+    column = (-1,) + (1,) * (f.ndim - 1)
+    if terms is None:
+        eps = weights.epsilon.astype(np.float64).reshape(column)
+        terms = (t.take(ends, axis=0) for t in _vertex_terms(geometry, eps, f))
+    x, w = terms
+    return _lengths(geometry, w[0], w[1], weights.eta.reshape(column), x[0], x[1])
 
 
 @_quiet
