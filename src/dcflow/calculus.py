@@ -101,15 +101,16 @@ def _face_shares(surface, weights, geometry, f, extended):
     if bad.size and not extended:
         raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
     cross = weights.eta * x[0] * x[1]
-    if euclidean:  # dl/du at both ends of every edge, (2, E)
-        x = np.add(w, cross, out=x)
+    if euclidean:  # dl/du at both ends of every edge, (2, E), in the memory of x
+        tangent = np.add(w, cross, out=x)
     else:
-        x = np.multiply((weights.epsilon * np.exp(2.0 * f)).take(plan.ends), w[::-1], out=x)
-        x += cross * w
+        eps_x2 = weights.epsilon * np.exp(2.0 * f)
+        tangent = np.multiply(eps_x2.take(plan.ends), w[::-1], out=x)
+        tangent += cross * w
         lengths = np.sinh(lengths)
-    x /= lengths
-    dp, dq = shares = x.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares in place
-    del terms, lengths, x, w, cross  # fewer arrays alive: less heap to fault in per call
+    tangent /= lengths
+    dp, dq = shares = tangent.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares
+    del terms, lengths, x, w, cross, tangent  # fewer arrays alive: less heap to fault in
     with np.errstate(**({"divide": "ignore", "invalid": "ignore"} if bad.size else {})):
         perim = a[0] + a[1] + a[2]
         scale = perim if euclidean else -np.expm1(-perim)

@@ -104,9 +104,11 @@ class TriangulatedSurface:
             np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32),
             cols[order].astype(np.int32), np.r_[:e, :e, e : e + n][order],
         )  # fmt: skip
-        plan.indptr.setflags(write=False)  # shared by every matrix built on the pattern;
-        plan.indices.setflags(write=False)  # an index array that numpy takes stays writeable,
-        return plan  # since a read-only one is copied on every take
+        # every matrix built on the pattern shares it; the index arrays numpy takes stay
+        # writeable, because numpy copies a read-only index array on every take
+        plan.indptr.setflags(write=False)
+        plan.indices.setflags(write=False)
+        return plan
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:
