@@ -564,7 +564,7 @@ class TestSparseNewtonStep:
 
     def test_negative_curvature_falls_back(self):
         # an indefinite matrix: CG meets p.Hp < 0 and gives no step
-        matrix = sp.diags([1.0, -1.0]).tocsr()
+        matrix = sp.diags([1.0, -2.0]).tocsr()
         assert solve_module._newton_direction(Geometry.HYPERBOLIC, matrix, np.ones(2)) is None
 
     def test_solve_steps_past_a_nan_hessian(self, monkeypatch):
