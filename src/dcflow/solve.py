@@ -11,14 +11,15 @@ Euclidean H annihilates the all-ones vector, so CG runs on the sum-zero
 subspace and the coordinate sum stays that of the initial guess.  The one
 factorization of a solve is the certificate's: 1/theta for the top
 eigenvalue theta of H^-1 on the sum-zero subspace, by fixed-start Lanczos
-on H factored with vertex 0 pinned (Euclidean).
+on H factored with vertex 0 pinned (Euclidean), fully reorthogonalised and
+stopped once the top Ritz pair's residual is at most CERTIFICATE_TOL * theta.
 
 The line search needs curvature only.  Along a trial step s the
 potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
 nondecreasing, so the right Riemann sum of phi' over [0, 1] bounds the
-increment phi(1) - phi(0) from above, across degeneracy walls too; the
-Armijo test runs on that bound with 2, 4 and then 8 nodes.  The
-potential itself is integrated only when ``potential_history`` is read.
+increment phi(1) - phi(0) from above, across degeneracy walls too, and no
+finer grid raises it; the Armijo test runs on that bound with 1, 2, 4 and
+then 8 nodes.  The potential is integrated only when ``potential_history`` is read.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ STEP_CAP = 10.0
 FORCING = 1e-2  # CG's relative residual, times min(1, ||g||)
 CG_FLOOR = 1e-3  # CG's absolute residual floor, times the solver tolerance
 CG_ITERATIONS = 1000
-# |theta - lambda| <= ||r|| <= tol * theta; ARPACK's default, eps, makes roundoff restart it
+# Lanczos stops at |theta - lambda| <= ||r|| = beta_k |s_k| <= tol * theta
 CERTIFICATE_TOL = 1e-12
+CERTIFICATE_STEPS = 300  # Lanczos steps, each one pinned solve and one basis row
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,10 @@ class SolveReport:
     ``certificate`` is the smallest eigenvalue of the curvature
     Jacobian at the solution, restricted to the sum-zero subspace for
     Euclidean geometry; positivity certifies local strict convexity
-    and hence local rigidity of the solution.  Its accuracy is the roundoff
-    of the pinned solves, about machine epsilon times the condition number
-    of the Jacobian (0.9e-12 to 1.9e-12 relative on a flat 100x100 torus),
-    not ``CERTIFICATE_TOL``.  ``potential_history``
+    and hence local rigidity of the solution.  Lanczos stops within
+    ``CERTIFICATE_TOL`` relative; the roundoff of the pinned solves, about
+    machine epsilon times the condition number of the Jacobian, can be larger
+    (1.5e-12 relative on a flat 100x100 torus).  ``potential_history``
     holds the potential at the guess and after each accepted step: the
     first from the base state, the rest chained from segment
     increments.  It is integrated on first access, which raises
@@ -94,28 +96,32 @@ def _factor(matrix, pinned):
 
 
 def _restricted_smallest_eigenvalue(geometry, matrix):
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     pinned = int(geometry is Geometry.EUCLIDEAN)
     try:
         factor = _factor(matrix, pinned)
     except RuntimeError:  # exactly singular: a kernel beyond the all-ones vector
         return 0.0
 
-    def inverse(b):  # Euclidean: zero row sums make this H^+ on the sum-zero subspace
-        b = b.ravel() - pinned * b.mean()
-        x = np.zeros_like(b)
-        x[pinned:] = factor.solve(b[pinned:])
-        return x - pinned * x.mean()
-
     start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
     start -= pinned * start.mean()
-    operator = LinearOperator(matrix.shape, matvec=inverse, dtype=np.float64)
-    try:
-        theta = eigsh(operator, 1, which="LA", v0=start, tol=CERTIFICATE_TOL)[0][0]
-    except ArpackNoConvergence as exc:
-        raise MaxIterationsError(f"the convexity certificate did not converge: {exc}")
-    return float(1.0 / theta)
+    basis = start[np.newaxis] / np.linalg.norm(start)  # one row per step, none ahead
+    alphas, betas = [], []
+    while len(alphas) < CERTIFICATE_STEPS:
+        w = np.zeros_like(start)  # Euclidean: zero row sums make this H^+ on sum zero
+        w[pinned:] = factor.solve(basis[-1, pinned:])
+        w -= pinned * w.mean()
+        alphas.append(float(basis[-1] @ w))
+        for _ in range(2):  # full reorthogonalisation; twice is enough
+            w -= basis.T @ (basis @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # lower triangle
+        converged = beta * abs(vectors[-1, -1]) <= CERTIFICATE_TOL * abs(ritz[-1])
+        # a breakdown (beta = 0) or a basis spanning the subspace makes theta exact
+        if converged or len(alphas) == len(start) - pinned:
+            return float(1.0 / ritz[-1])
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
+    raise MaxIterationsError(f"the convexity certificate did not converge in {len(alphas)} steps")
 
 
 def _newton_direction(geometry, matrix, gradient, floor=0.0):
@@ -186,19 +192,19 @@ def solve_prescribed(
 
     def certified(current, candidate, bound):
         # Report at the candidate when the right Riemann sum of phi' on
-        # the segment, with 2, 4 or 8 nodes, is at most ``bound``; else None.
+        # the segment, with 1, 2, 4 or 8 nodes, is at most ``bound``; else None.
         step = candidate.u - current.u
         candidate_report = report_at(candidate)
         total = float((candidate_report.curvature - target) @ step)  # node tau = 1
         nodes = 1
-        while nodes < MAX_RIEMANN_NODES:
+        while not total / nodes <= bound:  # NaN refines, and fails at the cap
+            if nodes == MAX_RIEMANN_NODES:
+                return None
             nodes *= 2
             for i in range(1, nodes, 2):  # the nodes not evaluated yet
                 point = current.with_u(current.u + (i / nodes) * step)
                 total += float((report_at(point).curvature - target) @ step)
-            if total / nodes <= bound:
-                return candidate_report
-        return None
+        return candidate_report
 
     method = "newton"
     iterates = [state.u.copy()]

@@ -453,6 +453,42 @@ def hyperbolic_torus_10x10_case():
     return surface, weights, Geometry.HYPERBOLIC, target, None
 
 
+def random_euclidean_20x20_state():
+    surface = generate("torus_grid", 20, 20)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    return surface, weights, random_euclidean_guess(surface, weights, 55)
+
+
+def random_hyperbolic_10x10_state():
+    surface = generate("torus_grid", 10, 10)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    rng = np.random.default_rng(56)
+    return surface, weights, random_admissible_state(surface, weights, Geometry.HYPERBOLIC, rng)
+
+
+def regular_tetrahedron_state():
+    # every vertex alike: H is a multiple of the identity on the sum-zero subspace
+    surface = generate("tetrahedron")
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    return surface, weights, ConformalState(Geometry.EUCLIDEAN, weights.epsilon, np.zeros(4))
+
+
+def counting_pinned_solves(monkeypatch):
+    """Patch solve._factor so that each pinned solve appends its size to the returned list."""
+    solves, factor = [], solve_module._factor
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def solve(self, b):
+            solves.append(len(b))
+            return self.inner.solve(b)
+
+    monkeypatch.setattr(solve_module, "_factor", lambda *args: Counting(factor(*args)))
+    return solves
+
+
 class TestSparseCertificate:
     @pytest.mark.parametrize(
         "case",
@@ -489,15 +525,8 @@ class TestSparseCertificate:
         assert certificate <= 1e-12
 
     def test_no_convergence_is_a_named_error(self, monkeypatch, tmp_path, capsys):
-        import scipy.sparse.linalg as sparse_linalg
-
-        def stalled(matrix, k, **kwargs):
-            raise sparse_linalg.ArpackNoConvergence(
-                "ARPACK error -1: No convergence (301 iterations, 0/1 eigenvectors converged)",
-                np.zeros(0), np.zeros((matrix.shape[0], 0)),
-            )  # fmt: skip
-
-        monkeypatch.setattr(sparse_linalg, "eigsh", stalled)
+        # one Lanczos step meets neither the residual bound nor the subspace dimension
+        monkeypatch.setattr(solve_module, "CERTIFICATE_STEPS", 1)
         surface, weights, geometry, target, guess = torus_6x6_case()
         with pytest.raises(MaxIterationsError, match="the convexity certificate did not converge"):
             solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
@@ -506,8 +535,37 @@ class TestSparseCertificate:
         capsys.readouterr()
         assert dcflow.cli.main(["solve", mesh, "--target", "const:0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the convexity certificate did not converge: ARPACK error")
+        assert err.startswith("error: the convexity certificate did not converge")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case", [flat_torus_20x20_case, torus_6x6_case], ids=lambda c: c.__name__
+    )
+    def test_fewer_pinned_solves_than_arpack(self, case, monkeypatch):
+        # eigsh with its default 20 Lanczos vectors took 21 and 31 pinned solves here
+        solves = counting_pinned_solves(monkeypatch)
+        surface, weights, geometry, target, guess = case()
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert report.residual < 1e-10
+        assert 0 < len(solves) < 21
+
+    @pytest.mark.parametrize(
+        "case",
+        [random_euclidean_20x20_state, random_hyperbolic_10x10_state, regular_tetrahedron_state],
+        ids=lambda c: c.__name__,
+    )
+    def test_matches_dense_spectrum_off_solution(self, case, monkeypatch):
+        surface, weights, state = case()
+        jacobian = curvature_jacobian(surface, weights, state)
+        solves = counting_pinned_solves(monkeypatch)
+        certificate = solve_module._restricted_smallest_eigenvalue(state.geometry, jacobian)
+        steps = len(solves)
+        reference = dense_certificate(state.geometry, jacobian)
+        assert reference > 0.0
+        assert abs(certificate - reference) <= 1e-9 * reference
+        assert solve_module._restricted_smallest_eigenvalue(state.geometry, jacobian) == certificate
+        # the tetrahedron's start is an eigenvector, a breakdown after one step
+        assert steps == 1 if case is regular_tetrahedron_state else steps > 20
 
 
 class TestSparseNewtonStep:
@@ -633,6 +691,24 @@ class TestNewtonCG:
         assert reports[0].iterations > 1
         np.testing.assert_array_equal(reports[0].state.u, reports[1].state.u)
         assert reports[0].certificate == reports[1].certificate
+
+
+class TestLineSearch:
+    def test_one_node_bound_is_tried_first(self, monkeypatch):
+        # phi' is nondecreasing, so the one-node sum phi'(1) is the largest; a
+        # step it accepts costs one curvature evaluation, against two from 2 nodes
+        surface, weights, geometry, target, guess = hyperbolic_torus_10x10_case()
+        calls, original = [], solve_module.curvature
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solve_module, "curvature", counting)
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert report.residual < 1e-10
+        assert report.iterations > 1
+        assert len(calls) < 1 + 2 * report.iterations
 
 
 class TestPotentialHistory:
