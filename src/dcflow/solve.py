@@ -19,7 +19,8 @@ potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
 nondecreasing, so the right Riemann sum of phi' over [0, 1] bounds the
 increment phi(1) - phi(0) from above, across degeneracy walls too, and no
 finer grid raises it; the Armijo test runs on that bound with 1, 2, 4 and
-then 8 nodes.  The potential is integrated only when ``potential_history`` is read.
+then 8 nodes.  The potential is integrated only when
+``potential_history`` is read.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
 
     start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
     start -= pinned * start.mean()
-    basis = start[np.newaxis] / np.linalg.norm(start)  # one row per step, none ahead
+    basis = start[np.newaxis] / np.linalg.norm(start)  # a row per step, not 300 x V up front
     alphas, betas = [], []
     while len(alphas) < CERTIFICATE_STEPS:
         w = np.zeros_like(start)  # Euclidean: zero row sums make this H^+ on sum zero
@@ -114,7 +115,7 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
         for _ in range(2):  # full reorthogonalisation; twice is enough
             w -= basis.T @ (basis @ w)
         beta = float(np.linalg.norm(w))
-        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # lower triangle
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # reads the lower half
         converged = beta * abs(vectors[-1, -1]) <= CERTIFICATE_TOL * abs(ritz[-1])
         # a breakdown (beta = 0) or a basis spanning the subspace makes theta exact
         if converged or len(alphas) == len(start) - pinned:

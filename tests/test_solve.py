@@ -564,7 +564,7 @@ class TestSparseCertificate:
         assert reference > 0.0
         assert abs(certificate - reference) <= 1e-9 * reference
         assert solve_module._restricted_smallest_eigenvalue(state.geometry, jacobian) == certificate
-        # the tetrahedron's start is an eigenvector, a breakdown after one step
+        # on the regular tetrahedron every sum-zero start is an eigenvector: a breakdown
         assert steps == 1 if case is regular_tetrahedron_state else steps > 20
 
 
