@@ -37,8 +37,8 @@ from .geometry import (
     _angles,
     _degeneracy,
     _edge_length_bounds,
-    _edge_lengths,
-    _margins,
+    _kernel_weights,
+    _shape,
     _vertex_terms,
     base_state,
     curvature,
@@ -77,7 +77,7 @@ _TRIANGLE = TriangulatedSurface(
 # Jacobians
 
 
-def _face_shares(surface, weights, geometry, f, extended):
+def _face_shares(surface, weights, geometry, f, extended, metric=None):
     """The faces' shares of dK/du, (6, F), in the bins of ``_plan.bins``.
 
     Row c is -d(theta_c)/d(u_c); row 3 + c is -d(theta_c)/d(u_{c+1}), for the edge
@@ -88,15 +88,16 @@ def _face_shares(surface, weights, geometry, f, extended):
     or e^{-m_c}), cos(theta_c) = (x_c^2 - w_c X) / (x_c^2 + w_c X) and Heron gives
     d_c = 2 a_c / (P^2 sqrt(X)) or -e^{-m_c/2} expm1(-2 a_c) / (expm1(-P)^2 sqrt(X)):
     nothing divides by a sin(theta) rounded to 0.  Degenerate faces get zeros with
-    ``extended``; without it the first one raises DegenerateFaceError.
+    ``extended``; without it the first one raises DegenerateFaceError.  ``metric``, a
+    kernel pass at f (``geometry._metric``), gives the lengths and margins.
     """
     plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
-    with np.errstate(over="ignore", invalid="ignore"):  # the length checks reject it
-        terms = _vertex_terms(geometry, weights.epsilon.astype(np.float64), f)
-        x, w = (t.take(plan.ends) for t in terms)
-    lengths = _edge_lengths(geometry, plan.ends, weights, f, (x, w))
-    a = lengths.take(plan.corners)
-    m = _margins(a)
+    kernel = _kernel_weights(geometry, weights)
+    if metric is None:
+        (x, w), lengths, a, m = _shape(plan, kernel, geometry, f)
+    else:  # the pass's lengths are finite, so the vertex terms that made them are too
+        x, w = (t.take(plan.ends) for t in _vertex_terms(geometry, kernel[0], f))
+        lengths, a, m = metric.lengths, metric.lengths.take(plan.corners), metric.m
     bad = np.flatnonzero(_degeneracy(m)[1] >= 0)
     if bad.size and not extended:
         raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
@@ -110,7 +111,7 @@ def _face_shares(surface, weights, geometry, f, extended):
         lengths = np.sinh(lengths)
     tangent /= lengths
     dp, dq = shares = tangent.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares
-    del terms, lengths, x, w, cross, tangent  # fewer arrays alive: less heap to fault in
+    del lengths, x, w, cross, tangent  # fewer arrays alive: less heap to fault in
     with np.errstate(**({"divide": "ignore", "invalid": "ignore"} if bad.size else {})):
         perim = a[0] + a[1] + a[2]
         scale = perim if euclidean else -np.expm1(-perim)
@@ -186,10 +187,16 @@ def curvature_jacobian(
     nothing, matching the derivative of the extended curvature inside
     degenerate regions; without it the first one raises DegenerateFaceError.
     """
+    return _jacobian(surface, weights, state.geometry, state.f, extended)
+
+
+def _jacobian(surface, weights, geometry, f, extended, metric=None):
+    # the faces' shares (on the pass ``metric`` at f, if given) in one bincount into
+    # the cached CSR pattern
     import scipy.sparse as sp  # on first use, so importing the package skips it
 
     plan, n = surface._plan, surface.vertex_count
-    shares = _face_shares(surface, weights, state.geometry, state.f, extended)
+    shares = _face_shares(surface, weights, geometry, f, extended, metric)
     sums = np.bincount(plan.bins.ravel(), shares.ravel(), len(surface.edges) + n)
     return sp.csr_matrix((sums.take(plan.entries), plan.indices, plan.indptr), shape=(n, n))
 
@@ -219,12 +226,11 @@ class EnergyValue:
 
 
 def _segment_shape(geometry, mesh, weights, u0, du, ts):
-    # Rolled opposite lengths (5, F, T) at u0 + ts * du on the mesh's plan; the wall
-    # scan and the bisection take their margins, the quadrature their angles
+    # Rolled opposite lengths (5, F, T) and margins (3, F, T) at u0 + ts * du on the
+    # mesh's plan; the wall scan and the bisection take the margins, the quadrature both
     u_t = u0[:, None] + ts * du[:, None]
     f_t = np.asarray(u_to_f(geometry, weights.epsilon[:, None], u_t))
-    lengths = _edge_lengths(geometry, mesh._plan.ends, weights, f_t)  # (E, T)
-    return lengths.take(mesh._plan.corners, axis=0)
+    return _shape(mesh._plan, _kernel_weights(geometry, weights), geometry, f_t)[2:]
 
 
 def _energy_evaluator(geometry, mesh, weights, u0, du):
@@ -232,9 +238,9 @@ def _energy_evaluator(geometry, mesh, weights, u0, du):
     du3 = du[mesh.faces]
 
     def evaluate(ts):
-        a = _segment_shape(geometry, mesh, weights, u0, du, ts)
+        a, m = _segment_shape(geometry, mesh, weights, u0, du, ts)
         # einsum's rounding depends on the layout: it sums contiguous (F, T, 3) angles
-        theta = np.ascontiguousarray(np.moveaxis(_angles(geometry, a, _margins(a)), 0, -1))
+        theta = np.ascontiguousarray(np.moveaxis(_angles(geometry, a, m), 0, -1))
         return np.einsum("ftc,fc->ft", theta, du3)
 
     return evaluate
@@ -351,7 +357,7 @@ def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol, cle
         clear = _clear_of_walls(geometry, mesh, weights.epsilon, weights.eta, u0, du)
     if not clear:
         def margins_at(ts):
-            return _degeneracy(_margins(_segment_shape(geometry, mesh, weights, u0, du, ts)))[0]
+            return _degeneracy(_segment_shape(geometry, mesh, weights, u0, du, ts)[1])[0]
 
         grid = np.linspace(0.0, 1.0, 65)
         margins = margins_at(grid)

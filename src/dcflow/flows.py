@@ -11,13 +11,18 @@ Explicit Euler is the default integrator with classical RK4 as an
 option.  A failed stage is rejected with the status the step reports
 if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
-reaching zero gives ANOMALY at once.  Every accepted state gets one
-metric kernel pass (``geometry._metric``; a strict kind's is its wall
-test, handed on by ``step``), which serves the residual check, the trace
-row and the first stage of the next step.  ``run_flow`` records rows in
-one place: at the start, every ``trace_stride`` steps and at the last
-accepted state.  The flow never reads the potential it decreases, so
-``FlowTrace.energies`` integrates the row potentials on first read.
+reaching zero gives ANOMALY at once.  ``run_flow`` resolves the kind's
+flags, the target and the kernel's weights once per call.  Every
+accepted state gets one metric kernel pass (``geometry._metric``; a
+strict kind's is its wall test, handed on by ``step``) and one deficit
+target - K, which serve the residual check, the trace row and the first
+stage of the next step: the deficit is the Euler velocity of every kind
+but Ricci and Calabi, and a Calabi step builds its Jacobian on the pass's
+lengths.  So an accepted Euler step is its arithmetic, one
+``ConformalState.with_u`` and one ``StepOutcome``.  ``run_flow`` records
+rows in one place: at the start, every ``trace_stride`` steps and at the
+last accepted state.  The flow never reads the potential it decreases,
+so ``FlowTrace.energies`` integrates the row potentials on first read.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import _potential_chain, curvature_jacobian
+from .calculus import _jacobian, _potential_chain
 from .errors import (
     BadParameterError,
     DegenerateFaceError,
@@ -37,7 +43,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, _metric, base_state, curvature
+from .geometry import ConformalState, Geometry, _kernel_weights, _metric, base_state
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -263,18 +269,36 @@ def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarr
     return resolve_target(spec, surface)
 
 
-def _field(spec, surface, weights, state, target, kvec=None):
-    # ``kvec``: the caller's curvature at ``state`` (with the kind's ``extended`` flag)
-    kind = spec.kind
-    if kvec is None:
-        kvec = curvature(surface, weights, state, extended=kind.is_extended).curvature
-    if kind is FlowKind.RICCI:
-        return -kvec
-    if not kind.is_calabi:
-        return target - kvec
-    # Calabi kinds: Laplacian of the curvature deficit
-    lam = curvature_jacobian(surface, weights, state)
-    return -(lam @ (kvec - target))
+class _Run(NamedTuple):  # a flow resolved once per run_flow, step or vector_field call
+    target: np.ndarray
+    kernel: tuple  # the length formula's weights, geometry._kernel_weights
+    extended: bool
+    calabi: bool
+    ricci: bool  # moves by -K
+    conserved: bool  # the Euclidean kinds but plain Ricci keep the coordinate sum
+    rk4: bool
+
+
+def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig) -> _Run:
+    kind, ricci = spec.kind, spec.kind is FlowKind.RICCI
+    return _Run(
+        _admissible_target(spec, surface), _kernel_weights(spec.geometry, weights),
+        kind.is_extended, kind.is_calabi, ricci,
+        spec.geometry is Geometry.EUCLIDEAN and not ricci, spec.integrator == "rk4",
+    )  # fmt: skip
+
+
+def _field(run, surface, weights, state, metric=None):
+    # ``metric``: the caller's kernel pass at state, with the kind's extended flag
+    if metric is None:
+        metric = _metric(surface, run.kernel, state.geometry, state.f, run.extended)
+    if run.ricci:
+        return -metric.curvature
+    if not run.calabi:
+        return run.target - metric.curvature
+    # Calabi kinds: Laplacian of the curvature deficit, on the lengths of the same pass
+    lam = _jacobian(surface, weights, state.geometry, state.f, False, metric)
+    return -(lam @ (metric.curvature - run.target))
 
 
 def vector_field(
@@ -284,23 +308,20 @@ def vector_field(
     state: ConformalState,
 ) -> np.ndarray:
     """Per-vertex velocity of the flow at one state."""
-    return _field(spec, surface, weights, state, _admissible_target(spec, surface))
+    return _field(_resolve(spec, surface, weights), surface, weights, state)
 
 
-def _wall_pass(surface, weights, state):
+def _wall_pass(surface, kernel, state):
     # a strict kind's wall test; where it passes, the curvature is the non-extended one
-    return _metric(surface, weights, state.geometry, state.f, extended=True)
+    return _metric(surface, kernel, state.geometry, state.f, extended=True)
 
 
-def _advance(spec, surface, weights, state, dt, target, kvec=None):
-    """One integrator pass to the new coordinates u; a failed stage raises its own error."""
+def _rk4(run, surface, weights, state, dt, k1):
+    """The classical RK4 coordinates from k1 at ``state``; a failed stage raises its own error."""
     u0 = state.u
-    k1 = _field(spec, surface, weights, state, target, kvec)
-    if spec.integrator == "euler":
-        return u0 + dt * k1
 
     def velocity(u):
-        return _field(spec, surface, weights, state.with_u(u), target)
+        return _field(run, surface, weights, state.with_u(u))
 
     k2 = velocity(u0 + 0.5 * dt * k1)
     k3 = velocity(u0 + 0.5 * dt * k2)
@@ -316,7 +337,7 @@ def step(
     dt: float | None = None,
     *,
     sum_reference: float | None = None,
-    _target=None,
+    _run=None,
     _pass=None,
 ) -> tuple[ConformalState, StepOutcome]:
     """Advance one time step, halving near walls for strict kinds.
@@ -324,43 +345,43 @@ def step(
     Returns the new state with a StepOutcome; on DEGENERATED or ANOMALY
     the state is returned unchanged.  ``sum_reference`` is the
     coordinate sum the drift compensation restores (defaults to the
-    current sum).  ``_pass``: the caller's metric kernel pass at ``state``
-    (with the kind's ``extended`` flag); a strict kind hands the pass of
-    its wall test on as ``StepOutcome._pass``.
+    current sum).  ``_run``: the caller's ``_resolve(spec, surface, weights)``;
+    ``_pass``: its metric kernel pass at ``state`` (with the kind's ``extended``
+    flag) and the velocity there, or None; a strict kind hands the pass of its
+    wall test on as ``StepOutcome._pass``.
     """
     if state.geometry is not spec.geometry:
         raise BadParameterError("state geometry does not match the flow spec")
-    if dt is None:
-        dt = spec.dt
-    target = _admissible_target(spec, surface) if _target is None else _target
-    kind = spec.kind
-    calabi, extended = kind.is_calabi, kind.is_extended
-
-    margin_floor = CALABI_MARGIN_SLACK if calabi else 0.0
-    if calabi:
-        if _pass is None:
-            _pass = _wall_pass(surface, weights, state)
-        if _pass.m.min() <= margin_floor:
+    run = _resolve(spec, surface, weights) if _run is None else _run
+    metric, k1 = (None, None) if _pass is None else _pass
+    margin_floor = CALABI_MARGIN_SLACK if run.calabi else 0.0
+    if run.calabi:
+        if metric is None:
+            metric = _wall_pass(surface, run.kernel, state)
+        if metric.m.min() <= margin_floor:
             # the curvature Laplacian has no continuous extension, so the
             # Calabi flow stops when a face gets this close to a wall
             return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
-    kvec = None if _pass is None else _pass.curvature
-    # these kinds conserve the coordinate sum: remove each step's discretization drift
-    conserved = spec.geometry is Geometry.EUCLIDEAN and kind is not FlowKind.RICCI
     reference = float(state.u.sum()) if sum_reference is None else sum_reference
-    halvings, dt_try, drift = 0, float(dt), 0.0
+    halvings, dt_try, drift = 0, float(spec.dt if dt is None else dt), 0.0
     while True:
         try:  # a failed stage rejects the step with the status it reports if it gives up
-            u_new = _advance(spec, surface, weights, state, dt_try, target, kvec)
-            if conserved:
+            if k1 is None:  # the velocity at state, the same for every halving
+                k1 = _field(run, surface, weights, state, metric)
+            if run.rk4:
+                u_new = _rk4(run, surface, weights, state, dt_try, k1)
+            else:
+                u_new = state.u + dt_try * k1
+            if run.conserved:  # remove each step's discretization drift
                 drift = (float(u_new.sum()) - reference) / surface.vertex_count
                 u_new -= drift
             new_state = state.with_u(u_new)
-            metric = None if extended else _wall_pass(surface, weights, new_state)
-            if extended or not metric.m.min() <= margin_floor:
-                return new_state, StepOutcome(
-                    StepStatus.OK, dt_try, halvings, correction=abs(drift), _pass=metric
-                )
+            wall = None if run.extended else _wall_pass(surface, run.kernel, new_state)
+            if wall is None or not wall.m.min() <= margin_floor:
+                outcome = object.__new__(StepOutcome)  # not the frozen __init__'s five setattrs
+                outcome.__dict__.update(status=StepStatus.OK, dt_used=dt_try, halvings=halvings)
+                outcome.__dict__.update(correction=abs(drift), _pass=wall)
+                return new_state, outcome
             status = StepStatus.DEGENERATED
         except DomainError:  # a hyperbolic cone coordinate reached 0: no retry
             return state, StepOutcome(status=StepStatus.ANOMALY, dt_used=0.0, halvings=halvings)
@@ -368,7 +389,7 @@ def step(
             status = StepStatus.DEGENERATED
         except (NumericalDomainError, OverflowRangeError):
             status = StepStatus.ANOMALY
-        if extended or halvings >= MAX_HALVINGS:
+        if run.extended or halvings >= MAX_HALVINGS:
             return state, StepOutcome(status=status, dt_used=0.0, halvings=halvings)
         halvings += 1
         dt_try *= 0.5
@@ -387,7 +408,8 @@ def run_flow(
     """
     if initial.geometry is not spec.geometry:
         raise BadParameterError("initial state geometry does not match the flow spec")
-    target = _admissible_target(spec, surface)
+    run = _resolve(spec, surface, weights)
+    target = run.target
 
     state = initial
     shift = 0.0
@@ -402,25 +424,30 @@ def run_flow(
     rows = []
     cumulative_correction = 0.0
 
-    def record(t, state, kvec, residual):
-        u, calabi = state.u, 0.5 * float(((kvec - target) ** 2).sum())
+    def record(t, state, kvec, deficit, residual):
+        u, calabi = state.u, 0.5 * float((deficit**2).sum())
         row = (t, u.copy(), kvec, residual, float(u.sum()), calabi, cumulative_correction)
         rows.append(TraceRow(*row))
 
-    extended = spec.kind.is_extended
-    metric = _metric(surface, weights, spec.geometry, state.f, extended)
-    residual = float(np.abs(metric.curvature - target).max())
-    record(0.0, state, metric.curvature, residual)
+    # each accepted state's one kernel pass and deficit target - K give the residual,
+    # the trace row and, for the kinds that move by the deficit, the next velocity
+    geometry, kernel, extended = spec.geometry, run.kernel, run.extended
+    by_deficit = not (run.ricci or run.calabi)
+    tolerance, max_time, stride = spec.tolerance, spec.max_time, spec.trace_stride
+    metric = _metric(surface, kernel, geometry, state.f, extended)
+    deficit = target - metric.curvature
+    residual = float(np.abs(deficit).max())
+    record(0.0, state, metric.curvature, deficit, residual)
     t, steps = 0.0, 0
     termination = TerminationReason.CONVERGED
-    while not residual < spec.tolerance:  # a NaN residual never converges
-        if t >= spec.max_time - 1e-12:
+    while not residual < tolerance:  # a NaN residual never converges
+        if t >= max_time - 1e-12:
             termination = TerminationReason.MAX_TIME
             break
-        dt = min(spec.dt, spec.max_time - t)
+        here = (metric, deficit if by_deficit else None)
         state_new, outcome = step(
-            spec, surface, weights, state, dt,
-            sum_reference=sum_reference, _target=target, _pass=metric,
+            spec, surface, weights, state, min(spec.dt, max_time - t),
+            sum_reference=sum_reference, _run=run, _pass=here,
         )  # fmt: skip
         if outcome.status is not StepStatus.OK:
             termination = (
@@ -436,16 +463,17 @@ def run_flow(
         metric = outcome._pass  # a strict kind's wall test pass
         if metric is None:
             try:
-                metric = _metric(surface, weights, spec.geometry, state.f, extended)
+                metric = _metric(surface, kernel, geometry, state.f, extended)
             except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
                 return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
-        residual = float(np.abs(metric.curvature - target).max())
+        deficit = target - metric.curvature
+        residual = float(np.abs(deficit).max())
         if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
             termination = TerminationReason.DIVERGED
             break
-        if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
-            record(t, state, metric.curvature, residual)
+        if steps % stride == 0 and not residual < tolerance:
+            record(t, state, metric.curvature, deficit, residual)
 
     if rows[-1].t < t:
-        record(t, state, metric.curvature, residual)
+        record(t, state, metric.curvature, deficit, residual)
     return FlowTrace(tuple(rows), termination, shift, path)

@@ -22,20 +22,22 @@ wall that every derived quantity (curvature, areas) accepts.
 
 ``_metric`` is the one metric kernel of the package: one pass from the
 exponents f to lengths, margins, angles and curvature, on a plan cached
-per surface (``TriangulatedSurface._plan``).  The plan's ``ends`` gather
-the per-vertex terms x and w of ``_vertex_terms`` at both ends of every
-edge; one take of its ``corners`` gives the lengths opposite corners 0,
-1, 2, 0, 1 of every face.  So the pass is corner-major: the margins
-(``_margins``), the wall test (``_degeneracy``) and the angles
-(``_angles``) are operations on whole (3, F) rows.  Each elementwise
-operation and each per-vertex sum is the one the face-major (F, 3)
-formulas make, in the same order, and the angles go back to (F, 3) order
-before ``bincount`` sums them, so the layout changes no bit.
-Curvature, the energy integrand and the strict-flow wall test take every
-quantity from these functions; the Jacobians take the lengths, terms and
-margins, and their cosines from the same scaled margins.  Only the length formula
-can overflow or go invalid; the functions that evaluate it run under one
-``np.errstate`` and its checks reject what did.
+per surface (``TriangulatedSurface._plan``), with the weights resolved
+per call by ``_kernel_weights``.  Its first half, ``_shape``, is the
+plan's gathers: ``ends`` gathers the per-vertex terms x and w of
+``_vertex_terms`` at both ends of every edge, and one take of
+``corners`` gives the lengths opposite corners 0, 1, 2, 0, 1 of every
+face.  So the pass is corner-major: the margins (``_margins``), the wall
+test (``_degeneracy``) and the angles (``_angles``) are operations on
+whole (3, F) rows.  Each elementwise operation and each per-vertex sum
+is the one the face-major (F, 3) formulas make, in the same order, and
+the angles are written in (F, 3) order for ``bincount``, so the layout
+changes no bit.  Curvature, the energy integrand and the strict-flow
+wall test take every quantity from these functions; the Jacobians take
+the lengths and margins (a flow step's Jacobian those of the step's own
+pass), and their cosines from the same scaled margins.  Only the length
+formula can overflow or go invalid; the functions that evaluate it run
+under one ``np.errstate`` and its checks reject what did.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class ConformalState:
                 raise BadParameterError("u contains non-finite values")
             _check_f_range(u)
         # u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
-        f = u.copy() if euclidean else u_to_f(self.geometry, self.epsilon, u)
+        f = u if euclidean else u_to_f(self.geometry, self.epsilon, u)
         self.__dict__.update(u=u, _f=f)
 
     @property
@@ -197,24 +199,34 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 
 
 def _vertex_terms(geometry: Geometry, eps, f):
-    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C (hyperbolic)
+    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C
+    # (hyperbolic); eps None stands for all ones, whose product changes no bit
     x = np.exp(f)
     if geometry is Geometry.EUCLIDEAN:
-        return x, eps * x**2
-    return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
+        return x, x**2 if eps is None else eps * x**2
+    return x, np.hypot(1.0, x) if eps is None else np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
 
 
-def _lengths(geometry: Geometry, w_i, w_j, eta, x_i, x_j) -> np.ndarray:
-    # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP); the
-    # checks reject what overflowed or went invalid
+def _kernel_weights(geometry: Geometry, weights: WeightConfig) -> tuple:
+    # (eps, c) as the length formula reads them: eps as floats (V,), None when all are 1,
+    # and the cross weight c (E,), 2 eta (Euclidean) or eta (hyperbolic).  Made per call,
+    # never cached on the config, whose arrays a caller may edit in place.
+    eps = weights.epsilon
+    eps = None if (eps == 1).all() else eps.astype(np.float64)
+    return eps, 2.0 * weights.eta if geometry is Geometry.EUCLIDEAN else weights.eta
+
+
+def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
+    # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP) and the
+    # cross weight c of _kernel_weights; the checks reject what overflowed or went invalid
     if geometry is Geometry.EUCLIDEAN:
-        rad = w_i + w_j + 2.0 * eta * x_i * x_j
+        rad = w_i + w_j + cross * x_i * x_j
         if not math.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
         if rad.min() <= 0.0:
             raise NumericalDomainError("non-positive squared length; weight conditions violated")
         return np.sqrt(rad)
-    ch = w_i * w_j + eta * x_i * x_j
+    ch = w_i * w_j + cross * x_i * x_j
     if not math.isfinite(ch.max()):
         raise OverflowRangeError("hyperbolic length overflow")
     if ch.min() <= 1.0:
@@ -231,24 +243,29 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     _check_f_range(f_j)
     x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
     x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
-    out = _lengths(geometry, w_i, w_j, np.asarray(eta, dtype=np.float64), x_i, x_j)
+    cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is Geometry.EUCLIDEAN else 1.0)
+    out = _lengths(geometry, w_i, w_j, cross, x_i, x_j)
     return out if out.shape else float(out)
 
 
 @_quiet
-def _edge_lengths(geometry: Geometry, ends, weights: WeightConfig, f, terms=None) -> np.ndarray:
-    """Lengths (E, ...) from per-vertex exponents ``f`` (V, ...).
+def _shape(plan, kernel: tuple, geometry: Geometry, f) -> tuple:
+    """The kernel's first half: (terms, lengths, a, m) from exponents f (V, ...).
 
-    ``ends`` (2, E), a surface's ``_plan.ends``, gathers the per-vertex terms x and
-    w at both ends of every edge, unless the caller passes them as ``terms``; the
-    result broadcasts over the trailing axes of f.
+    A surface's ``plan`` gathers the vertex terms (x, w) at both ends of every edge
+    (``ends``, (2, E)) and the rolled lengths a (``corners``, (5, F)), whose margins
+    m (3, F) it takes; ``kernel`` holds the weights as ``_kernel_weights`` resolves
+    them.  Everything broadcasts over the trailing axes of f.
     """
-    column = (-1,) + (1,) * (f.ndim - 1)
-    if terms is None:
-        eps = weights.epsilon.astype(np.float64).reshape(column)
-        terms = (t.take(ends, axis=0) for t in _vertex_terms(geometry, eps, f))
-    x, w = terms
-    return _lengths(geometry, w[0], w[1], weights.eta.reshape(column), x[0], x[1])
+    eps, cross = kernel
+    if f.ndim > 1:  # columns against the trailing axes of f
+        column = (-1,) + (1,) * (f.ndim - 1)
+        eps, cross = None if eps is None else eps.reshape(column), cross.reshape(column)
+    x, w = _vertex_terms(geometry, eps, f)
+    x, w = x.take(plan.ends, axis=0), w.take(plan.ends, axis=0)
+    lengths = _lengths(geometry, w[0], w[1], cross, x[0], x[1])
+    a = lengths.take(plan.corners, axis=0)
+    return (x, w), lengths, a, _margins(a)
 
 
 @_quiet
@@ -285,7 +302,8 @@ def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
     """Lengths of all edges in canonical edge order."""
-    return _edge_lengths(state.geometry, surface._plan.ends, weights, state.f)
+    geometry = state.geometry
+    return _shape(surface._plan, _kernel_weights(geometry, weights), geometry, state.f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +349,7 @@ def _degeneracy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin, np.where(margin <= 0.0, m.argmin(axis=0), -1)
 
 
-def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
     """Angles (3, ...) at the three corners from rolled lengths ``a`` and margins ``m``.
 
     Half-angle formulas on the margins clamped at 0: with P the perimeter,
@@ -343,22 +361,23 @@ def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
     with w_c = 1 (Euclidean) or e^{-m_c} (hyperbolic: the sinh(s - a)
     form with its e^{y/2} factors cancelled, so nothing overflows).  A
     zero margin gives exactly pi at its corner and 0 at the other two:
-    the extension across the wall is the formula itself.
+    the extension across the wall is the formula itself.  ``out`` (3, ...),
+    a view of the caller's layout, receives the angles.
     """
     r, perim = np.maximum(m, 0.0), a[0] + a[1] + a[2]  # in place below: few arrays alive
     euclidean = geometry is Geometry.EUCLIDEAN
-    num = np.empty_like(r) if euclidean else np.exp(-0.5 * r)
     if not euclidean:
+        num = np.exp(-0.5 * r)
         np.expm1(-r, out=r)
         perim = np.expm1(-perim)
     np.sqrt(np.divide(r, perim, out=r), out=r)
-    for c in range(3):  # row arithmetic: no rolled copy of r
-        if euclidean:
-            np.multiply(r[(c + 1) % 3], r[(c + 2) % 3], out=num[c, ...])
-        else:
-            num[c] *= r[(c + 1) % 3]
-            num[c] *= r[(c + 2) % 3]
-    half = np.arctan2(num, r, out=num)
+    rolled = r.take([1, 2, 0, 1], axis=0)  # rows c + 1 and c + 2 of r as two windows
+    if euclidean:
+        num = np.multiply(rolled[:3], rolled[1:])
+    else:
+        num *= rolled[:3]
+        num *= rolled[1:]
+    half = np.arctan2(num, r, out=num if out is None else out)
     return np.multiply(half, 2.0, out=half)
 
 
@@ -461,20 +480,19 @@ class _Metric(NamedTuple):
 
 
 def _metric(
-    surface: TriangulatedSurface, weights: WeightConfig, geometry: Geometry, f, extended: bool
+    surface: TriangulatedSurface, kernel: tuple, geometry: Geometry, f, extended: bool
 ) -> _Metric:
     """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
 
-    Without ``extended`` the first degenerate face raises DegenerateFaceError."""
-    plan = surface._plan
-    lengths = _edge_lengths(geometry, plan.ends, weights, f)
-    a = lengths.take(plan.corners)
-    m = _margins(a)
+    ``kernel`` holds the weights as ``_kernel_weights`` resolves them.  Without
+    ``extended`` the first degenerate face raises DegenerateFaceError."""
+    lengths, a, m = _shape(surface._plan, kernel, geometry, f)[1:]
     if not extended and m.min() <= 0.0:  # the wall test's shortcut: some face is degenerate
         raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
-    angles = np.ascontiguousarray(_angles(geometry, a, m).T)  # (F, 3): bincount's order
+    plan, angles = surface._plan, np.empty((m.shape[1], 3))  # (F, 3): bincount's order
+    _angles(geometry, a, m, out=angles.T)
     acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
-    return _Metric(lengths, m, angles, 2.0 * np.pi - acc)
+    return _Metric(lengths, m, angles, np.subtract(2.0 * np.pi, acc, out=acc))
 
 
 def curvature(
@@ -489,10 +507,11 @@ def curvature(
     extended angles; otherwise the first degenerate face raises
     DegenerateFaceError.
     """
-    metric = _metric(surface, weights, state.geometry, state.f, extended)
-    areas = np.pi - metric.angles.sum(axis=1) if state.geometry is Geometry.HYPERBOLIC else None
+    geometry = state.geometry
+    metric = _metric(surface, _kernel_weights(geometry, weights), geometry, state.f, extended)
+    areas = np.pi - metric.angles.sum(axis=1) if geometry is Geometry.HYPERBOLIC else None
     return MetricReport(
-        state.geometry, extended, metric.lengths, metric.angles, _degeneracy(metric.m)[1],
+        geometry, extended, metric.lengths, metric.angles, _degeneracy(metric.m)[1],
         metric.curvature, areas, None if areas is None else float(areas.sum()),
     )  # fmt: skip
 

@@ -102,6 +102,7 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
         factor = _factor(matrix, pinned)
     except RuntimeError:  # exactly singular: a kernel beyond the all-ones vector
         return 0.0
+    from scipy.linalg.lapack import dstev  # scipy.sparse.linalg has loaded it for _factor
 
     start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
     start -= pinned * start.mean()
@@ -115,7 +116,9 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
         for _ in range(2):  # full reorthogonalisation; twice is enough
             w -= basis.T @ (basis @ w)
         beta = float(np.linalg.norm(w))
-        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # reads the lower half
+        ritz, vectors, info = dstev(alphas, betas or [0.0])  # the tridiagonal's, ascending
+        if info:
+            raise MaxIterationsError(f"the Ritz values of {len(alphas)} steps did not converge")
         converged = beta * abs(vectors[-1, -1]) <= CERTIFICATE_TOL * abs(ritz[-1])
         # a breakdown (beta = 0) or a basis spanning the subspace makes theta exact
         if converged or len(alphas) == len(start) - pinned:

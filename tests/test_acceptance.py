@@ -32,7 +32,7 @@ from dcflow import (
     triangle_energy,
     validate_weights,
 )
-from dcflow.geometry import _angles, _degeneracy, _edge_lengths, _margins
+from dcflow.geometry import _angles, _degeneracy, _kernel_weights, _shape
 
 from conftest import fd_gradient, fd_jacobian, random_admissible_state
 
@@ -466,10 +466,8 @@ class TestAcceptance:
             u0 = center - 0.05 * direction
             u1 = center + 0.05 * direction
             u_path = (1.0 - ts)[:, None] * u0 + ts[:, None] * u1
-            plan = surface._plan
-            lengths = _edge_lengths(Geometry.EUCLIDEAN, plan.ends, weights, u_path.T)  # u = f
-            a = lengths.take(plan.corners, axis=0)  # (5, F, T)
-            m = _margins(a)
+            kernel = _kernel_weights(Geometry.EUCLIDEAN, weights)
+            _, _, a, m = _shape(surface._plan, kernel, Geometry.EUCLIDEAN, u_path.T)  # u = f
             deg = _degeneracy(m)[1].T
             crossings = int(np.sum((deg[1:] >= 0) != (deg[:-1] >= 0)))
             if crossings == 0:

@@ -203,7 +203,7 @@ class TestCurvatureJacobian:
             calls.append(a.shape)
             return real_margins(a)
 
-        monkeypatch.setattr(calculus, "_margins", counting_margins)
+        monkeypatch.setattr(calculus, "_margins", counting_margins, raising=False)
         monkeypatch.setattr(geometry, "_margins", counting_margins)
         face_corner_jacobians(surface, weights, state, extended=extended)
         assert calls == [(5, len(surface.faces))]

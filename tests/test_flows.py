@@ -1,6 +1,8 @@
 """Tests for the flow vector fields, stepping, and full runs."""
 
+import collections
 import functools
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from dcflow.flows import (
     FlowSpec,
     StepStatus,
     TerminationReason,
+    TraceRow,
     _wall_pass,
     check_target,
     resolve_target,
@@ -32,6 +35,7 @@ from dcflow.flows import (
 from dcflow.geometry import (
     ConformalState,
     Geometry,
+    _kernel_weights,
     base_state,
     classify_triangle,
     curvature,
@@ -363,7 +367,8 @@ class TestStep:
                     if classify_triangle(state.geometry, a[f, 2], a[f, 1], a[f, 0]).is_degenerate
                 ]
                 assert bool(faces) is side
-                assert bool(_wall_pass(surface, weights, state).m.min() <= 0.0) is side
+                kernel = _kernel_weights(state.geometry, weights)
+                assert bool(_wall_pass(surface, kernel, state).m.min() <= 0.0) is side
                 if not side:
                     curvature(surface, weights, state, extended=False)
                     face_corner_jacobians(surface, weights, state, extended=False)
@@ -690,7 +695,7 @@ class TestRunFlow:
         # calculus computes no curvature at all
         surface, weights = torus_setup()
         calls, energy_calls = [], []
-        real_curvature, real_metric = flows.curvature, flows._metric
+        real_curvature, real_metric = calculus.curvature, flows._metric
 
         def counting_curvature(*args, **kwargs):
             calls.append(kwargs.get("extended"))
@@ -704,7 +709,8 @@ class TestRunFlow:
             energy_calls.append(kwargs.get("extended"))
             return real_curvature(*args, **kwargs)
 
-        monkeypatch.setattr(flows, "curvature", counting_curvature)
+        # flows evaluates K through _metric alone; a curvature binding there is counted too
+        monkeypatch.setattr(flows, "curvature", counting_curvature, raising=False)
         monkeypatch.setattr(flows, "_metric", counting_metric)
         monkeypatch.setattr(calculus, "curvature", counting_energy_curvature)
         u0 = np.random.default_rng(72).normal(0.0, 0.1, 9)
@@ -743,6 +749,79 @@ class TestRunFlow:
         assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.4, 0.5]
         assert calls == [kind.is_extended] + per_step * 5
         assert energy_calls == []
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_rows_are_the_exact_euler_recurrence(self, geometry):
+        # every row, bit for bit, is the hand loop u <- u + dt (target - K(u)) over the
+        # public extended curvature; the Euclidean loop also removes each step's drift of
+        # the coordinate sum, the hyperbolic one does not
+        surface = generate("torus_grid", 4, 4)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        n, u = 16, np.random.default_rng(74).normal(0.0, 0.3, 16)
+        if geometry is Geometry.EUCLIDEAN:
+            target, start = np.zeros(n), ConformalState(geometry, weights.epsilon, u - u.mean())
+        else:
+            target, start = np.full(n, 0.1), ConformalState.from_f(geometry, weights.epsilon, u)
+        spec = FlowSpec(
+            FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target, dt=0.05,
+            tolerance=1e-9, trace_stride=1,
+        )  # fmt: skip
+        trace = run_flow(spec, surface, weights, start)
+        assert trace.termination is TerminationReason.CONVERGED
+        assert len(trace.rows) > 100
+
+        state, t, correction, reference, rows = start, 0.0, 0.0, float(start.u.sum()), []
+        while True:
+            k = curvature(surface, weights, state, extended=True).curvature
+            residual = float(np.max(np.abs(k - target)))
+            calabi = 0.5 * float(np.sum((k - target) ** 2))
+            rows.append((t, state.u, k, residual, float(state.u.sum()), calabi, correction))
+            if residual < spec.tolerance:
+                break
+            dt = min(spec.dt, spec.max_time - t)
+            u = state.u + dt * (target - k)
+            if geometry is Geometry.EUCLIDEAN:
+                drift = (float(u.sum()) - reference) / n
+                u -= drift
+                correction += abs(drift)
+            state, t = state.with_u(u), t + dt
+        assert len(trace.rows) == len(rows)
+        for row, expected in zip(trace.rows, rows):
+            assert row == TraceRow(*expected)
+
+    def test_one_step_state_and_pass_per_accepted_step(self, monkeypatch):
+        # what the benchmark's tracer counts: run_flow calls flows.step and
+        # ConformalState.with_u once per accepted step, and the metric kernel once
+        # per accepted state plus once at the start.  The input is the benchmark's
+        # flow_smooth workload at seed 1 (perfbench/workloads.py), 3607 steps
+        surface = generate("torus_grid", 10, 10)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        rng = np.random.default_rng([1, zlib.crc32(b"flow_smooth")])
+        u = rng.normal(0.0, 0.3, surface.vertex_count)
+        start = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u - u.mean())
+        spec = FlowSpec(
+            FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN,
+            target=np.zeros(surface.vertex_count), tolerance=1e-8,
+        )  # fmt: skip
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name] += 1
+                if name == "step" and result[1].status is StepStatus.OK:
+                    calls["accepted"] += 1
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(flows, "step", counted("step", flows.step))
+        monkeypatch.setattr(ConformalState, "with_u", counted("with_u", ConformalState.with_u))
+        monkeypatch.setattr(flows, "_metric", counted("metric", flows._metric))
+        trace = run_flow(spec, surface, weights, start)
+        assert trace.termination is TerminationReason.CONVERGED
+        assert calls["step"] == calls["accepted"] == calls["with_u"] == 3607
+        assert calls["metric"] == calls["accepted"] + 1
 
     def test_normalize_sum_to_records_shift(self):
         surface, weights = tetra_setup()

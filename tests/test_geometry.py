@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
-from dcflow.geometry import _degeneracy, _edge_lengths, _margins
+from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _shape
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -176,11 +178,12 @@ def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
 
 
 def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
-    # the per-edge kernel on a complex of separate edges (2k, 2k + 1)
+    # the per-edge kernel on a complex of separate edges (2k, 2k + 1) and no face
     f = np.column_stack([f_i, f_j]).ravel()
     epsilon = np.tile([eps_i, eps_j], len(f_i))
-    ends = np.arange(f.size).reshape(-1, 2).T
-    return _edge_lengths(EU, ends, WeightConfig(epsilon, np.full(len(f_i), eta)), f)
+    plan = SimpleNamespace(ends=np.arange(f.size).reshape(-1, 2).T, corners=np.zeros((5, 0), int))
+    kernel = _kernel_weights(EU, WeightConfig(epsilon, np.full(len(f_i), eta)))
+    return _shape(plan, kernel, EU, f)[1]
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])

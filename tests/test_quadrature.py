@@ -170,8 +170,8 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
         du = u_to - u_from
         if calculus._clear_of_walls(geometry, surface, eps, eta, u_from, du):
             certified += 1
-            lengths = calculus._segment_shape(geometry, surface, weights, u_from, du, grid)
-            margins = calculus._degeneracy(calculus._margins(lengths))[0]
+            _, m = calculus._segment_shape(geometry, surface, weights, u_from, du, grid)
+            margins = calculus._degeneracy(m)[0]
             assert np.all(margins > 0.0)
             strict = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=False)
         else:
