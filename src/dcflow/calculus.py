@@ -38,6 +38,7 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _kernel_weights,
+    _quiet,
     _shape,
     _vertex_terms,
     base_state,
@@ -94,7 +95,8 @@ def _face_shares(surface, weights, geometry, f, extended, metric=None):
     plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
     kernel = _kernel_weights(geometry, weights)
     if metric is None:
-        (x, w), lengths, a, m = _shape(plan, kernel, geometry, f)
+        with np.errstate(over="ignore", invalid="ignore"):  # the length checks reject it
+            (x, w), lengths, a, m = _shape(plan, kernel, geometry, f)
     else:  # the pass's lengths are finite, so the vertex terms that made them are too
         x, w = (t.take(plan.ends) for t in _vertex_terms(geometry, kernel[0], f))
         lengths, a, m = metric.lengths, metric.lengths.take(plan.corners), metric.m
@@ -178,6 +180,8 @@ def curvature_jacobian(
     weights: WeightConfig,
     state: ConformalState,
     extended: bool = False,
+    *,
+    _pass=None,
 ) -> "scipy.sparse.csr_matrix":
     """Sparse d(K)/d(u): one weight per edge at (i, j) and (j, i), plus the diagonal.
 
@@ -186,17 +190,12 @@ def curvature_jacobian(
     hyperbolic ones.  With ``extended`` set, degenerate faces contribute
     nothing, matching the derivative of the extended curvature inside
     degenerate regions; without it the first one raises DegenerateFaceError.
+    ``_pass``: the caller's kernel pass at ``state`` (``geometry._metric``).
     """
-    return _jacobian(surface, weights, state.geometry, state.f, extended)
-
-
-def _jacobian(surface, weights, geometry, f, extended, metric=None):
-    # the faces' shares (on the pass ``metric`` at f, if given) in one bincount into
-    # the cached CSR pattern
     import scipy.sparse as sp  # on first use, so importing the package skips it
 
     plan, n = surface._plan, surface.vertex_count
-    shares = _face_shares(surface, weights, geometry, f, extended, metric)
+    shares = _face_shares(surface, weights, state.geometry, state.f, extended, _pass)
     sums = np.bincount(plan.bins.ravel(), shares.ravel(), len(surface.edges) + n)
     return sp.csr_matrix((sums.take(plan.entries), plan.indices, plan.indptr), shape=(n, n))
 
@@ -225,6 +224,7 @@ class EnergyValue:
     extended: bool
 
 
+@_quiet
 def _segment_shape(geometry, mesh, weights, u0, du, ts):
     # Rolled opposite lengths (5, F, T) and margins (3, F, T) at u0 + ts * du on the
     # mesh's plan; the wall scan and the bisection take the margins, the quadrature both

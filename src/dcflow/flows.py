@@ -11,18 +11,16 @@ Explicit Euler is the default integrator with classical RK4 as an
 option.  A failed stage is rejected with the status the step reports
 if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
-reaching zero gives ANOMALY at once.  ``run_flow`` resolves the kind's
-flags, the target and the kernel's weights once per call.  Every
-accepted state gets one metric kernel pass (``geometry._metric``; a
-strict kind's is its wall test, handed on by ``step``) and one deficit
-target - K, which serve the residual check, the trace row and the first
-stage of the next step: the deficit is the Euler velocity of every kind
-but Ricci and Calabi, and a Calabi step builds its Jacobian on the pass's
-lengths.  So an accepted Euler step is its arithmetic, one
-``ConformalState.with_u`` and one ``StepOutcome``.  ``run_flow`` records
-rows in one place: at the start, every ``trace_stride`` steps and at the
-last accepted state.  The flow never reads the potential it decreases,
-so ``FlowTrace.energies`` integrates the row potentials on first read.
+reaching zero gives ANOMALY at once.  ``run_flow`` resolves the target
+and the kernel's weights once per call.  Every accepted state gets one
+metric kernel pass (``geometry._metric``; a strict kind's is its wall
+test, handed on by ``step``) and one deficit target - K, which serve the
+residual check, the trace row and the first stage of the next step (a
+Calabi step builds its Jacobian on the pass's lengths).  ``run_flow``
+records rows in one place: at the start, every ``trace_stride`` steps
+and at the last accepted state.  The flow never reads the potential it
+decreases, so ``FlowTrace.energies`` integrates the row potentials on
+first read.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import _jacobian, _potential_chain
+from .calculus import _potential_chain, curvature_jacobian
 from .errors import (
     BadParameterError,
     DegenerateFaceError,
@@ -43,7 +40,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, _kernel_weights, _metric, base_state
+from .geometry import ConformalState, Geometry, _kernel_weights, _metric, _quiet, base_state
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -76,22 +73,10 @@ class FlowKind(enum.Enum):
     CALABI = "calabi"
     MODIFIED_CALABI = "modified-calabi"
 
-    @property
-    def is_extended(self) -> bool:
-        return self is FlowKind.EXTENDED_MODIFIED_RICCI
-
-    @property
-    def is_calabi(self) -> bool:
-        return self in (FlowKind.CALABI, FlowKind.MODIFIED_CALABI)
-
-    @property
-    def is_modified(self) -> bool:
-        return self in (
-            FlowKind.NORMALIZED_RICCI,
-            FlowKind.MODIFIED_RICCI,
-            FlowKind.EXTENDED_MODIFIED_RICCI,
-            FlowKind.MODIFIED_CALABI,
-        )
+    def __init__(self, value: str):  # plain attributes: a step reads them with no call
+        self.is_extended = value == "extended-ricci"
+        self.is_calabi = value.endswith("calabi")
+        self.is_modified = value not in ("ricci", "calabi")
 
 
 class TerminationReason(enum.Enum):
@@ -197,7 +182,7 @@ class FlowTrace:
         return _potential_chain(surface, weights, geometry, target, base_u, us)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepOutcome:
     status: StepStatus
     dt_used: float
@@ -269,36 +254,24 @@ def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarr
     return resolve_target(spec, surface)
 
 
-class _Run(NamedTuple):  # a flow resolved once per run_flow, step or vector_field call
-    target: np.ndarray
-    kernel: tuple  # the length formula's weights, geometry._kernel_weights
-    extended: bool
-    calabi: bool
-    ricci: bool  # moves by -K
-    conserved: bool  # the Euclidean kinds but plain Ricci keep the coordinate sum
-    rk4: bool
+def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig) -> tuple:
+    # the target and the kernel's weights, once per run_flow, step or vector_field call
+    return _admissible_target(spec, surface), _kernel_weights(spec.geometry, weights)
 
 
-def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig) -> _Run:
-    kind, ricci = spec.kind, spec.kind is FlowKind.RICCI
-    return _Run(
-        _admissible_target(spec, surface), _kernel_weights(spec.geometry, weights),
-        kind.is_extended, kind.is_calabi, ricci,
-        spec.geometry is Geometry.EUCLIDEAN and not ricci, spec.integrator == "rk4",
-    )  # fmt: skip
-
-
-def _field(run, surface, weights, state, metric=None):
-    # ``metric``: the caller's kernel pass at state, with the kind's extended flag
+@_quiet
+def _field(spec, surface, weights, state, run, metric=None):
+    # ``run``: _resolve's (target, kernel); ``metric``: a kernel pass at state (see step)
+    kind, (target, kernel) = spec.kind, run
     if metric is None:
-        metric = _metric(surface, run.kernel, state.geometry, state.f, run.extended)
-    if run.ricci:
+        metric = _metric(surface, kernel, state.geometry, state.f, kind.is_extended)
+    if kind is FlowKind.RICCI:
         return -metric.curvature
-    if not run.calabi:
-        return run.target - metric.curvature
+    if not kind.is_calabi:
+        return target - metric.curvature
     # Calabi kinds: Laplacian of the curvature deficit, on the lengths of the same pass
-    lam = _jacobian(surface, weights, state.geometry, state.f, False, metric)
-    return -(lam @ (metric.curvature - run.target))
+    lam = curvature_jacobian(surface, weights, state, _pass=metric)
+    return -(lam @ (metric.curvature - target))
 
 
 def vector_field(
@@ -308,20 +281,21 @@ def vector_field(
     state: ConformalState,
 ) -> np.ndarray:
     """Per-vertex velocity of the flow at one state."""
-    return _field(_resolve(spec, surface, weights), surface, weights, state)
+    return _field(spec, surface, weights, state, _resolve(spec, surface, weights))
 
 
+@_quiet
 def _wall_pass(surface, kernel, state):
     # a strict kind's wall test; where it passes, the curvature is the non-extended one
     return _metric(surface, kernel, state.geometry, state.f, extended=True)
 
 
-def _rk4(run, surface, weights, state, dt, k1):
+def _rk4(spec, surface, weights, state, run, dt, k1):
     """The classical RK4 coordinates from k1 at ``state``; a failed stage raises its own error."""
     u0 = state.u
 
     def velocity(u):
-        return _field(run, surface, weights, state.with_u(u))
+        return _field(spec, surface, weights, state.with_u(u), run)
 
     k2 = velocity(u0 + 0.5 * dt * k1)
     k3 = velocity(u0 + 0.5 * dt * k2)
@@ -345,43 +319,43 @@ def step(
     Returns the new state with a StepOutcome; on DEGENERATED or ANOMALY
     the state is returned unchanged.  ``sum_reference`` is the
     coordinate sum the drift compensation restores (defaults to the
-    current sum).  ``_run``: the caller's ``_resolve(spec, surface, weights)``;
-    ``_pass``: its metric kernel pass at ``state`` (with the kind's ``extended``
-    flag) and the velocity there, or None; a strict kind hands the pass of its
-    wall test on as ``StepOutcome._pass``.
+    current sum).  ``_run``: the caller's ``_resolve``; ``_pass``: its kernel pass at
+    ``state`` (with the kind's ``extended`` flag) and the velocity there or None; a
+    strict kind hands the pass of its wall test on as ``StepOutcome._pass``.
     """
     if state.geometry is not spec.geometry:
         raise BadParameterError("state geometry does not match the flow spec")
+    kind = spec.kind
     run = _resolve(spec, surface, weights) if _run is None else _run
     metric, k1 = (None, None) if _pass is None else _pass
-    margin_floor = CALABI_MARGIN_SLACK if run.calabi else 0.0
-    if run.calabi:
+    calabi, extended = kind.is_calabi, kind.is_extended
+    margin_floor = CALABI_MARGIN_SLACK if calabi else 0.0
+    if calabi:
         if metric is None:
-            metric = _wall_pass(surface, run.kernel, state)
+            metric = _wall_pass(surface, run[1], state)
         if metric.m.min() <= margin_floor:
             # the curvature Laplacian has no continuous extension, so the
             # Calabi flow stops when a face gets this close to a wall
             return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
+    # these kinds conserve the coordinate sum: remove each step's discretization drift
+    conserved = spec.geometry is Geometry.EUCLIDEAN and kind is not FlowKind.RICCI
     reference = float(state.u.sum()) if sum_reference is None else sum_reference
     halvings, dt_try, drift = 0, float(spec.dt if dt is None else dt), 0.0
     while True:
         try:  # a failed stage rejects the step with the status it reports if it gives up
             if k1 is None:  # the velocity at state, the same for every halving
-                k1 = _field(run, surface, weights, state, metric)
-            if run.rk4:
-                u_new = _rk4(run, surface, weights, state, dt_try, k1)
+                k1 = _field(spec, surface, weights, state, run, metric)
+            if spec.integrator == "rk4":
+                u_new = _rk4(spec, surface, weights, state, run, dt_try, k1)
             else:
                 u_new = state.u + dt_try * k1
-            if run.conserved:  # remove each step's discretization drift
+            if conserved:
                 drift = (float(u_new.sum()) - reference) / surface.vertex_count
                 u_new -= drift
             new_state = state.with_u(u_new)
-            wall = None if run.extended else _wall_pass(surface, run.kernel, new_state)
+            wall = None if extended else _wall_pass(surface, run[1], new_state)
             if wall is None or not wall.m.min() <= margin_floor:
-                outcome = object.__new__(StepOutcome)  # not the frozen __init__'s five setattrs
-                outcome.__dict__.update(status=StepStatus.OK, dt_used=dt_try, halvings=halvings)
-                outcome.__dict__.update(correction=abs(drift), _pass=wall)
-                return new_state, outcome
+                return new_state, StepOutcome(StepStatus.OK, dt_try, halvings, abs(drift), wall)
             status = StepStatus.DEGENERATED
         except DomainError:  # a hyperbolic cone coordinate reached 0: no retry
             return state, StepOutcome(status=StepStatus.ANOMALY, dt_used=0.0, halvings=halvings)
@@ -389,12 +363,13 @@ def step(
             status = StepStatus.DEGENERATED
         except (NumericalDomainError, OverflowRangeError):
             status = StepStatus.ANOMALY
-        if run.extended or halvings >= MAX_HALVINGS:
+        if extended or halvings >= MAX_HALVINGS:
             return state, StepOutcome(status=status, dt_used=0.0, halvings=halvings)
         halvings += 1
         dt_try *= 0.5
 
 
+@_quiet
 def run_flow(
     spec: FlowSpec,
     surface: TriangulatedSurface,
@@ -409,7 +384,7 @@ def run_flow(
     if initial.geometry is not spec.geometry:
         raise BadParameterError("initial state geometry does not match the flow spec")
     run = _resolve(spec, surface, weights)
-    target = run.target
+    target, kernel = run
 
     state = initial
     shift = 0.0
@@ -431,9 +406,9 @@ def run_flow(
 
     # each accepted state's one kernel pass and deficit target - K give the residual,
     # the trace row and, for the kinds that move by the deficit, the next velocity
-    geometry, kernel, extended = spec.geometry, run.kernel, run.extended
-    by_deficit = not (run.ricci or run.calabi)
-    tolerance, max_time, stride = spec.tolerance, spec.max_time, spec.trace_stride
+    kind, geometry, ok = spec.kind, spec.geometry, StepStatus.OK
+    extended, by_deficit = kind.is_extended, not kind.is_calabi and kind is not FlowKind.RICCI
+    tolerance, max_time, dt, stride = spec.tolerance, spec.max_time, spec.dt, spec.trace_stride
     metric = _metric(surface, kernel, geometry, state.f, extended)
     deficit = target - metric.curvature
     residual = float(np.abs(deficit).max())
@@ -446,15 +421,12 @@ def run_flow(
             break
         here = (metric, deficit if by_deficit else None)
         state_new, outcome = step(
-            spec, surface, weights, state, min(spec.dt, max_time - t),
+            spec, surface, weights, state, min(dt, max_time - t),
             sum_reference=sum_reference, _run=run, _pass=here,
         )  # fmt: skip
-        if outcome.status is not StepStatus.OK:
-            termination = (
-                TerminationReason.DEGENERATED
-                if outcome.status is StepStatus.DEGENERATED
-                else TerminationReason.DIVERGED
-            )
+        if outcome.status is not ok:
+            stopped = outcome.status is StepStatus.DEGENERATED
+            termination = TerminationReason.DEGENERATED if stopped else TerminationReason.DIVERGED
             break
         state = state_new
         t += outcome.dt_used

@@ -22,22 +22,21 @@ wall that every derived quantity (curvature, areas) accepts.
 
 ``_metric`` is the one metric kernel of the package: one pass from the
 exponents f to lengths, margins, angles and curvature, on a plan cached
-per surface (``TriangulatedSurface._plan``), with the weights resolved
-per call by ``_kernel_weights``.  Its first half, ``_shape``, is the
-plan's gathers: ``ends`` gathers the per-vertex terms x and w of
-``_vertex_terms`` at both ends of every edge, and one take of
-``corners`` gives the lengths opposite corners 0, 1, 2, 0, 1 of every
-face.  So the pass is corner-major: the margins (``_margins``), the wall
-test (``_degeneracy``) and the angles (``_angles``) are operations on
-whole (3, F) rows.  Each elementwise operation and each per-vertex sum
-is the one the face-major (F, 3) formulas make, in the same order, and
-the angles are written in (F, 3) order for ``bincount``, so the layout
-changes no bit.  Curvature, the energy integrand and the strict-flow
-wall test take every quantity from these functions; the Jacobians take
-the lengths and margins (a flow step's Jacobian those of the step's own
-pass), and their cosines from the same scaled margins.  Only the length
-formula can overflow or go invalid; the functions that evaluate it run
-under one ``np.errstate`` and its checks reject what did.
+per surface (``TriangulatedSurface._plan``).  Its first half, ``_shape``,
+gathers the per-vertex terms x and w of ``_vertex_terms`` at both ends
+of every edge (the plan's ``ends``) and takes the lengths opposite
+corners 0, 1, 2, 0, 1 of every face (its ``corners``).  So the pass is
+corner-major: the margins (``_margins``), the wall test (``_degeneracy``)
+and the angles (``_angles``) are operations on whole (3, F) rows.  Each
+elementwise operation and each per-vertex sum is the one the face-major
+(F, 3) formulas make, in the same order, and the angles go back to (F, 3)
+order before ``bincount`` sums them, so the layout changes no bit.
+Curvature, the energy integrand and the strict-flow wall test take every
+quantity from these functions; the Jacobians take the lengths and
+margins (a flow step's those of its own pass), and their cosines from
+the same scaled margins.  Only the length formula can overflow or go
+invalid: it runs under its callers' ``np.errstate`` (``_quiet``) and its
+checks reject what did.
 """
 
 from __future__ import annotations
@@ -81,8 +80,9 @@ __all__ = [
 # |f| beyond this cannot be exponentiated in double precision.
 F_CAP = 700.0
 
-# The length evaluators run under this: their checks reject what overflowed or went
-# invalid.  As a decorator it keeps its state per call, so nested calls are safe.
+# The length formula runs under this, entered by the functions that call the kernel
+# (run_flow once per run): its checks reject what overflowed or went invalid.  As a
+# decorator it keeps its state per call, so nested calls are safe.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -94,7 +94,11 @@ class Geometry(enum.Enum):
 
     @property
     def background_curvature(self) -> float:
-        return 0.0 if self is Geometry.EUCLIDEAN else -1.0
+        return 0.0 if self is _EUCLIDEAN else -1.0
+
+
+# the kernel tests this on every pass: a global is cheaper to read than an enum member
+_EUCLIDEAN = Geometry.EUCLIDEAN
 
 
 def _check_f_range(f: np.ndarray) -> None:
@@ -115,7 +119,7 @@ def u_to_f(geometry: Geometry, epsilon, u):
     """
     u = np.asarray(u, dtype=np.float64)
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         _check_f_range(u)
         return u.copy()
     f = u.copy()
@@ -133,7 +137,7 @@ def f_to_u(geometry: Geometry, epsilon, f):
     f = np.asarray(f, dtype=np.float64)
     _check_f_range(f)
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         return f.copy()
     u = f.copy()
     mask = np.broadcast_to(epsilon == 1, f.shape)
@@ -146,7 +150,8 @@ class ConformalState:
     """Flow coordinates u for every vertex, with derived exponents cached.
 
     The epsilon array travels with the state because the u <-> f
-    conversion depends on it vertex by vertex.
+    conversion depends on it vertex by vertex.  A Euclidean state's f is
+    its u, which may be the caller's array: edit neither in place.
     """
 
     geometry: Geometry
@@ -161,7 +166,7 @@ class ConformalState:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.epsilon.shape:
             raise BadParameterError("epsilon and u must have matching shapes")
-        euclidean = self.geometry is Geometry.EUCLIDEAN  # f = u: one reduction checks both
+        euclidean = self.geometry is _EUCLIDEAN  # f = u: one reduction checks both
         if not (np.abs(u).max(initial=0.0) <= F_CAP if euclidean else np.isfinite(u).all()):
             if not np.isfinite(u).all():
                 raise BadParameterError("u contains non-finite values")
@@ -189,7 +194,7 @@ class ConformalState:
 def base_state(geometry: Geometry, epsilon) -> ConformalState:
     """Reference state: u = 0 for Euclidean, f = 0 for hyperbolic."""
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         return ConformalState(geometry, epsilon, np.zeros(epsilon.shape))
     return ConformalState.from_f(geometry, epsilon, np.zeros(epsilon.shape))
 
@@ -199,27 +204,24 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 
 
 def _vertex_terms(geometry: Geometry, eps, f):
-    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C
-    # (hyperbolic); eps None stands for all ones, whose product changes no bit
+    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C (hyperbolic)
     x = np.exp(f)
-    if geometry is Geometry.EUCLIDEAN:
-        return x, x**2 if eps is None else eps * x**2
-    return x, np.hypot(1.0, x) if eps is None else np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
+    if geometry is _EUCLIDEAN:
+        return x, eps * x**2
+    return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
 
 
 def _kernel_weights(geometry: Geometry, weights: WeightConfig) -> tuple:
-    # (eps, c) as the length formula reads them: eps as floats (V,), None when all are 1,
-    # and the cross weight c (E,), 2 eta (Euclidean) or eta (hyperbolic).  Made per call,
-    # never cached on the config, whose arrays a caller may edit in place.
-    eps = weights.epsilon
-    eps = None if (eps == 1).all() else eps.astype(np.float64)
-    return eps, 2.0 * weights.eta if geometry is Geometry.EUCLIDEAN else weights.eta
+    # (eps as floats (V,), cross weight c (E,): 2 eta or eta) as the length formula reads
+    # them; made per call, never cached on the config, whose arrays a caller may edit
+    cross = 2.0 * weights.eta if geometry is _EUCLIDEAN else weights.eta
+    return weights.epsilon.astype(np.float64), cross
 
 
 def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
     # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP) and the
     # cross weight c of _kernel_weights; the checks reject what overflowed or went invalid
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         rad = w_i + w_j + cross * x_i * x_j
         if not math.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
@@ -243,24 +245,20 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     _check_f_range(f_j)
     x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
     x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
-    cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is Geometry.EUCLIDEAN else 1.0)
+    cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is _EUCLIDEAN else 1.0)
     out = _lengths(geometry, w_i, w_j, cross, x_i, x_j)
     return out if out.shape else float(out)
 
 
-@_quiet
 def _shape(plan, kernel: tuple, geometry: Geometry, f) -> tuple:
-    """The kernel's first half: (terms, lengths, a, m) from exponents f (V, ...).
-
-    A surface's ``plan`` gathers the vertex terms (x, w) at both ends of every edge
-    (``ends``, (2, E)) and the rolled lengths a (``corners``, (5, F)), whose margins
-    m (3, F) it takes; ``kernel`` holds the weights as ``_kernel_weights`` resolves
-    them.  Everything broadcasts over the trailing axes of f.
-    """
+    """The kernel's first half: vertex terms (x, w) (2, E), lengths (E,), rolled lengths
+    a (5, F) and margins m (3, F) from exponents f (V,) on a surface's ``plan``, with the
+    weights of ``_kernel_weights``, under the caller's ``_quiet``; all broadcast over the
+    trailing axes of f."""
     eps, cross = kernel
     if f.ndim > 1:  # columns against the trailing axes of f
         column = (-1,) + (1,) * (f.ndim - 1)
-        eps, cross = None if eps is None else eps.reshape(column), cross.reshape(column)
+        eps, cross = eps.reshape(column), cross.reshape(column)
     x, w = _vertex_terms(geometry, eps, f)
     x, w = x.take(plan.ends, axis=0), w.take(plan.ends, axis=0)
     lengths = _lengths(geometry, w[0], w[1], cross, x[0], x[1])
@@ -284,7 +282,7 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
     i, j = edges[:, 0], edges[:, 1]
     eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
     else:
         terms = [w[i] * w[j], eta * x[i] * x[j]]
@@ -293,11 +291,12 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))
     lo = ends[:, :, 0].sum(axis=0) - slack
     hi = ends[:, :, 1].sum(axis=0) + slack
-    if geometry is Geometry.EUCLIDEAN:
+    if geometry is _EUCLIDEAN:
         return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
     return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
 
 
+@_quiet
 def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
@@ -349,7 +348,7 @@ def _degeneracy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin, np.where(margin <= 0.0, m.argmin(axis=0), -1)
 
 
-def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Angles (3, ...) at the three corners from rolled lengths ``a`` and margins ``m``.
 
     Half-angle formulas on the margins clamped at 0: with P the perimeter,
@@ -361,23 +360,23 @@ def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray, out=None) -> np.nd
     with w_c = 1 (Euclidean) or e^{-m_c} (hyperbolic: the sinh(s - a)
     form with its e^{y/2} factors cancelled, so nothing overflows).  A
     zero margin gives exactly pi at its corner and 0 at the other two:
-    the extension across the wall is the formula itself.  ``out`` (3, ...),
-    a view of the caller's layout, receives the angles.
+    the extension across the wall is the formula itself.
     """
     r, perim = np.maximum(m, 0.0), a[0] + a[1] + a[2]  # in place below: few arrays alive
-    euclidean = geometry is Geometry.EUCLIDEAN
+    euclidean = geometry is _EUCLIDEAN
+    num = np.empty_like(r) if euclidean else np.exp(-0.5 * r)
     if not euclidean:
-        num = np.exp(-0.5 * r)
         np.expm1(-r, out=r)
         perim = np.expm1(-perim)
     np.sqrt(np.divide(r, perim, out=r), out=r)
-    rolled = r.take([1, 2, 0, 1], axis=0)  # rows c + 1 and c + 2 of r as two windows
-    if euclidean:
-        num = np.multiply(rolled[:3], rolled[1:])
-    else:
-        num *= rolled[:3]
-        num *= rolled[1:]
-    half = np.arctan2(num, r, out=num if out is None else out)
+    if euclidean:  # r_{c+1} r_{c+2}: row 0, then rows 1 and 2 as r_0 (r_2, r_1)
+        np.multiply(r[1], r[2], out=num[0, ...])
+        np.multiply(r[0], r[2:0:-1], out=num[1:])
+    else:  # e^{-m_c/2} r_{c+1} r_{c+2}, multiplied in that order
+        for c in range(3):
+            num[c] *= r[(c + 1) % 3]
+            num[c] *= r[(c + 2) % 3]
+    half = np.arctan2(num, r, out=num)
     return np.multiply(half, 2.0, out=half)
 
 
@@ -432,11 +431,7 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
     corner's wall empty.
     """
     eps = np.asarray(eps_triple, dtype=np.float64)
-    eta = np.asarray(eta_triple, dtype=np.float64)
-    out = np.empty(3)
-    for c in range(3):
-        out[c] = eta[c] ** 2 - eps[(c + 1) % 3] * eps[(c + 2) % 3]
-    return out
+    return np.asarray(eta_triple, dtype=np.float64) ** 2 - eps[[1, 2, 0]] * eps[[2, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +479,18 @@ def _metric(
 ) -> _Metric:
     """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
 
-    ``kernel`` holds the weights as ``_kernel_weights`` resolves them.  Without
-    ``extended`` the first degenerate face raises DegenerateFaceError."""
-    lengths, a, m = _shape(surface._plan, kernel, geometry, f)[1:]
+    ``kernel`` holds the weights as ``_kernel_weights`` resolves them; the caller enters
+    ``_quiet``.  Without ``extended`` the first degenerate face raises DegenerateFaceError."""
+    plan = surface._plan
+    lengths, a, m = _shape(plan, kernel, geometry, f)[1:]  # the vertex terms go
     if not extended and m.min() <= 0.0:  # the wall test's shortcut: some face is degenerate
         raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
-    plan, angles = surface._plan, np.empty((m.shape[1], 3))  # (F, 3): bincount's order
-    _angles(geometry, a, m, out=angles.T)
+    angles = np.ascontiguousarray(_angles(geometry, a, m).T)  # (F, 3): bincount's order
     acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
-    return _Metric(lengths, m, angles, np.subtract(2.0 * np.pi, acc, out=acc))
+    return _Metric(lengths, m, angles, 2.0 * np.pi - acc)
 
 
+@_quiet
 def curvature(
     surface: TriangulatedSurface,
     weights: WeightConfig,
@@ -541,9 +537,4 @@ def coshl_bounds(eps_j: int, eta: float) -> tuple[float, float]:
     eta = float(eta)
     if eps_j * 1 + eta <= 0.0:
         raise BadParameterError("edge weight condition eps_i eps_j + eta > 0 fails")
-    mu = 1.0 + abs(eta)
-    if eta > 0.0:
-        lam = min(1.0, eta)
-    else:
-        lam = 0.5 * (1.0 + eta)
-    return lam, mu
+    return (min(1.0, eta) if eta > 0.0 else 0.5 * (1.0 + eta)), 1.0 + abs(eta)

@@ -32,7 +32,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
-from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _shape
+from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _quiet, _shape
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -177,6 +177,7 @@ def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
         return float(mp.sqrt(rad))
 
 
+@_quiet  # the kernel runs under its caller's errstate
 def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
     # the per-edge kernel on a complex of separate edges (2k, 2k + 1) and no face
     f = np.column_stack([f_i, f_j]).ravel()
