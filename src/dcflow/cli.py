@@ -310,7 +310,14 @@ def parse_document(data) -> MeshDocument:
     target = _float_array(data["Kbar"], "Kbar", n) if "Kbar" in data else None
 
     return MeshDocument(
-        geometry, n, tuple(raw_faces), epsilon, eta_map, factor_kind, factor_values, target
+        geometry=geometry,
+        vertex_count=n,
+        faces=tuple(raw_faces),
+        epsilon=epsilon,
+        eta_map=eta_map,
+        factor_kind=factor_kind,
+        factor_values=factor_values,
+        target=target,
     )
 
 
@@ -489,9 +496,15 @@ def _cmd_flow(args) -> int:
     if state is None:
         state = base_state(doc.geometry, weights.epsilon)
     spec = FlowSpec(
-        FlowKind(args.kind), doc.geometry, target=target, integrator=args.integrator,
-        dt=args.dt, tolerance=args.tol, max_time=args.max_time, trace_stride=args.stride,
-    )  # fmt: skip
+        FlowKind(args.kind),
+        doc.geometry,
+        target=target,
+        integrator=args.integrator,
+        dt=args.dt,
+        tolerance=args.tol,
+        max_time=args.max_time,
+        trace_stride=args.stride,
+    )
     trace = run_flow(spec, surface, weights, state)
     last = trace.rows[-1]
     print(  # before the trace, whose energy read can still fail
@@ -509,15 +522,22 @@ def _cmd_solve(args) -> int:
     if target is None:
         return _fail("no target: pass --target or include Kbar in the document", 2)
     report = solve_prescribed(
-        surface, weights, doc.geometry, target,
-        initial_guess=state, tolerance=args.tol, max_iterations=args.max_iterations,
-    )  # fmt: skip
+        surface,
+        weights,
+        doc.geometry,
+        target,
+        initial_guess=state,
+        tolerance=args.tol,
+        max_iterations=args.max_iterations,
+    )
     print(
         f"solved in {report.iterations} iterations  residual = "
         f"{_format_number(report.residual)}  certificate = "
         f"{_format_number(report.certificate)}  method = {report.method}"
     )
-    payload = document_from_objects(surface, weights, doc.geometry, report.state, target)
+    payload = document_from_objects(
+        surface, weights, doc.geometry, state=report.state, target=target
+    )
     if args.out:
         _write_text(args.out, dump_document(payload))
     return 0

@@ -406,27 +406,29 @@ def run_flow(
 
     # each accepted state's one kernel pass and deficit target - K give the residual,
     # the trace row and, for the kinds that move by the deficit, the next velocity
-    kind, geometry, ok = spec.kind, spec.geometry, StepStatus.OK
-    extended, by_deficit = kind.is_extended, not kind.is_calabi and kind is not FlowKind.RICCI
-    tolerance, max_time, dt, stride = spec.tolerance, spec.max_time, spec.dt, spec.trace_stride
-    metric = _metric(surface, kernel, geometry, state.f, extended)
+    kind, extended = spec.kind, spec.kind.is_extended
+    by_deficit = not kind.is_calabi and kind is not FlowKind.RICCI
+    metric = _metric(surface, kernel, spec.geometry, state.f, extended)
     deficit = target - metric.curvature
     residual = float(np.abs(deficit).max())
     record(0.0, state, metric.curvature, deficit, residual)
     t, steps = 0.0, 0
     termination = TerminationReason.CONVERGED
-    while not residual < tolerance:  # a NaN residual never converges
-        if t >= max_time - 1e-12:
+    while not residual < spec.tolerance:  # a NaN residual never converges
+        if t >= spec.max_time - 1e-12:
             termination = TerminationReason.MAX_TIME
             break
         here = (metric, deficit if by_deficit else None)
         state_new, outcome = step(
-            spec, surface, weights, state, min(dt, max_time - t),
+            spec, surface, weights, state, min(spec.dt, spec.max_time - t),
             sum_reference=sum_reference, _run=run, _pass=here,
         )  # fmt: skip
-        if outcome.status is not ok:
-            stopped = outcome.status is StepStatus.DEGENERATED
-            termination = TerminationReason.DEGENERATED if stopped else TerminationReason.DIVERGED
+        if outcome.status is not StepStatus.OK:
+            termination = (
+                TerminationReason.DEGENERATED
+                if outcome.status is StepStatus.DEGENERATED
+                else TerminationReason.DIVERGED
+            )
             break
         state = state_new
         t += outcome.dt_used
@@ -435,7 +437,7 @@ def run_flow(
         metric = outcome._pass  # a strict kind's wall test pass
         if metric is None:
             try:
-                metric = _metric(surface, kernel, geometry, state.f, extended)
+                metric = _metric(surface, kernel, spec.geometry, state.f, extended)
             except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
                 return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
         deficit = target - metric.curvature
@@ -443,7 +445,7 @@ def run_flow(
         if not residual <= DIVERGENCE_RESIDUAL:  # NaN too
             termination = TerminationReason.DIVERGED
             break
-        if steps % stride == 0 and not residual < tolerance:
+        if steps % spec.trace_stride == 0 and not residual < spec.tolerance:
             record(t, state, metric.curvature, deficit, residual)
 
     if rows[-1].t < t:

@@ -94,11 +94,7 @@ class Geometry(enum.Enum):
 
     @property
     def background_curvature(self) -> float:
-        return 0.0 if self is _EUCLIDEAN else -1.0
-
-
-# the kernel tests this on every pass: a global is cheaper to read than an enum member
-_EUCLIDEAN = Geometry.EUCLIDEAN
+        return 0.0 if self is Geometry.EUCLIDEAN else -1.0
 
 
 def _check_f_range(f: np.ndarray) -> None:
@@ -119,7 +115,7 @@ def u_to_f(geometry: Geometry, epsilon, u):
     """
     u = np.asarray(u, dtype=np.float64)
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         _check_f_range(u)
         return u.copy()
     f = u.copy()
@@ -137,7 +133,7 @@ def f_to_u(geometry: Geometry, epsilon, f):
     f = np.asarray(f, dtype=np.float64)
     _check_f_range(f)
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         return f.copy()
     u = f.copy()
     mask = np.broadcast_to(epsilon == 1, f.shape)
@@ -166,7 +162,7 @@ class ConformalState:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.epsilon.shape:
             raise BadParameterError("epsilon and u must have matching shapes")
-        euclidean = self.geometry is _EUCLIDEAN  # f = u: one reduction checks both
+        euclidean = self.geometry is Geometry.EUCLIDEAN  # f = u: one reduction checks both
         if not (np.abs(u).max(initial=0.0) <= F_CAP if euclidean else np.isfinite(u).all()):
             if not np.isfinite(u).all():
                 raise BadParameterError("u contains non-finite values")
@@ -194,7 +190,7 @@ class ConformalState:
 def base_state(geometry: Geometry, epsilon) -> ConformalState:
     """Reference state: u = 0 for Euclidean, f = 0 for hyperbolic."""
     epsilon = np.asarray(epsilon, dtype=np.int64)
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         return ConformalState(geometry, epsilon, np.zeros(epsilon.shape))
     return ConformalState.from_f(geometry, epsilon, np.zeros(epsilon.shape))
 
@@ -206,7 +202,7 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 def _vertex_terms(geometry: Geometry, eps, f):
     # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C (hyperbolic)
     x = np.exp(f)
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         return x, eps * x**2
     return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
 
@@ -214,14 +210,14 @@ def _vertex_terms(geometry: Geometry, eps, f):
 def _kernel_weights(geometry: Geometry, weights: WeightConfig) -> tuple:
     # (eps as floats (V,), cross weight c (E,): 2 eta or eta) as the length formula reads
     # them; made per call, never cached on the config, whose arrays a caller may edit
-    cross = 2.0 * weights.eta if geometry is _EUCLIDEAN else weights.eta
+    cross = 2.0 * weights.eta if geometry is Geometry.EUCLIDEAN else weights.eta
     return weights.epsilon.astype(np.float64), cross
 
 
 def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
     # Core of every length, on the _vertex_terms of both ends (|f| <= F_CAP) and the
     # cross weight c of _kernel_weights; the checks reject what overflowed or went invalid
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         rad = w_i + w_j + cross * x_i * x_j
         if not math.isfinite(rad.max()):  # max propagates NaN
             raise OverflowRangeError("euclidean length overflow")
@@ -245,7 +241,7 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     _check_f_range(f_j)
     x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
     x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
-    cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is _EUCLIDEAN else 1.0)
+    cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is Geometry.EUCLIDEAN else 1.0)
     out = _lengths(geometry, w_i, w_j, cross, x_i, x_j)
     return out if out.shape else float(out)
 
@@ -282,7 +278,7 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
     i, j = edges[:, 0], edges[:, 1]
     eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
     else:
         terms = [w[i] * w[j], eta * x[i] * x[j]]
@@ -291,7 +287,7 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))
     lo = ends[:, :, 0].sum(axis=0) - slack
     hi = ends[:, :, 1].sum(axis=0) + slack
-    if geometry is _EUCLIDEAN:
+    if geometry is Geometry.EUCLIDEAN:
         return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(hi)
     return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
 
@@ -363,7 +359,7 @@ def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
     the extension across the wall is the formula itself.
     """
     r, perim = np.maximum(m, 0.0), a[0] + a[1] + a[2]  # in place below: few arrays alive
-    euclidean = geometry is _EUCLIDEAN
+    euclidean = geometry is Geometry.EUCLIDEAN
     num = np.empty_like(r) if euclidean else np.exp(-0.5 * r)
     if not euclidean:
         np.expm1(-r, out=r)
@@ -431,7 +427,11 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
     corner's wall empty.
     """
     eps = np.asarray(eps_triple, dtype=np.float64)
-    return np.asarray(eta_triple, dtype=np.float64) ** 2 - eps[[1, 2, 0]] * eps[[2, 0, 1]]
+    eta = np.asarray(eta_triple, dtype=np.float64)
+    out = np.empty(3)
+    for c in range(3):
+        out[c] = eta[c] ** 2 - eps[(c + 1) % 3] * eps[(c + 2) % 3]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,4 +537,9 @@ def coshl_bounds(eps_j: int, eta: float) -> tuple[float, float]:
     eta = float(eta)
     if eps_j * 1 + eta <= 0.0:
         raise BadParameterError("edge weight condition eps_i eps_j + eta > 0 fails")
-    return (min(1.0, eta) if eta > 0.0 else 0.5 * (1.0 + eta)), 1.0 + abs(eta)
+    mu = 1.0 + abs(eta)
+    if eta > 0.0:
+        lam = min(1.0, eta)
+    else:
+        lam = 0.5 * (1.0 + eta)
+    return lam, mu
