@@ -12,7 +12,8 @@ option.  A failed stage is rejected with the status the step reports
 if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
 reaching zero gives ANOMALY at once.  ``run_flow`` resolves the target
-and the kernel's weights once per call.  Every accepted state gets one
+and the kernel's weights and enters the kernel's ``np.errstate``
+(``geometry._quiet``) once per call.  Every accepted state gets one
 metric kernel pass (``geometry._metric``; a strict kind's is its wall
 test, handed on by ``step``) and one deficit target - K, which serve the
 residual check, the trace row and the first stage of the next step (a
