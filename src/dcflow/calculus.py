@@ -13,10 +13,13 @@ straight segment from a base state.  The integrand is continuous but
 only piecewise smooth when the segment crosses a degeneracy wall.  The
 quadrature first bounds every edge length over the segment; when the
 bounds certify every face clear of its walls, the segment is one smooth
-piece.  Only otherwise do a scan and a bisection that evaluate triangle
-margins alone locate the wall crossings.  Doubling Gauss-Legendre rules
-then run on the two halves of each smooth piece, all halves of one
-doubling round in one batched evaluation of the integrand.
+piece.  Weights with every eps = 1 and every eta in [0, 1] reach no wall,
+so they certify every segment without a bound.  Only otherwise do a scan
+and a bisection that evaluate triangle margins alone locate the wall
+crossings; the bisection takes all of the scan's sign changes in each of
+its rounds.  Doubling Gauss-Legendre rules then run on the two halves of
+each smooth piece, all halves of one doubling round in one batched
+evaluation of the integrand.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
 ``geometry``; the integrand evaluates them per vertex (u -> f and e^f),
@@ -248,7 +251,11 @@ def _energy_evaluator(geometry, mesh, weights, u0, du):
 
 def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
     # True when the length bounds keep every margin on u0 + t du, t in [0, 1], above its
-    # own rounding error, for each column of (V, S) u0 and du; ends as in _segment_shape
+    # own rounding error, for each column of (V, S) u0 and du; ends as in _segment_shape.
+    # With every eps = 1 and every eta in [0, 1] (non-obtuse circle patterns) no wall is
+    # reachable in either geometry, so every segment is clear
+    if np.all(epsilon == 1) and np.all((0.0 <= eta) & (eta <= 1.0)):
+        return np.full(du.shape[1:], True)
     trailing = (1,) * (du.ndim - 1)
     u_ends = u0[:, None] + np.array([0.0, 1.0]).reshape(2, *trailing) * du[:, None]
     f_ends = u_to_f(geometry, np.reshape(epsilon, (-1, 1, *trailing)), u_ends)
@@ -260,21 +267,20 @@ def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
 
 
 def _locate_crossings(margins_at, grid, margins):
-    # margins: (F, T) on the scan grid; returns sorted interior cut points
+    # margins: (F, T) on the scan grid; returns sorted interior cut points.  All sign
+    # changes are bisected together, each round in margins_at calls of at most T points
     sign = margins > 0.0
-    cuts = []
-    flips = np.nonzero(sign[:, 1:] != sign[:, :-1])
-    for face, cell in zip(*flips):
-        lo, hi = grid[cell], grid[cell + 1]
-        want = sign[face, cell]  # margin sign at lo
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if (margins_at(np.array([mid]))[face, 0] > 0.0) == want:
-                lo = mid
-            else:
-                hi = mid
-        cuts.append(0.5 * (lo + hi))
-    return sorted(c for c in cuts if 1e-14 < c < 1.0 - 1e-14)
+    face, cell = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    lo, hi, want = grid[cell], grid[cell + 1], sign[face, cell]  # want: the sign at lo
+    calls = [np.arange(k, min(k + len(grid), len(cell))) for k in range(0, len(cell), len(grid))]
+    above = np.empty(len(cell), dtype=bool)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        for col in calls:
+            above[col] = margins_at(mid[col])[face[col], col - col[0]] > 0.0
+        lo, hi = np.where(above == want, mid, lo), np.where(above == want, hi, mid)
+    cuts = 0.5 * (lo + hi)
+    return np.sort(cuts[(1e-14 < cuts) & (cuts < 1.0 - 1e-14)]).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,11 +393,10 @@ def triangle_energy(
     (checked by sampling).  The value changes by exactly pi * t when all
     three corners shift by t in the Euclidean case.
     """
-    eps = np.asarray(epsilon_triple, dtype=np.float64).astype(np.int64).reshape(3)
-    weights = WeightConfig(eps, np.asarray(eta_triple, dtype=np.float64).reshape(3))
+    weights = WeightConfig(np.reshape(epsilon_triple, 3), np.reshape(eta_triple, 3))
     u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
     if base_triple is None:
-        u0 = base_state(geometry, eps).u
+        u0 = base_state(geometry, weights.epsilon).u
     else:
         u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
     vals = _integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended, tol)

@@ -239,6 +239,8 @@ def _eta_map(raw_eta: dict, n: int) -> dict:
             value = float(item)
         if not np.isfinite(value):
             _schema_fail(f"eta[{key!r}] is not finite")
+        if (i, j) in eta_map:
+            _schema_fail(f"eta names edge {i}-{j} twice")
         eta_map[(i, j)] = value
     return eta_map
 

@@ -13,11 +13,13 @@ if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
 reaching zero gives ANOMALY at once.  ``run_flow`` resolves the target
 and the kernel's weights and enters the kernel's ``np.errstate``
-(``geometry._quiet``) once per call.  Every accepted state gets one
-metric kernel pass (``geometry._metric``; a strict kind's is its wall
-test, handed on by ``step``) and one deficit target - K, which serve the
-residual check, the trace row and the first stage of the next step (a
-Calabi step builds its Jacobian on the pass's lengths).  ``run_flow``
+(``geometry._quiet``) once per call, as a ``step`` or ``vector_field``
+call of its own does.  Every accepted state gets one metric kernel pass
+(``geometry._metric``): ``run_flow`` makes the start's, and ``step`` the
+pass of each state it accepts (a strict kind's is its wall test; a pass
+that fails rejects the step).  The pass and its deficit target - K serve
+the residual check, the trace row and the first stage of the next step
+(a Calabi step builds its Jacobian on the pass's lengths).  ``run_flow``
 records rows in one place: at the start, every ``trace_stride`` steps
 and at the last accepted state.  The flow never reads the potential it
 decreases, so ``FlowTrace.energies`` integrates the row potentials on
@@ -260,9 +262,8 @@ def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig
     return _admissible_target(spec, surface), _kernel_weights(spec.geometry, weights)
 
 
-@_quiet
 def _field(spec, surface, weights, state, run, metric=None):
-    # ``run``: _resolve's (target, kernel); ``metric``: a kernel pass at state (see step)
+    # run: _resolve's (target, kernel); metric: a kernel pass at state (see step); under _quiet
     kind, (target, kernel) = spec.kind, run
     if metric is None:
         metric = _metric(surface, kernel, state.geometry, state.f, kind.is_extended)
@@ -275,6 +276,7 @@ def _field(spec, surface, weights, state, run, metric=None):
     return -(lam @ (metric.curvature - target))
 
 
+@_quiet
 def vector_field(
     spec: FlowSpec,
     surface: TriangulatedSurface,
@@ -283,12 +285,6 @@ def vector_field(
 ) -> np.ndarray:
     """Per-vertex velocity of the flow at one state."""
     return _field(spec, surface, weights, state, _resolve(spec, surface, weights))
-
-
-@_quiet
-def _wall_pass(surface, kernel, state):
-    # a strict kind's wall test; where it passes, the curvature is the non-extended one
-    return _metric(surface, kernel, state.geometry, state.f, extended=True)
 
 
 def _rk4(spec, surface, weights, state, run, dt, k1):
@@ -320,20 +316,25 @@ def step(
     Returns the new state with a StepOutcome; on DEGENERATED or ANOMALY
     the state is returned unchanged.  ``sum_reference`` is the
     coordinate sum the drift compensation restores (defaults to the
-    current sum).  ``_run``: the caller's ``_resolve``; ``_pass``: its kernel pass at
-    ``state`` (with the kind's ``extended`` flag) and the velocity there or None; a
-    strict kind hands the pass of its wall test on as ``StepOutcome._pass``.
+    current sum).  ``_run``: the caller's ``_resolve``, under its ``_quiet`` (a call
+    without it enters both); ``_pass``: its kernel pass at ``state`` (with the kind's
+    ``extended`` flag) and the velocity there or None.  The new state's extended pass,
+    a strict kind's wall test, goes out as ``StepOutcome._pass``.
     """
     if state.geometry is not spec.geometry:
         raise BadParameterError("state geometry does not match the flow spec")
-    kind = spec.kind
-    run = _resolve(spec, surface, weights) if _run is None else _run
+    if _run is None:  # run_flow resolves and enters the errstate once per run, not per step
+        return _quiet(step)(
+            spec, surface, weights, state, dt, sum_reference=sum_reference,
+            _run=_resolve(spec, surface, weights), _pass=_pass,
+        )  # fmt: skip
+    kind, run = spec.kind, _run
     metric, k1 = (None, None) if _pass is None else _pass
     calabi, extended = kind.is_calabi, kind.is_extended
     margin_floor = CALABI_MARGIN_SLACK if calabi else 0.0
     if calabi:
         if metric is None:
-            metric = _wall_pass(surface, run[1], state)
+            metric = _metric(surface, run[1], spec.geometry, state.f, True)
         if metric.m.min() <= margin_floor:
             # the curvature Laplacian has no continuous extension, so the
             # Calabi flow stops when a face gets this close to a wall
@@ -354,9 +355,10 @@ def step(
                 drift = (float(u_new.sum()) - reference) / surface.vertex_count
                 u_new -= drift
             new_state = state.with_u(u_new)
-            wall = None if extended else _wall_pass(surface, run[1], new_state)
-            if wall is None or not wall.m.min() <= margin_floor:
-                return new_state, StepOutcome(StepStatus.OK, dt_try, halvings, abs(drift), wall)
+            # extended: a strict kind's wall test, and where that passes its strict K too
+            new_pass = _metric(surface, run[1], spec.geometry, new_state.f, True)
+            if extended or not new_pass.m.min() <= margin_floor:
+                return new_state, StepOutcome(StepStatus.OK, dt_try, halvings, abs(drift), new_pass)
             status = StepStatus.DEGENERATED
         except DomainError:  # a hyperbolic cone coordinate reached 0: no retry
             return state, StepOutcome(status=StepStatus.ANOMALY, dt_used=0.0, halvings=halvings)
@@ -435,12 +437,7 @@ def run_flow(
         t += outcome.dt_used
         steps += 1
         cumulative_correction += outcome.correction
-        metric = outcome._pass  # a strict kind's wall test pass
-        if metric is None:
-            try:
-                metric = _metric(surface, kernel, spec.geometry, state.f, extended)
-            except (NumericalDomainError, OverflowRangeError, DegenerateFaceError):
-                return FlowTrace(tuple(rows), TerminationReason.DIVERGED, shift, path)
+        metric = outcome._pass
         deficit = target - metric.curvature
         residual = float(np.abs(deficit).max())
         if not residual <= DIVERGENCE_RESIDUAL:  # NaN too

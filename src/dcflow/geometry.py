@@ -56,7 +56,7 @@ from .errors import (
     NumericalDomainError,
     OverflowRangeError,
 )
-from .surface import TriangulatedSurface, WeightConfig
+from .surface import TriangulatedSurface, WeightConfig, _checked_epsilon
 
 __all__ = [
     "Geometry",
@@ -155,7 +155,7 @@ class ConformalState:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", np.asarray(self.epsilon, dtype=np.int64))
+        object.__setattr__(self, "epsilon", _checked_epsilon(self.epsilon))
         self._set_u(self.u)
 
     def _set_u(self, u) -> None:
@@ -189,7 +189,7 @@ class ConformalState:
 
 def base_state(geometry: Geometry, epsilon) -> ConformalState:
     """Reference state: u = 0 for Euclidean, f = 0 for hyperbolic."""
-    epsilon = np.asarray(epsilon, dtype=np.int64)
+    epsilon = _checked_epsilon(epsilon)
     if geometry is Geometry.EUCLIDEAN:
         return ConformalState(geometry, epsilon, np.zeros(epsilon.shape))
     return ConformalState.from_f(geometry, epsilon, np.zeros(epsilon.shape))
@@ -424,7 +424,11 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
     ``eta_triple[c]`` is the weight of the edge opposite corner c.
     Positive entries mark corners whose degeneracy wall can actually be
     reached by some choice of exponents; non-positive entries make that
-    corner's wall empty.
+    corner's wall empty.  That holds only for weights that meet both
+    conditions of ``validate_weights``: eps_s eps_t + eta_st > 0 on each
+    edge and eps_q eta_st + eta_qs eta_qt >= 0 at each corner.  Without
+    them eps = (1, 1, 1), eta = (-0.32, -1, -0.035) has no positive entry,
+    yet f = (1.728, -6.512, -4.126) puts corner 2 past its wall.
     """
     eps = np.asarray(eps_triple, dtype=np.float64)
     eta = np.asarray(eta_triple, dtype=np.float64)

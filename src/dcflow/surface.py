@@ -175,7 +175,10 @@ def _checked_faces(vertex_count, face_list) -> np.ndarray:
             return faces
     rows, seen = [], set()
     for raw in face_list:
-        tri = tuple(sorted(int(v) for v in raw))
+        ints = [int(v) for v in raw]
+        if ints != list(raw):
+            raise BadFaceError(f"face {raw!r} has non-integral vertices")
+        tri = tuple(sorted(ints))
         if len(set(tri)) != 3:
             raise BadFaceError(f"face {raw!r} has repeated vertices")
         if tri[0] < 0 or tri[2] >= vertex_count:
@@ -295,6 +298,15 @@ def generate(kind: str, *dims: int) -> TriangulatedSurface:
 # weights
 
 
+def _checked_epsilon(epsilon) -> np.ndarray:
+    # epsilon as int64; values outside {0, 1} raise before the cast could truncate them
+    eps = np.asarray(epsilon)
+    if not np.all((eps == 0) | (eps == 1)):
+        bad = np.unique(eps[(eps != 0) & (eps != 1)])
+        raise BadParameterError(f"epsilon values {bad.tolist()} are not in {{0, 1}}")
+    return eps.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Vertex weights epsilon (0 or 1) and edge weights eta.
@@ -310,11 +322,8 @@ class WeightConfig:
     eta: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=np.int64)
+        eps = _checked_epsilon(self.epsilon)
         eta = np.asarray(self.eta, dtype=np.float64)
-        if not np.all((eps == 0) | (eps == 1)):
-            bad = np.unique(eps[(eps != 0) & (eps != 1)])
-            raise BadParameterError(f"epsilon values {bad.tolist()} are not in {{0, 1}}")
         if not np.all(np.isfinite(eta)):
             raise BadParameterError("eta contains non-finite values")
         object.__setattr__(self, "epsilon", eps)

@@ -17,6 +17,7 @@ from dcflow.calculus import (
     triangle_jacobian,
 )
 from dcflow.errors import (
+    BadParameterError,
     DegenerateFaceError,
     DegenerateTriangleError,
 )
@@ -407,6 +408,10 @@ class TestTriangleEnergy:
             lambda u: triangle_energy(geometry, eps3, eta3, u), u3, 1e-6
         )
         assert np.allclose(grad, face_angles(geometry, eps3, eta3, u3), atol=1e-7)
+
+    def test_epsilon_is_checked_not_truncated(self):
+        with pytest.raises(BadParameterError):
+            triangle_energy(Geometry.EUCLIDEAN, [1, 1, 0.5], np.ones(3), [0.1, 0.0, 0.0])
 
     def test_euclidean_translation_adds_pi(self):
         eps3 = np.array([1, 0, 1])

@@ -911,16 +911,12 @@ class TestMalformedDocuments:
             parse_document(json.dumps(payload)).build()
         assert str(info.value) == "eta key 0-5 does not name an edge"
 
-    def test_equal_eta_keys_keep_the_last_value(self):
-        # "01-2" and "1-2" name the same edge; the later value wins, as a dict would
+    def test_eta_naming_an_edge_twice_is_rejected(self):
+        # "01-2" and "1-2" name the same edge; neither value silently wins
         payload = tetra_payload()
         payload["eta"]["01-2"] = 0.5
-        doc = parse_document(json.dumps(payload))
-        assert doc.eta_map[(1, 2)] == 0.5
-        _, weights, _, _ = doc.build()
-        assert weights.eta.tolist() == [1.0, 1.0, 1.0, 0.5, 1.0, 1.0]
-        payload["eta"] = {"1-2": 0.25, **payload["eta"]}
-        assert parse_document(json.dumps(payload)).build()[1].eta[3] == 0.5
+        with pytest.raises(MeshDocumentError, match="eta names edge 1-2 twice"):
+            parse_document(json.dumps(payload))
 
     def test_eta_map_reads_document_order(self):
         payload = tetra_payload()

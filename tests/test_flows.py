@@ -16,6 +16,7 @@ from dcflow.calculus import (
 from dcflow.errors import (
     BadParameterError,
     DegenerateFaceError,
+    OverflowRangeError,
     QuadratureFailureError,
     TargetInadmissibleError,
 )
@@ -25,7 +26,6 @@ from dcflow.flows import (
     StepStatus,
     TerminationReason,
     TraceRow,
-    _wall_pass,
     check_target,
     resolve_target,
     run_flow,
@@ -36,6 +36,7 @@ from dcflow.geometry import (
     ConformalState,
     Geometry,
     _kernel_weights,
+    _metric,
     base_state,
     classify_triangle,
     curvature,
@@ -368,7 +369,8 @@ class TestStep:
                 ]
                 assert bool(faces) is side
                 kernel = _kernel_weights(state.geometry, weights)
-                assert bool(_wall_pass(surface, kernel, state).m.min() <= 0.0) is side
+                strict_flow = _metric(surface, kernel, state.geometry, state.f, True)
+                assert bool(strict_flow.m.min() <= 0.0) is side
                 if not side:
                     curvature(surface, weights, state, extended=False)
                     face_corner_jacobians(surface, weights, state, extended=False)
@@ -528,6 +530,34 @@ class TestRunFlow:
         )
         trace = run_flow(spec, surface, weights, state)
         assert trace.termination is TerminationReason.DIVERGED
+
+    def test_a_failed_pass_ends_the_trace_at_the_last_accepted_state(self, monkeypatch):
+        # step makes each new state's kernel pass: one that overflows rejects the step, and
+        # the DIVERGED trace still ends with a row at the last accepted state (t = 0.24)
+        surface = generate("torus_grid", 4, 4)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        u = np.random.default_rng(75).normal(0.0, 0.3, 16)
+        start = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u - u.mean())
+        spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.zeros(16))
+        every = FlowSpec(
+            FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.zeros(16),
+            max_time=0.3, trace_stride=1,
+        )  # fmt: skip
+        rows = run_flow(every, surface, weights, start).rows
+        passes, real_metric = [], flows._metric
+
+        def overflowing_metric(*args, **kwargs):
+            passes.append(args[3])
+            if len(passes) == 26:  # the start's pass, then those of 24 accepted steps
+                raise OverflowRangeError("forced")
+            return real_metric(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "_metric", overflowing_metric)
+        trace = run_flow(spec, surface, weights, start)
+        assert trace.termination is TerminationReason.DIVERGED
+        assert len(passes) == 26
+        assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.1, 0.2, 0.24]
+        assert trace.rows == (rows[0], rows[10], rows[20], rows[24])
 
     def test_degenerated_run(self):
         surface, weights = torus_setup()

@@ -96,6 +96,15 @@ def test_exponent_cap():
         ConformalState(EU, np.array([0]), np.array([701.0]))
 
 
+def test_state_epsilon_is_checked_not_truncated():
+    # 1.9 would have become 1 in the integer cast
+    with pytest.raises(BadParameterError):
+        ConformalState(EU, [1.9, 0, 1], np.zeros(3))
+    with pytest.raises(BadParameterError):
+        base_state(HY, [1.9, 0, 1])
+    assert ConformalState(EU, [1.0, 0.0, 1.0], np.zeros(3)).epsilon.tolist() == [1, 0, 1]
+
+
 def test_with_u_validates_u_with_the_same_error_types():
     # with_u checks only the new coordinates; each bad input keeps its cause
     eu = ConformalState(EU, np.ones(3, dtype=int), np.zeros(3))
@@ -434,6 +443,30 @@ def test_wall_reachability_blocks_tangency_weights():
         l_ik = edge_length(EU, 1, 1, 1.0, f[0], f[2])
         l_jk = edge_length(EU, 1, 1, 1.0, f[1], f[2])
         assert not classify_triangle(EU, l_ij, l_ik, l_jk).is_degenerate
+
+
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_non_obtuse_circle_patterns_reach_no_wall(geometry):
+    # eps = 1 at every vertex and every eta in [0, 1]: at 60 digits no margin of a face
+    # is non-positive for exponents up to |f| = 30, the premise on which
+    # calculus._clear_of_walls certifies such weights without bounding a length
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(27)
+    corners = np.array([0.0, 1.0, 30.0, -30.0])
+    etas = np.vstack([rng.uniform(0.0, 1.0, (600, 3)), rng.choice([0.0, 1.0], (200, 3))])
+    fs = np.vstack([rng.uniform(-30.0, 30.0, (600, 3)), rng.choice(corners, (200, 3))])
+    with mp.workdps(60):
+        for eta, f in zip(etas, rng.permutation(fs)):
+            x = [mp.exp(mp.mpf(float(v))) for v in f]
+
+            def length(i, j, e):
+                cross = 2 * mp.mpf(e) * x[i] * x[j]
+                if geometry is EU:
+                    return mp.sqrt(x[i] ** 2 + x[j] ** 2 + cross)
+                return mp.acosh(mp.sqrt((1 + x[i] ** 2) * (1 + x[j] ** 2)) + cross / 2)
+
+            a = [length(1, 2, eta[0]), length(0, 2, eta[1]), length(0, 1, eta[2])]
+            assert min(a[(c + 1) % 3] + a[(c + 2) % 3] - a[c] for c in range(3)) > 0
 
 
 def test_wall_reachability_values():

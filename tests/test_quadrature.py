@@ -1,6 +1,7 @@
 """The energy quadrature against an independent integrator, and its failure bound."""
 
 import functools
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy.optimize import brentq
 from dcflow import calculus
 from dcflow.calculus import QUADRATURE_TOL, segment_face_energies
 from dcflow.errors import QuadratureFailureError
+from dcflow.flows import FlowKind, FlowSpec, run_flow
 from dcflow.geometry import ConformalState, Geometry, curvature
+from dcflow.surface import WeightConfig, generate
 
 from conftest import make_setup, random_admissible_state
 from test_solve import cone_torus_setup, degenerate_cone_state
@@ -253,6 +256,117 @@ def test_wall_certificate_refuses_a_crossing():
     surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
     eps, eta = weights.epsilon, weights.eta
     assert not calculus._clear_of_walls(geometry, surface, eps, eta, u_from, u_to - u_from)
+
+
+def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
+    # with eps = 1 and every eta in [0, 1] no wall is reachable, so the certificate answers
+    # from the weights alone, with no length bound.  On flow_smooth's long seed-1 start
+    # segment (base -> start) the answer and a forced 65-point scan give the same bits
+    surface = generate("torus_grid", 10, 10)
+    weights, geometry = WeightConfig.uniform(surface, 1, 1.0), Geometry.EUCLIDEAN
+    u = np.random.default_rng([1, zlib.crc32(b"flow_smooth")]).normal(0.0, 0.3, 100)
+    u_from, u_to = np.zeros(100), u - u.mean()
+    eps, eta = weights.epsilon, weights.eta
+
+    def no_bounds(*args):
+        raise AssertionError("the length bounds ran")
+
+    monkeypatch.setattr(calculus, "_edge_length_bounds", no_bounds)
+    du = u_to - u_from
+    assert calculus._clear_of_walls(geometry, surface, eps, eta, u_from, du)
+    u0, du = np.stack([u_from] * 2, axis=1), np.stack([du] * 2, axis=1)  # two columns
+    assert calculus._clear_of_walls(geometry, surface, eps, eta, u0, du).tolist() == [True] * 2
+    certified = [
+        segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+        for extended in (True, False)
+    ]
+    monkeypatch.setattr(calculus, "_clear_of_walls", lambda *args: False)
+    for extended, energies in zip((True, False), certified):
+        scanned = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+        assert scanned.tobytes() == energies.tobytes()
+
+
+def one_crossing_at_a_time(margins_at, grid, margins):
+    """Reference bisection: each sign change of the scan on its own, one point per call."""
+    sign = margins > 0.0
+    cuts = []
+    for face, cell in zip(*np.nonzero(sign[:, 1:] != sign[:, :-1])):
+        lo, hi, want = grid[cell], grid[cell + 1], sign[face, cell]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if (margins_at(np.array([mid]))[face, 0] > 0.0) == want:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return sorted(c for c in cuts if 1e-14 < c < 1.0 - 1e-14)
+
+
+def test_batched_bisection_matches_one_crossing_at_a_time():
+    # bisecting all sign changes of a segment together gives the cuts of the one-at-a-time
+    # bisection bit for bit, in margin calls no larger than the 65-point scan
+    grid, sizes, crossings = np.linspace(0.0, 1.0, 65), [], 0
+    surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
+    cases = [(surface, weights, geometry, [(u_from, u_to)])]
+    cases += [random_segments("torus_grid", (6, 6), geometry, 24) for geometry in Geometry]
+    for surface, weights, geometry, segments in cases:
+        for u_from, u_to in segments:
+
+            def margins_at(ts):
+                sizes.append(ts.size)
+                m = calculus._segment_shape(geometry, surface, weights, u_from, u_to - u_from, ts)
+                return calculus._degeneracy(m[1])[0]
+
+            margins = margins_at(grid)
+            cuts = calculus._locate_crossings(margins_at, grid, margins)
+            assert cuts == one_crossing_at_a_time(margins_at, grid, margins)
+            crossings += len(cuts)
+    assert crossings > 20
+    assert max(sizes) == grid.size
+
+    # more sign changes than scan points: each round takes them in calls of at most 65
+    roots = np.random.default_rng(25).uniform(0.0, 1.0, 200)
+    sizes.clear()
+
+    def linear(ts):
+        sizes.append(ts.size)
+        return roots[:, None] - ts
+
+    cuts = calculus._locate_crossings(linear, grid, linear(grid))
+    assert sizes == [65] + [65, 65, 65, 5] * 60
+    assert cuts == one_crossing_at_a_time(linear, grid, linear(grid))
+    assert len(cuts) == 200
+
+
+def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
+    # the seeded vertex-scaling flow (eps = 0, eta = 1) writes 375 rows and crosses 62 walls
+    # in three row segments; one read of its energies evaluates the kernel 568 times, where
+    # one bisection call per crossing and round made 4108
+    surface = generate("torus_grid", 10, 10)
+    weights, geometry = WeightConfig.uniform(surface, 0, 1.0), Geometry.EUCLIDEAN
+    u = np.random.default_rng(2).normal(0.0, 0.8, 100)
+    start = ConformalState(geometry, weights.epsilon, u - u.mean())
+    spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, np.zeros(100), tolerance=1e-8)
+    trace = run_flow(spec, surface, weights, start)
+    assert len(trace.rows) == 375
+    sizes, cuts = [], []
+    segment_shape, locate_crossings = calculus._segment_shape, calculus._locate_crossings
+
+    def counting_shape(geometry, mesh, weights, u0, du, ts):
+        sizes.append(ts.size)
+        return segment_shape(geometry, mesh, weights, u0, du, ts)
+
+    def counting_crossings(*args):
+        found = locate_crossings(*args)
+        cuts.append(len(found))
+        return found
+
+    monkeypatch.setattr(calculus, "_segment_shape", counting_shape)
+    monkeypatch.setattr(calculus, "_locate_crossings", counting_crossings)
+    trace.energies
+    crossing_segments = [n for n in cuts if n]
+    assert sum(crossing_segments) == 62 and len(crossing_segments) == 3
+    assert len(sizes) == 568
 
 
 def right_riemann_sums(surface, weights, geometry, u_from, u_to):

@@ -252,6 +252,8 @@ def test_malformed_surface_messages(vertex_count, faces, error, message):
         ([(0, 1, 2), (0, 1, 10**30)], "face (0, 1, 1000000000000000000000000000000) "
          "has out-of-range vertices"),
         ([], "empty face list"),
+        ([(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "face (0, 1, 2.7) has non-integral "
+         "vertices"),  # int() would make it (0, 1, 2)
     ],
 )  # fmt: skip
 def test_bad_face_messages_name_the_first_bad_face(faces, message):
@@ -343,6 +345,9 @@ def test_epsilon_must_be_zero_or_one():
         WeightConfig(epsilon=np.array([1, 1, 2, 1]), eta=np.ones(6))
     with pytest.raises(BadParameterError):
         WeightConfig(epsilon=np.array([-1, 0, 0, 0]), eta=np.ones(6))
+    with pytest.raises(BadParameterError):  # not truncated to 0 by the integer cast
+        WeightConfig(epsilon=[0.7, 1, 1, 1], eta=np.ones(6))
+    assert WeightConfig(epsilon=[0.0, 1.0], eta=np.ones(1)).epsilon.tolist() == [0, 1]
     w = WeightConfig.uniform(s, 1, 1.0)
     assert w.cone_vertex_count == 4
     assert w.cusp_vertex_count == 0
