@@ -41,12 +41,13 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _kernel_weights,
+    _paired_kernel,
     _quiet,
     _shape,
+    _u_to_f,
     _vertex_terms,
     base_state,
     curvature,
-    u_to_f,
 )
 from .surface import TriangulatedSurface, WeightConfig
 
@@ -81,7 +82,7 @@ _TRIANGLE = TriangulatedSurface(
 # Jacobians
 
 
-def _face_shares(surface, weights, geometry, f, extended, metric=None):
+def _face_shares(surface, weights, f, report, extended):
     """The faces' shares of dK/du, (6, F), in the bins of ``_plan.bins``.
 
     Row c is -d(theta_c)/d(u_c); row 3 + c is -d(theta_c)/d(u_{c+1}), for the edge
@@ -91,19 +92,15 @@ def _face_shares(surface, weights, geometry, f, extended, metric=None):
     dQ/du_c).  On the scaled margins x of ``geometry._angles`` (X = x0 x1 x2, w_c = 1
     or e^{-m_c}), cos(theta_c) = (x_c^2 - w_c X) / (x_c^2 + w_c X) and Heron gives
     d_c = 2 a_c / (P^2 sqrt(X)) or -e^{-m_c/2} expm1(-2 a_c) / (expm1(-P)^2 sqrt(X)):
-    nothing divides by a sin(theta) rounded to 0.  Degenerate faces get zeros with
-    ``extended``; without it the first one raises DegenerateFaceError.  ``metric``, a
-    kernel pass at f (``geometry._metric``), gives the lengths and margins.
+    nothing divides by a sin(theta) rounded to 0.  ``report`` is the kernel pass at f.
+    Degenerate faces get zeros with ``extended``; without it the first one raises
+    DegenerateFaceError.
     """
-    plan, euclidean = surface._plan, geometry is Geometry.EUCLIDEAN
-    kernel = _kernel_weights(geometry, weights)
-    if metric is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # the length checks reject it
-            (x, w), lengths, a, m = _shape(plan, kernel, geometry, f)
-    else:  # the pass's lengths are finite, so the vertex terms that made them are too
-        x, w = (t.take(plan.ends) for t in _vertex_terms(geometry, kernel[0], f))
-        lengths, a, m = metric.lengths, metric.lengths.take(plan.corners), metric.m
-    bad = np.flatnonzero(_degeneracy(m)[1] >= 0)
+    plan, euclidean = surface._plan, report.geometry is Geometry.EUCLIDEAN
+    # the pass's lengths are finite, so the vertex terms that made them are too
+    x, w = (t.take(plan.ends) for t in _vertex_terms(report.geometry, weights.epsilon, f))
+    lengths, a, m = report.lengths, report.lengths.take(plan.corners), report.margins
+    bad = np.flatnonzero(report.degenerate_corner >= 0)
     if bad.size and not extended:
         raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
     cross = weights.eta * x[0] * x[1]
@@ -170,7 +167,8 @@ def face_corner_jacobians(
     blocks: the extended angles are constant there, so zero is their
     derivative everywhere inside the degenerate region.
     """
-    shares = _face_shares(surface, weights, state.geometry, state.f, extended)
+    report = curvature(surface, weights, state, extended=True)
+    shares = _face_shares(surface, weights, state.f, report, extended)
     out = np.empty((len(surface.faces), 3, 3))
     for c in range(3):
         out[:, c, c] = -shares[c]
@@ -193,12 +191,13 @@ def curvature_jacobian(
     hyperbolic ones.  With ``extended`` set, degenerate faces contribute
     nothing, matching the derivative of the extended curvature inside
     degenerate regions; without it the first one raises DegenerateFaceError.
-    ``_pass``: the caller's kernel pass at ``state`` (``geometry._metric``).
+    ``_pass``: the caller's ``MetricReport`` at ``state``, else one from ``curvature``.
     """
     import scipy.sparse as sp  # on first use, so importing the package skips it
 
     plan, n = surface._plan, surface.vertex_count
-    shares = _face_shares(surface, weights, state.geometry, state.f, extended, _pass)
+    report = _pass or curvature(surface, weights, state, extended=True)
+    shares = _face_shares(surface, weights, state.f, report, extended)
     sums = np.bincount(plan.bins.ravel(), shares.ravel(), len(surface.edges) + n)
     return sp.csr_matrix((sums.take(plan.entries), plan.indices, plan.indptr), shape=(n, n))
 
@@ -232,7 +231,7 @@ def _segment_shape(geometry, mesh, weights, u0, du, ts):
     # Rolled opposite lengths (5, F, T) and margins (3, F, T) at u0 + ts * du on the
     # mesh's plan; the wall scan and the bisection take the margins, the quadrature both
     u_t = u0[:, None] + ts * du[:, None]
-    f_t = np.asarray(u_to_f(geometry, weights.epsilon[:, None], u_t))
+    f_t = np.asarray(_u_to_f(geometry, weights.epsilon[:, None], u_t))
     return _shape(mesh._plan, _kernel_weights(geometry, weights), geometry, f_t)[2:]
 
 
@@ -258,7 +257,7 @@ def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
         return np.full(du.shape[1:], True)
     trailing = (1,) * (du.ndim - 1)
     u_ends = u0[:, None] + np.array([0.0, 1.0]).reshape(2, *trailing) * du[:, None]
-    f_ends = u_to_f(geometry, np.reshape(epsilon, (-1, 1, *trailing)), u_ends)
+    f_ends = _u_to_f(geometry, np.reshape(epsilon, (-1, 1, *trailing)), u_ends)
     bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
     lo, hi = (b[mesh.face_edges] for b in bounds)
     margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
@@ -436,11 +435,14 @@ def surface_energies(
     """Whole-surface energies at one state.
 
     Raises DegenerateFaceError in strict mode when the segment from the
-    base crosses or touches a wall.
+    base crosses or touches a wall, and BadParameterError when the weights
+    and either state do not fit the surface or each other.
     """
     geometry = state.geometry
     if base is None:
         base = base_state(geometry, state.epsilon)
+    for end in (base, state):  # before the integration, which would fail less clearly
+        _paired_kernel(surface, weights, end)
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)

@@ -486,7 +486,7 @@ def _cmd_curvature(args) -> int:
         "curvature": report.curvature.tolist(),
         "gauss_bonnet_residual": gauss_bonnet_residual(report, surface.euler_characteristic),
         "degenerate_faces": [[f, c] for f, c in report.degenerate_faces],
-        "total_area": None if report.total_area is None else float(report.total_area),
+        "total_area": report.total_area,
     }
     _write_text(args.out, _emit_json(payload) + "\n")
     return 0

@@ -43,7 +43,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, _kernel_weights, _metric, _quiet, base_state
+from .geometry import ConformalState, Geometry, _metric, _paired_kernel, _quiet, base_state
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -257,9 +257,12 @@ def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarr
     return resolve_target(spec, surface)
 
 
-def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig) -> tuple:
-    # the target and the kernel's weights, once per run_flow, step or vector_field call
-    return _admissible_target(spec, surface), _kernel_weights(spec.geometry, weights)
+def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig, state) -> tuple:
+    # the target and the kernel's weights, once per run_flow, step or vector_field call,
+    # for a state of the spec's geometry that fits the surface and the weights
+    if state.geometry is not spec.geometry:
+        raise BadParameterError("state geometry does not match the flow spec")
+    return _admissible_target(spec, surface), _paired_kernel(surface, weights, state)
 
 
 def _field(spec, surface, weights, state, run, metric=None):
@@ -284,7 +287,7 @@ def vector_field(
     state: ConformalState,
 ) -> np.ndarray:
     """Per-vertex velocity of the flow at one state."""
-    return _field(spec, surface, weights, state, _resolve(spec, surface, weights))
+    return _field(spec, surface, weights, state, _resolve(spec, surface, weights, state))
 
 
 def _rk4(spec, surface, weights, state, run, dt, k1):
@@ -321,12 +324,10 @@ def step(
     ``extended`` flag) and the velocity there or None.  The new state's extended pass,
     a strict kind's wall test, goes out as ``StepOutcome._pass``.
     """
-    if state.geometry is not spec.geometry:
-        raise BadParameterError("state geometry does not match the flow spec")
     if _run is None:  # run_flow resolves and enters the errstate once per run, not per step
         return _quiet(step)(
             spec, surface, weights, state, dt, sum_reference=sum_reference,
-            _run=_resolve(spec, surface, weights), _pass=_pass,
+            _run=_resolve(spec, surface, weights, state), _pass=_pass,
         )  # fmt: skip
     kind, run = spec.kind, _run
     metric, k1 = (None, None) if _pass is None else _pass
@@ -335,7 +336,7 @@ def step(
     if calabi:
         if metric is None:
             metric = _metric(surface, run[1], spec.geometry, state.f, True)
-        if metric.m.min() <= margin_floor:
+        if metric.margins.min() <= margin_floor:
             # the curvature Laplacian has no continuous extension, so the
             # Calabi flow stops when a face gets this close to a wall
             return state, StepOutcome(status=StepStatus.DEGENERATED, dt_used=0.0)
@@ -357,7 +358,7 @@ def step(
             new_state = state.with_u(u_new)
             # extended: a strict kind's wall test, and where that passes its strict K too
             new_pass = _metric(surface, run[1], spec.geometry, new_state.f, True)
-            if extended or not new_pass.m.min() <= margin_floor:
+            if extended or not new_pass.margins.min() <= margin_floor:
                 return new_state, StepOutcome(StepStatus.OK, dt_try, halvings, abs(drift), new_pass)
             status = StepStatus.DEGENERATED
         except DomainError:  # a hyperbolic cone coordinate reached 0: no retry
@@ -384,9 +385,7 @@ def run_flow(
     Trace rows are recorded at the start, every ``trace_stride`` steps,
     and at the last accepted state; the run integrates no energy.
     """
-    if initial.geometry is not spec.geometry:
-        raise BadParameterError("initial state geometry does not match the flow spec")
-    run = _resolve(spec, surface, weights)
+    run = _resolve(spec, surface, weights, initial)
     target, kernel = run
 
     state = initial

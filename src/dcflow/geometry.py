@@ -21,22 +21,21 @@ zero at the other two, which is the continuous extension across the
 wall that every derived quantity (curvature, areas) accepts.
 
 ``_metric`` is the one metric kernel of the package: one pass from the
-exponents f to lengths, margins, angles and curvature, on a plan cached
-per surface (``TriangulatedSurface._plan``).  Its first half, ``_shape``,
-gathers the per-vertex terms x and w of ``_vertex_terms`` at both ends
-of every edge (the plan's ``ends``) and takes the lengths opposite
-corners 0, 1, 2, 0, 1 of every face (its ``corners``).  So the pass is
-corner-major: the margins (``_margins``), the wall test (``_degeneracy``)
-and the angles (``_angles``) are operations on whole (3, F) rows.  Each
-elementwise operation and each per-vertex sum is the one the face-major
-(F, 3) formulas make, in the same order, and the angles go back to (F, 3)
-order before ``bincount`` sums them, so the layout changes no bit.
-Curvature, the energy integrand and the strict-flow wall test take every
-quantity from these functions; the Jacobians take the lengths and
-margins (a flow step's those of its own pass), and their cosines from
-the same scaled margins.  Only the length formula can overflow or go
-invalid: it runs under its callers' ``np.errstate`` (``_quiet``) and its
-checks reject what did.
+exponents f to a ``MetricReport`` of lengths, margins, angles and
+curvature, on a plan cached per surface (``TriangulatedSurface._plan``);
+``curvature`` is the pass with the weights resolved.  Its first half,
+``_shape``, gathers the per-vertex terms x and w of ``_vertex_terms`` at
+both ends of every edge (the plan's ``ends``) and takes the lengths
+opposite corners 0, 1, 2, 0, 1 of every face (its ``corners``).  So the
+pass is corner-major: the margins (``_margins``), the wall test
+(``_degeneracy``) and the angles (``_angles``) are operations on whole
+(3, F) rows.  Each elementwise operation and each per-vertex sum is the
+one the face-major (F, 3) formulas make, in the same order, and the
+angles go back to (F, 3) order before ``bincount`` sums them, so the
+layout changes no bit.  The energy integrand takes every quantity from
+these functions, and every Jacobian is built on the caller's report.
+Only the length formula can overflow or go invalid: it runs under its
+callers' ``np.errstate`` (``_quiet``) and its checks reject what did.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .errors import (
     NumericalDomainError,
     OverflowRangeError,
 )
-from .surface import TriangulatedSurface, WeightConfig, _checked_epsilon
+from .surface import TriangulatedSurface, WeightConfig, _check_sizes, _checked_epsilon
 
 __all__ = [
     "Geometry",
@@ -111,10 +110,15 @@ def u_to_f(geometry: Geometry, epsilon, u):
     """Convert flow coordinates to conformal exponents.
 
     Hyperbolic vertices with eps = 1 require u < 0; there
-    f = -log(sinh(-u)).  Everywhere else f = u.
+    f = -log(sinh(-u)).  Everywhere else f = u.  Epsilon values outside
+    {0, 1} raise BadParameterError.
     """
+    return _u_to_f(geometry, _checked_epsilon(epsilon), u)
+
+
+def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u):
+    # u_to_f on an epsilon already checked: a state's or a WeightConfig's
     u = np.asarray(u, dtype=np.float64)
-    epsilon = np.asarray(epsilon, dtype=np.int64)
     if geometry is Geometry.EUCLIDEAN:
         _check_f_range(u)
         return u.copy()
@@ -132,7 +136,7 @@ def f_to_u(geometry: Geometry, epsilon, f):
     """Inverse of u_to_f: u = -asinh(e^{-f}) at hyperbolic eps=1 vertices."""
     f = np.asarray(f, dtype=np.float64)
     _check_f_range(f)
-    epsilon = np.asarray(epsilon, dtype=np.int64)
+    epsilon = _checked_epsilon(epsilon)
     if geometry is Geometry.EUCLIDEAN:
         return f.copy()
     u = f.copy()
@@ -167,8 +171,8 @@ class ConformalState:
             if not np.isfinite(u).all():
                 raise BadParameterError("u contains non-finite values")
             _check_f_range(u)
-        # u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
-        f = u if euclidean else u_to_f(self.geometry, self.epsilon, u)
+        # _u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
+        f = u if euclidean else _u_to_f(self.geometry, self.epsilon, u)
         self.__dict__.update(u=u, _f=f)
 
     @property
@@ -177,7 +181,7 @@ class ConformalState:
 
     @classmethod
     def from_f(cls, geometry: Geometry, epsilon, f) -> "ConformalState":
-        return cls(geometry, epsilon, f_to_u(geometry, np.asarray(epsilon), f))
+        return cls(geometry, epsilon, f_to_u(geometry, epsilon, f))
 
     def with_u(self, u) -> "ConformalState":
         """The state at coordinates ``u``; epsilon was validated with ``self``."""
@@ -212,6 +216,20 @@ def _kernel_weights(geometry: Geometry, weights: WeightConfig) -> tuple:
     # them; made per call, never cached on the config, whose arrays a caller may edit
     cross = 2.0 * weights.eta if geometry is Geometry.EUCLIDEAN else weights.eta
     return weights.epsilon.astype(np.float64), cross
+
+
+def _paired_kernel(surface: TriangulatedSurface, weights: WeightConfig, state) -> tuple:
+    # _kernel_weights for state; BadParameterError unless the weights and the state fit
+    # the surface, and the state's epsilon, from which its f follows, is the weights'
+    _check_sizes(surface, weights)
+    if state.epsilon is not weights.epsilon and not np.array_equal(state.epsilon, weights.epsilon):
+        if state.u.shape != weights.epsilon.shape:
+            sizes = f"{state.u.size} vertices, the surface {surface.vertex_count}"
+            raise BadParameterError(f"the state has {sizes}")
+        v = int(np.flatnonzero(state.epsilon != weights.epsilon)[0])
+        pair = f"{state.epsilon[v]} in the state, {weights.epsilon[v]} in the weights"
+        raise BadParameterError(f"epsilon at vertex {v} is {pair}")
+    return _kernel_weights(state.geometry, weights)
 
 
 def _lengths(geometry: Geometry, w_i, w_j, cross, x_i, x_j) -> np.ndarray:
@@ -297,8 +315,8 @@ def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
     """Lengths of all edges in canonical edge order."""
-    geometry = state.geometry
-    return _shape(surface._plan, _kernel_weights(geometry, weights), geometry, state.f)[1]
+    kernel = _paired_kernel(surface, weights, state)
+    return _shape(surface._plan, kernel, state.geometry, state.f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,45 +460,46 @@ def wall_reachability(eps_triple, eta_triple) -> np.ndarray:
 # curvature
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Everything the metric determines at one state.
+class MetricReport(NamedTuple):
+    """One kernel pass: everything the metric determines at one state.
 
-    ``angles[f, c]`` is the inner angle at corner c of face f (corners
-    follow the sorted vertex order of the face row).  For hyperbolic
-    surfaces ``face_areas`` holds the angle deficits pi - sum(angles)
-    and ``total_area`` their sum; both are None for Euclidean surfaces.
-    ``degenerate_corner`` is -1 for nondegenerate faces, else the corner
-    index the face is degenerate at.
+    ``margins`` (3, F) are corner-major (``_margins``); ``angles[f, c]`` is the inner
+    angle at corner c of face f (corners follow the sorted vertex order of the face
+    row).  The properties are computed on read: ``degenerate_corner`` is -1 for
+    nondegenerate faces, else the corner the face is degenerate at; ``face_areas``
+    holds the hyperbolic angle deficits pi - sum(angles) and ``total_area`` their
+    sum, both None for Euclidean surfaces.
     """
 
     geometry: Geometry
     extended: bool
     lengths: np.ndarray
+    margins: np.ndarray
     angles: np.ndarray
-    degenerate_corner: np.ndarray
     curvature: np.ndarray
-    face_areas: np.ndarray | None
-    total_area: float | None
+
+    @property
+    def degenerate_corner(self) -> np.ndarray:
+        return _degeneracy(self.margins)[1]
+
+    @property
+    def face_areas(self) -> np.ndarray | None:
+        return None if self.geometry is Geometry.EUCLIDEAN else np.pi - self.angles.sum(axis=1)
+
+    @property
+    def total_area(self) -> float | None:
+        return None if self.geometry is Geometry.EUCLIDEAN else float(self.face_areas.sum())
 
     @property
     def degenerate_faces(self) -> tuple:
         """(face_index, corner) pairs for every degenerate face."""
-        rows = np.nonzero(self.degenerate_corner >= 0)[0]
-        return tuple((int(f), int(self.degenerate_corner[f])) for f in rows)
-
-
-class _Metric(NamedTuple):
-    # one kernel pass: margins m (3, F) corner-major, angles (F, 3)
-    lengths: np.ndarray
-    m: np.ndarray
-    angles: np.ndarray
-    curvature: np.ndarray
+        corner = self.degenerate_corner
+        return tuple((int(f), int(corner[f])) for f in np.flatnonzero(corner >= 0))
 
 
 def _metric(
     surface: TriangulatedSurface, kernel: tuple, geometry: Geometry, f, extended: bool
-) -> _Metric:
+) -> MetricReport:
     """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
 
     ``kernel`` holds the weights as ``_kernel_weights`` resolves them; the caller enters
@@ -491,7 +510,7 @@ def _metric(
         raise DegenerateFaceError(int(np.nonzero(_degeneracy(m)[1] >= 0)[0][0]))
     angles = np.ascontiguousarray(_angles(geometry, a, m).T)  # (F, 3): bincount's order
     acc = np.bincount(plan.faces, weights=angles.ravel(), minlength=surface.vertex_count)
-    return _Metric(lengths, m, angles, 2.0 * np.pi - acc)
+    return MetricReport(geometry, extended, lengths, m, angles, 2.0 * np.pi - acc)
 
 
 @_quiet
@@ -501,19 +520,15 @@ def curvature(
     state: ConformalState,
     extended: bool = False,
 ) -> MetricReport:
-    """Angle sums and curvature K_i = 2 pi - sum of angles at i.
+    """The kernel pass at ``state``, with curvature K_i = 2 pi - sum of angles at i.
 
     With ``extended`` set, degenerate faces contribute their constant
     extended angles; otherwise the first degenerate face raises
-    DegenerateFaceError.
+    DegenerateFaceError.  Weights or a state that do not fit the surface or
+    each other raise BadParameterError.
     """
-    geometry = state.geometry
-    metric = _metric(surface, _kernel_weights(geometry, weights), geometry, state.f, extended)
-    areas = np.pi - metric.angles.sum(axis=1) if geometry is Geometry.HYPERBOLIC else None
-    return MetricReport(
-        geometry, extended, metric.lengths, metric.angles, _degeneracy(metric.m)[1],
-        metric.curvature, areas, None if areas is None else float(areas.sum()),
-    )  # fmt: skip
+    kernel = _paired_kernel(surface, weights, state)
+    return _metric(surface, kernel, state.geometry, state.f, extended)
 
 
 def gauss_bonnet_residual(report: MetricReport, euler_characteristic: int) -> float:

@@ -223,9 +223,8 @@ def solve_prescribed(
                     "converged to a generalized solution with degenerate faces "
                     f"{tuple(f for f, _ in report.degenerate_faces)}"
                 )
-            certificate = _restricted_smallest_eigenvalue(
-                geometry, curvature_jacobian(surface, weights, state)
-            )
+            jacobian = curvature_jacobian(surface, weights, state, _pass=report)
+            certificate = _restricted_smallest_eigenvalue(geometry, jacobian)
             return SolveReport(
                 state=state,
                 residual=residual,
@@ -237,7 +236,7 @@ def solve_prescribed(
         if iteration == max_iterations:
             break
 
-        hessian = curvature_jacobian(surface, weights, state, extended=True)
+        hessian = curvature_jacobian(surface, weights, state, extended=True, _pass=report)
         direction = _newton_direction(geometry, hessian, gradient, CG_FLOOR * tolerance)
         method = "newton" if direction is not None else "gradient-descent"
         if direction is None:

@@ -364,14 +364,18 @@ class WeightValidation:
         return not self.edge_violations and not self.face_violations
 
 
+def _check_sizes(surface: TriangulatedSurface, weights: WeightConfig) -> None:
+    # one epsilon per vertex and one eta per edge of the surface, else BadParameterError
+    if weights.epsilon.shape != (surface.vertex_count,):
+        raise BadParameterError("epsilon length does not match vertex count")
+    if weights.eta.shape != (surface.edge_count,):
+        raise BadParameterError("eta length does not match edge count")
+
+
 def validate_weights(surface: TriangulatedSurface, weights: WeightConfig) -> WeightValidation:
     """Check both weight conditions on every edge and face corner."""
-    eps = weights.epsilon
-    eta = weights.eta
-    if len(eps) != surface.vertex_count:
-        raise BadParameterError("epsilon length does not match vertex count")
-    if len(eta) != surface.edge_count:
-        raise BadParameterError("eta length does not match edge count")
+    _check_sizes(surface, weights)
+    eps, eta = weights.epsilon, weights.eta
 
     s, t = surface.edges[:, 0], surface.edges[:, 1]
     edge_ok = eps[s] * eps[t] + eta > 0.0

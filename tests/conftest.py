@@ -26,6 +26,22 @@ def make_setup(kind, dims=(), epsilon=1, eta=1.0, geometry=Geometry.EUCLIDEAN):
     return surface, weights, state
 
 
+def mismatched_inputs():
+    """(surface, weights, state) by name on a 4x4 torus with hyperbolic eps = eta = 1, each
+    with one mismatch: a state built with eps = 0, a state of 5 vertices, or one eta short.
+    Each state alone is valid, so only a check of the pairing can reject it.
+    """
+    surface = generate("torus_grid", 4, 4)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    short = WeightConfig(weights.epsilon, weights.eta[:-1])
+    hyperbolic = Geometry.HYPERBOLIC
+    return {
+        "epsilon": (surface, weights, ConformalState(hyperbolic, np.zeros(16), np.zeros(16))),
+        "state": (surface, weights, ConformalState(hyperbolic, np.ones(5), -np.ones(5))),
+        "eta": (surface, short, ConformalState(hyperbolic, weights.epsilon, -np.ones(16))),
+    }
+
+
 def random_admissible_state(surface, weights, geometry, rng, scale=0.2, max_tries=200):
     """Random state near the base with every face strictly nondegenerate."""
     from dcflow import curvature

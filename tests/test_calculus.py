@@ -32,7 +32,13 @@ from dcflow.geometry import (
 )
 from dcflow.surface import WeightConfig, generate
 
-from conftest import fd_gradient, fd_jacobian, make_setup, random_admissible_state
+from conftest import (
+    fd_gradient,
+    fd_jacobian,
+    make_setup,
+    mismatched_inputs,
+    random_admissible_state,
+)
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.HYPERBOLIC]
 
@@ -356,6 +362,21 @@ class TestEdgeWeightJacobian:
         blocks = face_corner_jacobians(surface, weights, state, extended=extended)
         np.testing.assert_array_equal(blocks, blocks.transpose(0, 2, 1))
 
+    @pytest.mark.parametrize("name", sorted(jacobian_cases()))
+    def test_built_on_a_callers_pass_bit_for_bit(self, name):
+        # without _pass the call makes the extended pass itself; a caller's extended pass,
+        # or where every face is clear a strict one, gives the same matrix bit for bit
+        surface, weights, state, extended = jacobian_cases()[name]
+        own = curvature_jacobian(surface, weights, state, extended)
+        passes = [curvature(surface, weights, state, extended=True)]
+        assert bool(passes[0].degenerate_faces) is ("degenerate" in name)
+        if not extended:
+            passes.append(curvature(surface, weights, state))
+        for report in passes:
+            given = curvature_jacobian(surface, weights, state, extended, _pass=report)
+            for part in ("data", "indices", "indptr"):
+                assert getattr(given, part).tobytes() == getattr(own, part).tobytes()
+
     @pytest.mark.parametrize("name", [n for n in sorted(jacobian_cases()) if "euclidean" in n])
     def test_euclidean_row_sums_vanish(self, name):
         surface, weights, state, extended = jacobian_cases()[name]
@@ -501,6 +522,14 @@ class TestTriangleEnergy:
 
 
 class TestSurfaceEnergies:
+    @pytest.mark.parametrize("mismatch", sorted(mismatched_inputs()))
+    def test_mismatched_inputs_rejected_before_integrating(self, mismatch, monkeypatch):
+        surface, weights, state = mismatched_inputs()[mismatch]
+        monkeypatch.setattr(calculus, "_integrate_face_energies", None)  # never reached
+        for base in (None, state):
+            with pytest.raises(BadParameterError, match=mismatch):
+                surface_energies(surface, weights, state, base=base)
+
     def test_energy_gradient_is_curvature_euclidean(self):
         surface, weights, _ = make_setup("torus_grid", (3, 3), 0, 1.0, Geometry.EUCLIDEAN)
         rng = np.random.default_rng(51)

@@ -44,7 +44,7 @@ from dcflow.geometry import (
 )
 from dcflow.surface import WeightConfig, generate
 
-from conftest import fd_gradient, random_admissible_state
+from conftest import fd_gradient, mismatched_inputs, random_admissible_state
 
 
 def tetra_setup():
@@ -370,7 +370,7 @@ class TestStep:
                 assert bool(faces) is side
                 kernel = _kernel_weights(state.geometry, weights)
                 strict_flow = _metric(surface, kernel, state.geometry, state.f, True)
-                assert bool(strict_flow.m.min() <= 0.0) is side
+                assert bool(strict_flow.margins.min() <= 0.0) is side
                 if not side:
                     curvature(surface, weights, state, extended=False)
                     face_corner_jacobians(surface, weights, state, extended=False)
@@ -428,6 +428,25 @@ class TestStep:
 
 
 class TestRunFlow:
+    @pytest.mark.parametrize("mismatch", sorted(mismatched_inputs()))
+    def test_rejects_mismatched_inputs(self, mismatch):
+        # an eps = 0 state on eps = 1 weights once ran the wrong ODE to "convergence"
+        surface, weights, state = mismatched_inputs()[mismatch]
+        target = np.full(surface.vertex_count, 0.1)
+        spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.HYPERBOLIC, target=target)
+        for entry in (run_flow, step, vector_field):
+            with pytest.raises(BadParameterError, match=mismatch):
+                entry(spec, surface, weights, state)
+
+    def test_entries_reject_a_state_of_the_other_geometry(self):
+        # vector_field once returned a Euclidean velocity from a hyperbolic state's exponents
+        surface, weights = tetra_setup()
+        state = base_state(Geometry.HYPERBOLIC, weights.epsilon)
+        spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.full(4, np.pi))
+        for entry in (run_flow, step, vector_field):
+            with pytest.raises(BadParameterError, match="geometry"):
+                entry(spec, surface, weights, state)
+
     def test_equilibrium_converges_at_time_zero(self):
         surface, weights = tetra_setup()
         state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, np.zeros(4))

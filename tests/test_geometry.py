@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import MESH_KINDS, make_setup, random_admissible_state
+from conftest import MESH_KINDS, make_setup, mismatched_inputs, random_admissible_state
 from dcflow import (
     BadParameterError,
     ConformalState,
@@ -103,6 +103,16 @@ def test_state_epsilon_is_checked_not_truncated():
     with pytest.raises(BadParameterError):
         base_state(HY, [1.9, 0, 1])
     assert ConformalState(EU, [1.0, 0.0, 1.0], np.zeros(3)).epsilon.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("convert", [u_to_f, f_to_u])
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_coordinate_conversions_check_epsilon(convert, geometry):
+    # a cast would read 1.9 as 1 and 0.5 as 0, and convert with the truncated values
+    with pytest.raises(BadParameterError, match=r"epsilon values \[0.5, 1.9\]"):
+        convert(geometry, [1.9, 0.5, 1], [-1.0, -1.0, -1.0])
+    u = [-1.0, -1.0]
+    assert np.array_equal(convert(geometry, [1.0, 0.0], u), convert(geometry, [1, 0], u))
 
 
 def test_with_u_validates_u_with_the_same_error_types():
@@ -479,6 +489,16 @@ def test_wall_reachability_values():
 
 # ---------------------------------------------------------------------------
 # curvature
+
+
+@pytest.mark.parametrize("mismatch", sorted(mismatched_inputs()))
+def test_curvature_and_lengths_reject_mismatched_inputs(mismatch):
+    surface, weights, state = mismatched_inputs()[mismatch]
+    for extended in (False, True):
+        with pytest.raises(BadParameterError, match=mismatch):
+            curvature(surface, weights, state, extended=extended)
+    with pytest.raises(BadParameterError, match=mismatch):
+        edge_lengths(surface, weights, state)
 
 
 def test_tetrahedron_curvature_is_pi():

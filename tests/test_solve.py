@@ -32,9 +32,10 @@ from dcflow import (
     surface_energies,
 )
 from dcflow import calculus as calculus_module
+from dcflow import geometry as geometry_module
 from dcflow import solve as solve_module
 
-from conftest import random_admissible_state
+from conftest import mismatched_inputs, random_admissible_state
 
 
 def torus_setup():
@@ -269,6 +270,14 @@ class TestSolveDegenerate:
 
 
 class TestSolveErrors:
+    @pytest.mark.parametrize("mismatch", sorted(mismatched_inputs()))
+    def test_mismatched_inputs_rejected(self, mismatch):
+        # an eps = 0 guess on eps = 1 weights once gave a mixed-coordinate "solution"
+        surface, weights, state = mismatched_inputs()[mismatch]
+        target = np.full(surface.vertex_count, 0.1)
+        with pytest.raises(BadParameterError, match=mismatch):
+            solve_prescribed(surface, weights, Geometry.HYPERBOLIC, target, initial_guess=state)
+
     def test_wrong_euclidean_sum_rejected(self):
         surface, weights = torus_setup()
         with pytest.raises(TargetInadmissibleError):
@@ -629,8 +638,8 @@ class TestSparseNewtonStep:
         original = solve_module.curvature_jacobian
         corrupted = []
 
-        def first_hessian_nan(surface, weights, state, extended=False):
-            matrix = original(surface, weights, state, extended=extended)
+        def first_hessian_nan(surface, weights, state, extended=False, **kwargs):
+            matrix = original(surface, weights, state, extended=extended, **kwargs)
             if extended and not corrupted:
                 corrupted.append(True)
                 matrix = matrix.tolil()
@@ -674,6 +683,33 @@ class TestNewtonCG:
         assert report.residual < 1e-10
         assert report.method == "newton"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        [torus_6x6_case, degenerate_cone_case, genus2_case, hyperbolic_torus_10x10_case],
+        ids=lambda c: c.__name__,
+    )
+    def test_one_kernel_pass_per_curvature_evaluation(self, case, monkeypatch):
+        # the Hessians and the certificate's Jacobian are built on the solver's reports
+        surface, weights, geometry, target, guess = case()
+        calls = {"curvature": 0, "curvature_jacobian": 0, "_shape": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (geometry_module, calculus_module):  # the kernel's first half, anywhere
+            count(module, "_shape")
+        count(solve_module, "curvature")
+        count(solve_module, "curvature_jacobian")
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert calls["curvature_jacobian"] == report.iterations + 1  # the Hessians, the certificate
+        assert calls["_shape"] == calls["curvature"] > report.iterations
 
     @pytest.mark.parametrize(
         "case", [torus_6x6_case, hyperbolic_torus_10x10_case], ids=lambda c: c.__name__
