@@ -8,18 +8,13 @@ rule through the cosine rule, in both geometries, with the sines and cosines
 of its angles taken from the triangle margins; ``bincount`` sums them into the
 data of a CSR pattern cached on the surface.
 
-Energies are line integrals of the (closed) angle one-form along the
-straight segment from a base state.  The integrand is continuous but
-only piecewise smooth when the segment crosses a degeneracy wall.  The
-quadrature first bounds every edge length over the segment; when the
-bounds certify every face clear of its walls, the segment is one smooth
-piece.  Weights with every eps = 1 and every eta in [0, 1] reach no wall,
-so they certify every segment without a bound.  Only otherwise do a scan
-and a bisection that evaluate triangle margins alone locate the wall
-crossings; the bisection takes all of the scan's sign changes in each of
-its rounds.  Doubling Gauss-Legendre rules then run on the two halves of
-each smooth piece, all halves of one doubling round in one batched
-evaluation of the integrand.
+Energies are line integrals of the (closed) angle one-form along straight
+segments, many at a time.  Weights with every eps = 1 and every eta in [0, 1]
+reach no degeneracy wall, so each segment is one Gauss-Legendre piece.  Other
+weights: length bounds certify a segment clear of walls, and only otherwise do
+a margin scan and a bisection of all its sign changes locate the crossings,
+where the integrand is only piecewise smooth; the parts between crossings split
+into halves anchored at their ends.  Doubling rules run on all pieces together.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
 ``geometry``; the integrand evaluates them per vertex (u -> f and e^f),
@@ -28,12 +23,12 @@ per edge and per face, and a lone triangle runs as a one-face complex.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DegenerateFaceError, QuadratureFailureError
+from .errors import BadParameterError, DegenerateFaceError, QuadratureFailureError
 from .geometry import (
     ConformalState,
     Geometry,
@@ -49,7 +44,7 @@ from .geometry import (
     base_state,
     curvature,
 )
-from .surface import TriangulatedSurface, WeightConfig
+from .surface import TriangulatedSurface, WeightConfig, _check_sizes
 
 __all__ = [
     "EnergyValue",
@@ -63,8 +58,8 @@ __all__ = [
 
 QUADRATURE_TOL = 1e-10
 _PIECE_CAP = 1 << 10
-_CERTIFY_CAP = 32  # segments per wall certificate call, fewer above 2048 vertices
 _TOTAL_CAP = 1 << 20
+_CALL_SIZE = 1 << 14  # faces x nodes per integrand evaluation, beyond one piece's rules
 
 
 # A lone triangle as a one-face complex: edge c is opposite corner c and bounds the face.
@@ -227,37 +222,39 @@ class EnergyValue:
 
 
 @_quiet
-def _segment_shape(geometry, mesh, weights, u0, du, ts):
-    # Rolled opposite lengths (5, F, T) and margins (3, F, T) at u0 + ts * du on the
-    # mesh's plan; the wall scan and the bisection take the margins, the quadrature both
-    u_t = u0[:, None] + ts * du[:, None]
+def _segment_shape(geometry, mesh, weights, u0, du, ts, seg):
+    # Rolled opposite lengths (5, F, T) and margins (3, F, T) on the mesh's plan: node k at
+    # u0 + ts[k] du in column seg[k] (or seg[0] for all) of the (V, S) u0 and du
+    u_t = u0[:, seg] + ts * du[:, seg]
     f_t = np.asarray(_u_to_f(geometry, weights.epsilon[:, None], u_t))
     return _shape(mesh._plan, _kernel_weights(geometry, weights), geometry, f_t)[2:]
 
 
 def _energy_evaluator(geometry, mesh, weights, u0, du):
-    # ``mesh`` is a surface or the one-face _TRIANGLE
-    du3 = du[mesh.faces]
+    # theta . du, (F, T), node by node, so no value depends on the rest of its call
+    du3 = du.take(mesh.faces.T, axis=0)  # du at corner c of every face, (3, F, S)
 
-    def evaluate(ts):
-        a, m = _segment_shape(geometry, mesh, weights, u0, du, ts)
-        # einsum's rounding depends on the layout: it sums contiguous (F, T, 3) angles
-        theta = np.ascontiguousarray(np.moveaxis(_angles(geometry, a, m), 0, -1))
-        return np.einsum("ftc,fc->ft", theta, du3)
+    def evaluate(ts, seg):
+        theta = _angles(geometry, *_segment_shape(geometry, mesh, weights, u0, du, ts, seg))
+        theta *= du3[:, :, seg]
+        return theta[0] + theta[1] + theta[2]
 
     return evaluate
 
 
+def _reach_no_wall(epsilon, eta):
+    # no wall is reachable in either geometry: every eps = 1, every eta in [0, 1]
+    return np.all(epsilon == 1) and np.all((0.0 <= eta) & (eta <= 1.0))
+
+
 def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
     # True when the length bounds keep every margin on u0 + t du, t in [0, 1], above its
-    # own rounding error, for each column of (V, S) u0 and du; ends as in _segment_shape.
-    # With every eps = 1 and every eta in [0, 1] (non-obtuse circle patterns) no wall is
-    # reachable in either geometry, so every segment is clear
-    if np.all(epsilon == 1) and np.all((0.0 <= eta) & (eta <= 1.0)):
+    # own rounding error, for each column of (V, S) u0 and du (weights that reach no wall
+    # certify every segment without a bound); ends as in _segment_shape
+    if _reach_no_wall(epsilon, eta):
         return np.full(du.shape[1:], True)
-    trailing = (1,) * (du.ndim - 1)
-    u_ends = u0[:, None] + np.array([0.0, 1.0]).reshape(2, *trailing) * du[:, None]
-    f_ends = _u_to_f(geometry, np.reshape(epsilon, (-1, 1, *trailing)), u_ends)
+    u_ends = u0[:, None] + np.array([[0.0], [1.0]]) * du[:, None]  # (V, 2, S)
+    f_ends = _u_to_f(geometry, epsilon[:, None, None], u_ends)
     bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
     lo, hi = (b[mesh.face_edges] for b in bounds)
     margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
@@ -282,7 +279,7 @@ def _locate_crossings(margins_at, grid, margins):
     return np.sort(cuts[(1e-14 < cuts) & (cuts < 1.0 - 1e-14)]).tolist()
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _gauss_rule(n):
     """n-point Gauss-Legendre nodes and weights on [0, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -307,74 +304,79 @@ def _anchored_rule(anchor, far, n):
     return anchor + sign * s_nodes**2, 2.0 * span * w * s_nodes
 
 
-def _gauss_doubling(evaluate, halves, tol):
-    """Sum of doubling Gauss-Legendre integrals over the anchored ``halves``.
+def _gauss_doubling(evaluate, pieces, out, columns):
+    """Adds to row s of ``out`` the doubling Gauss-Legendre integrals of segment s's pieces.
 
-    Round one evaluates n = 4 and n = 8 on every half (anchor, far), each
-    later round n = 2k on the halves whose last two rules differ by ``tol``
-    or more, in one ``evaluate`` call of at most _PIECE_CAP nodes (chunked
-    by whole halves).
+    A piece (s, rule, tol) runs ``rule(n)`` at n = 4 and 8, then n = 2k while its last
+    two rules differ by tol or more.  A round's pieces, of every segment, share
+    ``evaluate`` calls of at most ``columns`` nodes (or one piece's rules), chunked by
+    whole pieces.  Each segment sums its pieces in knot order and fails as it would alone.
     """
-    accepted, prev = [None] * len(halves), [None] * len(halves)
-    pending, ns = list(range(len(halves))), (4, 8)
+    accepted, prev = [None] * len(pieces), [None] * len(pieces)
+    pending, ns = list(range(len(pieces))), (4, 8)
     while pending and ns[-1] <= _PIECE_CAP:
-        per_call = max(1, _PIECE_CAP // sum(ns))
+        per_call = max(1, columns // sum(ns))
         for start in range(0, len(pending), per_call):
-            batch = [(h, n) for h in pending[start : start + per_call] for n in ns]
-            rules = [_anchored_rule(*halves[h], n) for h, n in batch]
-            vals = evaluate(np.concatenate([nodes for nodes, _ in rules]))
+            batch = [(p, n) for p in pending[start : start + per_call] for n in ns]
+            rules = [pieces[p][1](n) for p, n in batch]
+            seg = np.repeat([pieces[p][0] for p, _ in batch], [n for _, n in batch])
+            vals = evaluate(np.concatenate([nodes for nodes, _ in rules]), seg)
             col = 0
-            for (h, n), (_, weights) in zip(batch, rules):
+            for (p, n), (_, weights) in zip(batch, rules):
                 integral = vals[:, col : col + n] @ weights
                 col += n
-                if prev[h] is not None and np.max(np.abs(integral - prev[h])) < tol:
-                    accepted[h] = (integral, n)
-                prev[h] = integral
-        pending = [h for h in pending if accepted[h] is None]
+                if prev[p] is not None and np.max(np.abs(integral - prev[p])) < pieces[p][2]:
+                    accepted[p] = (integral, n)
+                prev[p] = integral
+        pending = [p for p in pending if accepted[p] is None]
         ns = (2 * ns[-1],)
-    # summed in knot order: a half fails when a rule short of its accepted one
-    # reached the smaller of _PIECE_CAP and the budget the halves before it left
-    total, budget = 0.0, _TOTAL_CAP
-    for piece, used in (a or (None, 2 * _PIECE_CAP) for a in accepted):
-        limit = min(_PIECE_CAP, budget)
+    # a piece fails when a rule short of its accepted one reached the smaller of
+    # _PIECE_CAP and the budget its segment's earlier pieces left
+    budget = [_TOTAL_CAP] * len(out)
+    for (s, _, _), (piece, used) in zip(pieces, (a or (None, 2 * _PIECE_CAP) for a in accepted)):
+        limit = min(_PIECE_CAP, budget[s])
         if not used // 2 < limit:
             raise QuadratureFailureError(f"energy quadrature did not converge within {limit} nodes")
-        total += piece
-        budget -= used
-        if budget <= 0:
+        out[s] += piece
+        budget[s] -= used
+        if budget[s] <= 0:
             raise QuadratureFailureError("energy quadrature exceeded its budget")
-    return total
+    return out
 
 
-def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol, clear=None):
-    """Per-face path integrals of the angle form along the straight segment.
+def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol):
+    """Per-face path integrals of the angle form along S straight segments, (S, F).
 
-    A segment the length bounds certify clear of every wall is one smooth
-    piece; otherwise a 65-point margin scan and a bisection cut it at its
-    wall crossings (``clear``: the certificate's verdict, or None).  Raises
-    DegenerateFaceError without ``extended`` when the path touches a wall.
+    ``u0`` and ``u1`` hold the ends as (V, S) columns.  Weights that reach no wall make
+    each segment one piece on [0, 1].  Otherwise a segment splits at its wall cuts (if
+    the length bounds leave it uncertified), each part into two halves anchored at its
+    knots, since a wall at or just past an end stalls a single rule.  Each piece runs to
+    tol / (2 * knot count); nodes are evaluated one by one, so a segment's bits do not
+    depend on the others.  Raises DegenerateFaceError without ``extended`` on a wall.
     """
-    if np.array_equal(u0, u1):
-        return np.zeros(len(mesh.faces))
-    du = u1 - u0
-    cuts = []
-    if clear is None:
-        clear = _clear_of_walls(geometry, mesh, weights.epsilon, weights.eta, u0, du)
-    if not clear:
-        def margins_at(ts):
-            return _degeneracy(_segment_shape(geometry, mesh, weights, u0, du, ts)[1])[0]
+    du, eps, eta, pieces = u1 - u0, weights.epsilon, weights.eta, []
+    moving = np.flatnonzero(np.any(du != 0.0, axis=0))
+    clear = _clear_of_walls(geometry, mesh, eps, eta, u0[:, moving], du[:, moving])
+    analytic = _reach_no_wall(eps, eta)
+    for s, certified in zip(moving.tolist(), clear.tolist()):
+        cuts = []
+        if not certified:
+            def margins_at(ts):
+                return _degeneracy(_segment_shape(geometry, mesh, weights, u0, du, ts, [s])[1])[0]
 
-        grid = np.linspace(0.0, 1.0, 65)
-        margins = margins_at(grid)
-        if not extended and np.any(margins <= 0.0):
-            face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
-            raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
-        cuts = _locate_crossings(margins_at, grid, margins) if extended else []
+            grid = np.linspace(0.0, 1.0, 65)
+            margins = margins_at(grid)
+            if not extended and np.any(margins <= 0.0):
+                face = int(np.nonzero(np.any(margins <= 0.0, axis=1))[0][0])
+                raise DegenerateFaceError(face, "integration path leaves the nondegenerate region")
+            cuts = _locate_crossings(margins_at, grid, margins) if extended else []
+        knots = [0.0] + cuts + [1.0]
+        halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
+        rules = [_gauss_rule] if analytic else [partial(_anchored_rule, *h) for h in halves]
+        pieces += [(s, rule, tol / (2 * len(knots))) for rule in rules]
     evaluate = _energy_evaluator(geometry, mesh, weights, u0, du)
-    knots = [0.0] + cuts + [1.0]
-    # each smooth piece splits at its midpoint into two halves anchored at its knots
-    halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
-    return _gauss_doubling(evaluate, halves, tol / (2 * len(knots)))
+    out = np.zeros((du.shape[1], len(mesh.faces)))
+    return _gauss_doubling(evaluate, pieces, out, min(_PIECE_CAP, _CALL_SIZE // len(mesh.faces)))
 
 
 def triangle_energy(
@@ -393,13 +395,9 @@ def triangle_energy(
     three corners shift by t in the Euclidean case.
     """
     weights = WeightConfig(np.reshape(epsilon_triple, 3), np.reshape(eta_triple, 3))
-    u1 = np.asarray(u_triple, dtype=np.float64).reshape(3)
-    if base_triple is None:
-        u0 = base_state(geometry, weights.epsilon).u
-    else:
-        u0 = np.asarray(base_triple, dtype=np.float64).reshape(3)
-    vals = _integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended, tol)
-    return float(vals[0])
+    u0 = base_state(geometry, weights.epsilon).u if base_triple is None else base_triple
+    u0, u1 = (np.reshape(u, 3) for u in (u0, u_triple))
+    return float(segment_face_energies(_TRIANGLE, weights, geometry, u0, u1, extended, tol)[0])
 
 
 def segment_face_energies(
@@ -410,17 +408,20 @@ def segment_face_energies(
     u_to,
     extended: bool = True,
     tol: float = QUADRATURE_TOL,
-    *,
-    _clear=None,
 ) -> np.ndarray:
     """Per-face integrals of theta . du along the straight segment.
 
-    The angle form is closed, so chaining segments reproduces the
-    from-base integrals; ``_potential_chain`` uses this for incremental
-    updates instead of re-integrating from the base at every point.
+    The angle form is closed, so chaining segments reproduces the from-base integrals;
+    ``_potential_chain`` integrates its segments in chunks, each to the bits this
+    returns.  Raises BadParameterError when the weights or either end do not fit the surface.
     """
+    _check_sizes(surface, weights)
     u0, u1 = (np.asarray(u, dtype=np.float64) for u in (u_from, u_to))
-    return _integrate_face_energies(geometry, surface, weights, u0, u1, extended, tol, _clear)
+    if not u0.shape == u1.shape == (surface.vertex_count,):
+        sizes = f"shapes {u0.shape} and {u1.shape}, the surface {surface.vertex_count} vertices"
+        raise BadParameterError(f"the segment's ends have {sizes}")
+    ends = u0[:, None], u1[:, None]
+    return _integrate_face_energies(geometry, surface, weights, *ends, extended, tol)[0]
 
 
 def surface_energies(
@@ -446,7 +447,7 @@ def surface_energies(
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)
-    per_face = _integrate_face_energies(geometry, surface, weights, base.u, state.u, extended, tol)
+    per_face = segment_face_energies(surface, weights, geometry, base.u, state.u, extended, tol)
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))
@@ -465,18 +466,16 @@ def surface_energies(
 def _potential_chain(surface, weights, geometry, target, base_u, us):
     """Extended potential at each point of ``us``, chained along straight segments.
 
-    The first value is integrated from ``base_u`` as in ``surface_energies``.
+    The first value is integrated from ``base_u`` as in ``surface_energies``.  Chunks of
+    segments fill one _CALL_SIZE evaluation in their first round, at 12 nodes a segment.
     """
-    starts, clear = [base_u, *us[:-1]], []
-    per_call = max(1, min(_CERTIFY_CAP, (1 << 16) // len(base_u)))
-    for k in range(0, len(us), per_call):  # the wall certificate, per_call segments a call
+    starts, per_call = [base_u, *us[:-1]], max(1, _CALL_SIZE // (12 * len(surface.faces)))
+    energy, values = 0.0, []
+    for k in range(0, len(us), per_call):
         u0, u1 = (np.stack(u[k : k + per_call], axis=1) for u in (starts, us))
-        clear.extend(_clear_of_walls(geometry, surface, weights.epsilon, weights.eta, u0, u1 - u0))
-    per_face = segment_face_energies(surface, weights, geometry, base_u, us[0], _clear=clear[0])
-    energy = 2.0 * np.pi * float(us[0].sum()) - float(per_face.sum())
-    values = [energy - float(target @ (us[0] - base_u))]
-    for u_from, u_to, certified in zip(us, us[1:], clear[1:]):
-        per_face = segment_face_energies(surface, weights, geometry, u_from, u_to, _clear=certified)
-        energy += 2.0 * np.pi * float(u_to.sum() - u_from.sum()) - float(per_face.sum())
-        values.append(energy - float(target @ (u_to - base_u)))
+        chunk = _integrate_face_energies(geometry, surface, weights, u0, u1, True, QUADRATURE_TOL)
+        for u_from, u_to, per_face in zip(starts[k:], us[k : k + per_call], chunk):
+            rise = u_to.sum() - (u_from.sum() if values else 0.0)
+            energy += 2.0 * np.pi * float(rise) - float(per_face.sum())
+            values.append(energy - float(target @ (u_to - base_u)))
     return tuple(values)

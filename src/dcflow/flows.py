@@ -179,7 +179,8 @@ class FlowTrace:
 
     @cached_property
     def energies(self) -> tuple[float, ...]:
-        """Potential at each row, integrated on first read; may raise QuadratureFailureError."""
+        """Potential at each row, integrated on first read, many row segments per
+        integrand evaluation; may raise QuadratureFailureError."""
         surface, weights, geometry, base_u, target = self._path
         us = [row.u for row in self.rows]
         return _potential_chain(surface, weights, geometry, target, base_u, us)

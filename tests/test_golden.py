@@ -195,19 +195,21 @@ CASES = {
     "energy/triangle": triangle_case,
 }
 
-# recorded on RECORDED_ON: the curvature, energy and flow digests other than
-# modified-calabi with the face-major metric kernel, before the corner-major one (the
-# curvature digests split from the Jacobian blocks then); the jacobian, solve and
-# modified-calabi digests with the edge-weight Jacobian and the Newton-CG step
+# recorded on RECORDED_ON: the curvature digests and the flow digests without energies
+# (other than modified-calabi) with the face-major metric kernel, before the corner-major
+# one (the curvature digests split from the Jacobian blocks then); the jacobian, solve and
+# modified-calabi digests with the edge-weight Jacobian and the Newton-CG step; the energy
+# digests (energy/triangle and the three flows with energies=True) with many segments per
+# integrand evaluation, one Gauss piece a segment where the weights reach no wall
 DIGESTS = {
     "curvature/euclidean-degenerate": "36d21dfef021cf1a454fc5d385d3dc42ec94c9fb34fa979c23b6f821ed13b514",
     "curvature/euclidean-random": "13fceb45bc9102e9391bb1e22238cd8ddae5a68e0fa07bcebbf9220467b6cd7e",
     "curvature/hyperbolic-degenerate": "6b9df8e81b76141410ad47feacaf5aac72cda66a0cd63a4e6c634aafe66d05ca",
     "curvature/hyperbolic-random": "6b8aea6920cb9e0595d8b4dcab1ef3e30dfb317121b941f6d84fb69cf553f72c",
-    "energy/triangle": "c63011347771626e9f16868b5c9a21848809ce73b36e1f5659c0b7608b55d0f3",
-    "flow/extended-eps0-walls": "22b1763e86c71638c77aedea5c4233401e68094dd0f0ae8f6eabfaf323f556f4",
-    "flow/extended-euler": "60b9af4aa74f85677cdafc9491ebc1b4b59d955d66f3a17cea41e9dc33db2c5c",
-    "flow/extended-hyperbolic": "d254ecec49dcb22d1b2a46bc6796c6fbea419eac60e1cc6c23dc9a034d614cb4",
+    "energy/triangle": "d5bd1bdd68b702fc96285b349751f2b99646a6eb569c7528891629e5b0417f4a",
+    "flow/extended-eps0-walls": "66d435f371ee72cf6b7e14b6d966ebfa1fd2051f869a9e9270a1bc0e7dda6a67",
+    "flow/extended-euler": "2487b1528bdcdc09bb59a0db9edf2d512c8389d0f62d44738f8544561ae23a49",
+    "flow/extended-hyperbolic": "15dfca8f2d17cebff6f0d0867a25fc500f7ea4b0731625a6f5552d1c4eb6f204",
     "flow/extended-rk4": "8881004bc32b3974b44f0ccc23ff666ea0485b85924f6694c9421817fef86974",
     "flow/modified-calabi": "4ebc44831fa311706639a9b9cee4bfb4f7c8e33a8d344b6bdec1bfbb7544a0e8",
     "flow/modified-halvings": "d78ed80752c6abd8d19c8ecd8fee2c2b6e3158b84b124daee82ac7d71745c561",

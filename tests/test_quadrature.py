@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from dcflow import calculus
 from dcflow.calculus import QUADRATURE_TOL, segment_face_energies
-from dcflow.errors import QuadratureFailureError
+from dcflow.errors import BadParameterError, QuadratureFailureError
 from dcflow.flows import FlowKind, FlowSpec, run_flow
 from dcflow.geometry import ConformalState, Geometry, curvature
 from dcflow.surface import WeightConfig, generate
@@ -92,6 +92,70 @@ def test_face_energies_match_quadpack(path):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
+def vertex_scaling_face_function(surface, weights, u):
+    """Per-face F(u) = sum_c (theta_c lambda_c / 2 + L(theta_c)) for eps = 0, at 20 digits.
+
+    lambda_c = log(2 eta_c) + u_{c+1} + u_{c+2} is twice the log of the length opposite
+    corner c, and L(x) = Cl_2(2x) / 2 is Milnor's Lobachevsky function.  By
+    Bobenko-Pinkall-Springborn, dF/du_c = (pi - theta_c) / 2, walls included with the
+    extended angles, which the cosine rule clamped to [-1, 1] gives past a wall.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+    values = []
+    for corners, edges in zip(surface.faces, surface.face_edges):
+        lam = [
+            mp.log(2 * mp.mpf(weights.eta[edges[c]]))
+            + mp.mpf(u[corners[(c + 1) % 3]]) + mp.mpf(u[corners[(c + 2) % 3]])
+            for c in range(3)
+        ]
+        length = [mp.exp(x / 2) for x in lam]
+        total = mp.mpf(0)
+        for c in range(3):
+            a, b, opposite = length[(c + 1) % 3], length[(c + 2) % 3], length[c]
+            theta = mp.acos(min(max((a * a + b * b - opposite**2) / (2 * a * b), -1), 1))
+            total += theta * lam[c] / 2 + mp.clsin(2, 2 * theta) / 2
+        values.append(total)
+    return values
+
+
+def test_vertex_scaling_energies_match_the_closed_form():
+    # on a whole eps = 0 torus, along a short certified segment and a long one through
+    # walls, each face's integral is pi sum(du) - 2 (F(u_to) - F(u_from))
+    surface, weights, _ = make_setup("torus_grid", (4, 4), epsilon=0)
+    geometry, eps, eta = Geometry.EUCLIDEAN, weights.epsilon, weights.eta
+    rng = np.random.default_rng(27)
+    u_from = random_admissible_state(surface, weights, geometry, rng).u
+    ends = {"clear": u_from + rng.normal(0.0, 0.05, u_from.size), "walls": 3.0 * u_from}
+    at_start = vertex_scaling_face_function(surface, weights, u_from)
+    for name, u_to in ends.items():
+        column = u_from[:, None], (u_to - u_from)[:, None]
+        assert calculus._clear_of_walls(geometry, surface, eps, eta, *column)[0] == (name == "clear")
+        at_end = vertex_scaling_face_function(surface, weights, u_to)
+        rise = (u_to - u_from)[surface.faces].sum(axis=1)
+        exact = [float(np.pi * r - 2 * (b - a)) for r, a, b in zip(rise, at_start, at_end)]
+        ours = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        assert np.max(np.abs(ours - exact)) < QUADRATURE_TOL, name
+    end = ConformalState(geometry, eps, ends["walls"])
+    assert curvature(surface, weights, end, extended=True).degenerate_faces
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-10, 1e-6])
+def test_segments_from_just_before_a_wall_converge(offset):
+    # a lone eps = 0 triangle from u_0 = -log 4 + offset, where its margin opposite corner 0
+    # is 0 or just above it, back to the flat triangle: the integrand has a square-root
+    # branch point at or just before the start, which halves anchored at the segment's
+    # ends absorb and a single Gauss rule on the segment does not (it stalls at 1024 nodes)
+    weights = WeightConfig(np.zeros(3, dtype=int), np.ones(3))
+    start, end = np.array([-np.log(4.0) + offset, 0.0, 0.0]), np.zeros(3)
+    ours = calculus.triangle_energy(Geometry.EUCLIDEAN, [0] * 3, [1.0] * 3, end, start, True)
+    at_start, at_end = (
+        vertex_scaling_face_function(calculus._TRIANGLE, weights, u)[0] for u in (start, end)
+    )
+    exact = float(np.pi * (end - start).sum() - 2 * (at_end - at_start))
+    assert abs(ours - exact) < QUADRATURE_TOL
+
+
 def count_evaluations(monkeypatch):
     """Node counts of the integrand evaluations segment_face_energies makes."""
     sizes = []
@@ -100,9 +164,9 @@ def count_evaluations(monkeypatch):
     def counting_evaluator(*args):
         evaluate = energy_evaluator(*args)
 
-        def counted(ts):
+        def counted(ts, seg):
             sizes.append(ts.size)
-            return evaluate(ts)
+            return evaluate(ts, seg)
 
         return counted
 
@@ -110,18 +174,32 @@ def count_evaluations(monkeypatch):
     return sizes
 
 
+def test_segment_energies_reject_inputs_that_do_not_fit_the_surface():
+    # ends of the wrong size raised IndexError or numpy's broadcast ValueError, and
+    # weights one eta short a broadcast ValueError
+    surface, weights, _ = make_setup("torus_grid", (4, 4))
+    geometry, u = Geometry.EUCLIDEAN, np.zeros(surface.vertex_count)
+    short = WeightConfig(weights.epsilon, weights.eta[:-1])
+    with pytest.raises(BadParameterError, match="eta length does not match edge count"):
+        segment_face_energies(surface, short, geometry, u, u + 0.1)
+    for u_from, u_to in [(u[:5], u + 0.1), (u, np.zeros(17)), (u, np.zeros((16, 1)))]:
+        with pytest.raises(BadParameterError, match="the segment's ends have shapes"):
+            segment_face_energies(surface, weights, geometry, u_from, u_to)
+
+
 def test_certified_segment_is_one_evaluation(monkeypatch):
-    # a short step certified clear of walls, whose two anchored halves both
-    # converge at n = 8, evaluates n = 4 and n = 8 on both in a single call
+    # with weights that reach no wall a short step is one piece on [0, 1]; it
+    # converges at n = 8, so it evaluates n = 4 and n = 8 in a single call
     surface, weights, _ = make_setup("torus_grid", (4, 4))
     rng = np.random.default_rng(31)
     u_from = rng.normal(0.0, 0.1, surface.vertex_count)
     u_to = u_from + rng.normal(0.0, 0.01, surface.vertex_count)
     eps, eta = weights.epsilon, weights.eta
-    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, eps, eta, u_from, u_to - u_from)
+    column = u_from[:, None], (u_to - u_from)[:, None]
+    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, eps, eta, *column)
     sizes = count_evaluations(monkeypatch)
     per_face = segment_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
-    assert sizes == [2 * (4 + 8)]
+    assert sizes == [4 + 8]
     oracle, _ = oracle_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
     assert np.max(np.abs(per_face - oracle)) < QUADRATURE_TOL
 
@@ -138,6 +216,11 @@ def test_wall_crossing_path_batches_each_round(monkeypatch):
     oracle, crossings = oracle_face_energies(surface, weights, geometry, u_from, u_to)
     assert crossings > 0
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
+
+
+def never_clear(geometry, mesh, epsilon, eta, u0, du):
+    """A wall certificate that refuses every column, so that every segment is scanned."""
+    return np.zeros(du.shape[1:], dtype=bool)
 
 
 def random_segments(kind, dims, geometry, seed):
@@ -171,9 +254,10 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
     certified, refused, energies = 0, 0, []
     for u_from, u_to in segments:
         du = u_to - u_from
-        if calculus._clear_of_walls(geometry, surface, eps, eta, u_from, du):
+        if calculus._clear_of_walls(geometry, surface, eps, eta, u_from[:, None], du[:, None]):
             certified += 1
-            _, m = calculus._segment_shape(geometry, surface, weights, u_from, du, grid)
+            columns, seg = (u_from[:, None], du[:, None]), np.zeros(grid.size, dtype=int)
+            _, m = calculus._segment_shape(geometry, surface, weights, *columns, grid, seg)
             margins = calculus._degeneracy(m)[0]
             assert np.all(margins > 0.0)
             strict = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=False)
@@ -184,7 +268,7 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
         energies.append((extended, strict))
     assert certified >= 8 and refused >= 8
 
-    monkeypatch.setattr(calculus, "_clear_of_walls", lambda *args: False)
+    monkeypatch.setattr(calculus, "_clear_of_walls", never_clear)
     for (u_from, u_to), (extended, strict) in zip(segments, energies):
         scanned = segment_face_energies(surface, weights, geometry, u_from, u_to)
         assert scanned.tobytes() == extended.tobytes()
@@ -201,13 +285,16 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
     ids=["euclidean-torus", "hyperbolic-genus2"],
 )
 def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
-    # a trailing segment axis gives each segment its own verdict, slack included
+    # each column gets the verdict of its own call, slack included
     surface, weights, geometry, segments = random_segments(kind, dims, geometry, 22)
     eps, eta = weights.epsilon, weights.eta
     u0 = np.stack([u_from for u_from, _ in segments], axis=1)
     du = np.stack([u_to for _, u_to in segments], axis=1) - u0
     batched = calculus._clear_of_walls(geometry, surface, eps, eta, u0, du)
-    single = [calculus._clear_of_walls(geometry, surface, eps, eta, a, b - a) for a, b in segments]
+    single = [
+        calculus._clear_of_walls(geometry, surface, eps, eta, a[:, None], (b - a)[:, None])[0]
+        for a, b in segments
+    ]
     assert batched.tolist() == single
     assert 0 < sum(single) < len(single)
     f_ends = np.stack([u0, u0 + du], axis=1) if geometry is Geometry.EUCLIDEAN else None
@@ -217,8 +304,9 @@ def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
 
 
 def test_potential_chain_certifies_in_chunks(monkeypatch):
-    # the chain certifies its segments in calls of at most _CERTIFY_CAP, and
-    # integrates each segment in its own call, with the same values
+    # the chain certifies and integrates its segments in chunks whose first doubling
+    # round (4 + 8 nodes a segment) is one integrand evaluation, with the values of one
+    # segment_face_energies call a segment
     surface, weights, state = make_setup("torus_grid", (4, 4))
     geometry, base_u = Geometry.EUCLIDEAN, state.u
     steps = np.random.default_rng(23).normal(0.0, 0.02, (70, surface.vertex_count))
@@ -231,31 +319,56 @@ def test_potential_chain_certifies_in_chunks(monkeypatch):
         step = 2.0 * np.pi * rise - float(per_face.sum())
         energy = step if energy is None else energy + step
         expected.append(energy - float(target @ (u_to - base_u)))
-    batches, segment_calls = [], []
-    certify, integrate = calculus._clear_of_walls, calculus.segment_face_energies
+    batches, certify = [], calculus._clear_of_walls
 
     def counting_certify(geometry, mesh, epsilon, eta, u0, du):
         batches.append(du.shape[1:])
         return certify(geometry, mesh, epsilon, eta, u0, du)
 
-    def counting_integrate(*args, **kwargs):
-        segment_calls.append(kwargs["_clear"])
-        return integrate(*args, **kwargs)
-
     monkeypatch.setattr(calculus, "_clear_of_walls", counting_certify)
-    monkeypatch.setattr(calculus, "segment_face_energies", counting_integrate)
+    sizes = count_evaluations(monkeypatch)
     values = calculus._potential_chain(surface, weights, geometry, target, base_u, us)
     assert list(values) == expected
-    cap = calculus._CERTIFY_CAP
-    assert batches == [(min(cap, len(us) - k),) for k in range(0, len(us), cap)]
-    assert len(batches) == 3
-    assert len(segment_calls) == len(us)
+    per_call = calculus._CALL_SIZE // (12 * len(surface.faces))
+    assert batches == [(per_call,), (len(us) - per_call,)]
+    assert sizes == [12 * per_call, 12 * (len(us) - per_call)]
+
+
+@pytest.mark.parametrize(
+    "kind, dims, geometry",
+    [("torus_grid", (6, 6), Geometry.EUCLIDEAN), ("genus2", (), Geometry.HYPERBOLIC)],
+    ids=["euclidean-torus", "hyperbolic-genus2"],
+)
+def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, geometry):
+    # clear, scanned, wall-crossing and zero segments integrated together in one chunk
+    # give each segment the bits it gets alone
+    surface, weights, geometry, segments = random_segments(kind, dims, geometry, 26)
+    segments.insert(3, (segments[2][0], segments[2][0]))
+    u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
+    eps, eta = weights.epsilon, weights.eta
+    clear = calculus._clear_of_walls(geometry, surface, eps, eta, u0, u1 - u0)
+    assert 0 < clear.sum() < len(segments) - 1
+    cuts, locate_crossings = [], calculus._locate_crossings
+
+    def counting_crossings(*args):
+        cuts.append(len(locate_crossings(*args)))
+        return locate_crossings(*args)
+
+    monkeypatch.setattr(calculus, "_locate_crossings", counting_crossings)
+    together = calculus._integrate_face_energies(
+        geometry, surface, weights, u0, u1, True, QUADRATURE_TOL
+    )
+    assert 0 < cuts.count(0) < len(cuts)
+    for (u_from, u_to), values in zip(segments, together):
+        alone = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        assert values.tobytes() == alone.tobytes()
 
 
 def test_wall_certificate_refuses_a_crossing():
     surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
     eps, eta = weights.epsilon, weights.eta
-    assert not calculus._clear_of_walls(geometry, surface, eps, eta, u_from, u_to - u_from)
+    column = u_from[:, None], (u_to - u_from)[:, None]
+    assert not calculus._clear_of_walls(geometry, surface, eps, eta, *column)
 
 
 def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
@@ -273,14 +386,14 @@ def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
 
     monkeypatch.setattr(calculus, "_edge_length_bounds", no_bounds)
     du = u_to - u_from
-    assert calculus._clear_of_walls(geometry, surface, eps, eta, u_from, du)
+    assert calculus._clear_of_walls(geometry, surface, eps, eta, u_from[:, None], du[:, None])
     u0, du = np.stack([u_from] * 2, axis=1), np.stack([du] * 2, axis=1)  # two columns
     assert calculus._clear_of_walls(geometry, surface, eps, eta, u0, du).tolist() == [True] * 2
     certified = [
         segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
         for extended in (True, False)
     ]
-    monkeypatch.setattr(calculus, "_clear_of_walls", lambda *args: False)
+    monkeypatch.setattr(calculus, "_clear_of_walls", never_clear)
     for extended, energies in zip((True, False), certified):
         scanned = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
         assert scanned.tobytes() == energies.tobytes()
@@ -314,7 +427,8 @@ def test_batched_bisection_matches_one_crossing_at_a_time():
 
             def margins_at(ts):
                 sizes.append(ts.size)
-                m = calculus._segment_shape(geometry, surface, weights, u_from, u_to - u_from, ts)
+                columns, seg = (u_from[:, None], (u_to - u_from)[:, None]), np.zeros(ts.size, int)
+                m = calculus._segment_shape(geometry, surface, weights, *columns, ts, seg)
                 return calculus._degeneracy(m[1])[0]
 
             margins = margins_at(grid)
@@ -340,8 +454,8 @@ def test_batched_bisection_matches_one_crossing_at_a_time():
 
 def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
     # the seeded vertex-scaling flow (eps = 0, eta = 1) writes 375 rows and crosses 62 walls
-    # in three row segments; one read of its energies evaluates the kernel 568 times, where
-    # one bisection call per crossing and round made 4108
+    # in three row segments; one read of its energies evaluates the kernel 364 times: three
+    # scans, 60 bisection rounds a crossing segment and the chunked quadrature rounds
     surface = generate("torus_grid", 10, 10)
     weights, geometry = WeightConfig.uniform(surface, 0, 1.0), Geometry.EUCLIDEAN
     u = np.random.default_rng(2).normal(0.0, 0.8, 100)
@@ -352,9 +466,9 @@ def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
     sizes, cuts = [], []
     segment_shape, locate_crossings = calculus._segment_shape, calculus._locate_crossings
 
-    def counting_shape(geometry, mesh, weights, u0, du, ts):
+    def counting_shape(geometry, mesh, weights, u0, du, ts, seg):
         sizes.append(ts.size)
-        return segment_shape(geometry, mesh, weights, u0, du, ts)
+        return segment_shape(geometry, mesh, weights, u0, du, ts, seg)
 
     def counting_crossings(*args):
         found = locate_crossings(*args)
@@ -366,7 +480,7 @@ def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
     trace.energies
     crossing_segments = [n for n in cuts if n]
     assert sum(crossing_segments) == 62 and len(crossing_segments) == 3
-    assert len(sizes) == 568
+    assert len(sizes) == 364
 
 
 def right_riemann_sums(surface, weights, geometry, u_from, u_to):
@@ -410,8 +524,8 @@ def test_nonconvergent_integrand_fails_within_piece_cap(monkeypatch):
     def noisy_evaluator(*args):
         evaluate = energy_evaluator(*args)
 
-        def noisy(ts):
-            vals = evaluate(ts)
+        def noisy(ts, seg):
+            vals = evaluate(ts, seg)
             sizes.append(vals.shape[-1])
             return vals + rng.normal(0.0, 1e-3, vals.shape)
 
