@@ -130,7 +130,8 @@ def test_vertex_scaling_energies_match_the_closed_form():
     at_start = vertex_scaling_face_function(surface, weights, u_from)
     for name, u_to in ends.items():
         column = u_from[:, None], (u_to - u_from)[:, None]
-        assert calculus._clear_of_walls(geometry, surface, eps, eta, *column)[0] == (name == "clear")
+        certified = calculus._clear_of_walls(geometry, surface, eps, eta, *column)[0]
+        assert certified == (name == "clear")
         at_end = vertex_scaling_face_function(surface, weights, u_to)
         rise = (u_to - u_from)[surface.faces].sum(axis=1)
         exact = [float(np.pi * r - 2 * (b - a)) for r, a, b in zip(rise, at_start, at_end)]
@@ -223,12 +224,12 @@ def never_clear(geometry, mesh, epsilon, eta, u0, du):
     return np.zeros(du.shape[1:], dtype=bool)
 
 
-def random_segments(kind, dims, geometry, seed):
+def random_segments(kind, dims, geometry, seed, eta=2.0):
     """Seeded segments from admissible states by steps in f of several sizes.
 
     eps = 1 and eta = 2, so walls are reachable and the longer steps cross them.
     """
-    surface, weights, _ = make_setup(kind, dims, epsilon=1, eta=2.0, geometry=geometry)
+    surface, weights, _ = make_setup(kind, dims, epsilon=1, eta=eta, geometry=geometry)
     rng = np.random.default_rng(seed)
     segments = []
     for scale in (0.03, 0.1, 0.3, 1.0, 3.0) * 4:
@@ -359,6 +360,20 @@ def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, ge
         geometry, surface, weights, u0, u1, True, QUADRATURE_TOL
     )
     assert 0 < cuts.count(0) < len(cuts)
+    for (u_from, u_to), values in zip(segments, together):
+        alone = segment_face_energies(surface, weights, geometry, u_from, u_to)
+        assert values.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_one_piece_segments_do_not_depend_on_their_batch(geometry):
+    # with weights that reach no wall (eps = eta = 1) every segment is one piece, short
+    # and long ones together in one chunk; each gets the bits it gets alone
+    surface, weights, geometry, segments = random_segments("torus_grid", (4, 4), geometry, 28, 1.0)
+    u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
+    together = calculus._integrate_face_energies(
+        geometry, surface, weights, u0, u1, True, QUADRATURE_TOL
+    )
     for (u_from, u_to), values in zip(segments, together):
         alone = segment_face_energies(surface, weights, geometry, u_from, u_to)
         assert values.tobytes() == alone.tobytes()
