@@ -226,7 +226,7 @@ def _segment_shape(geometry, mesh, weights, u0, du, ts, seg):
     # Rolled opposite lengths (5, F, T) and margins (3, F, T) on the mesh's plan: node k at
     # u0 + ts[k] du in column seg[k] (or seg[0] for all) of the (V, S) u0 and du
     u_t = u0[:, seg] + ts * du[:, seg]
-    f_t = np.asarray(_u_to_f(geometry, weights.epsilon[:, None], u_t))
+    f_t = _u_to_f(geometry, weights.epsilon, u_t)
     return _shape(mesh._plan, _kernel_weights(geometry, weights), geometry, f_t)[2:]
 
 
@@ -254,7 +254,7 @@ def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
     if _reach_no_wall(epsilon, eta):
         return np.full(du.shape[1:], True)
     u_ends = u0[:, None] + np.array([[0.0], [1.0]]) * du[:, None]  # (V, 2, S)
-    f_ends = _u_to_f(geometry, epsilon[:, None, None], u_ends)
+    f_ends = _u_to_f(geometry, epsilon, u_ends)
     bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
     lo, hi = (b[mesh.face_edges] for b in bounds)
     margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi

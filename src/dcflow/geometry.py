@@ -96,8 +96,12 @@ class Geometry(enum.Enum):
         return 0.0 if self is Geometry.EUCLIDEAN else -1.0
 
 
-def _check_f_range(f: np.ndarray) -> None:
-    if not np.abs(f).max(initial=0.0) <= F_CAP:  # one reduction; NaN and inf fail too
+def _check_f_range(f: np.ndarray, given: np.ndarray) -> None:
+    """The one coordinate check (one reduction when it passes): a NaN or inf in ``given``,
+    the coordinates f came from, is BadParameterError, other |f| > F_CAP OverflowRangeError."""
+    if not np.abs(f).max(initial=0.0) <= F_CAP:  # NaN and inf fail too
+        if not np.isfinite(given).all():
+            raise BadParameterError("coordinates contain non-finite values")
         raise OverflowRangeError(f"conformal exponent exceeds |f| <= {F_CAP}")
 
 
@@ -109,39 +113,41 @@ def _logsinh(x: np.ndarray) -> np.ndarray:
 def u_to_f(geometry: Geometry, epsilon, u):
     """Convert flow coordinates to conformal exponents.
 
-    Hyperbolic vertices with eps = 1 require u < 0; there
+    Hyperbolic vertices with eps = 1 require u < 0 (DomainError); there
     f = -log(sinh(-u)).  Everywhere else f = u.  Epsilon values outside
-    {0, 1} raise BadParameterError.
+    {0, 1} and non-finite u raise BadParameterError, |f| > F_CAP OverflowRangeError.
     """
-    return _u_to_f(geometry, _checked_epsilon(epsilon), u)
+    f = _u_to_f(geometry, _checked_epsilon(epsilon), u)
+    return np.array(f) if f.shape else float(f)
 
 
-def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u):
-    # u_to_f on an epsilon already checked: a state's or a WeightConfig's
+def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u) -> np.ndarray:
+    """The one u -> f conversion, on a checked epsilon with one entry per row of u: a
+    Euclidean f is u itself, checked in one reduction; hyperbolic eps = 1 rows (a row
+    mask) need u < 0, else DomainError; ``_check_f_range`` names the rest."""
     u = np.asarray(u, dtype=np.float64)
     if geometry is Geometry.EUCLIDEAN:
-        _check_f_range(u)
-        return u.copy()
-    f = u.copy()
-    mask = np.broadcast_to(epsilon == 1, u.shape)
-    if np.any(mask & ~(u < 0.0)):
+        _check_f_range(u, u)
+        return u
+    cone = epsilon == 1
+    x, f = -u[cone], u.copy()
+    if not (x > 0.0).all():  # NaN fails too
+        if not np.isfinite(x).all():
+            _check_f_range(x, u)  # raises BadParameterError
         raise DomainError("hyperbolic eps=1 coordinates must satisfy u < 0")
     with np.errstate(divide="ignore"):
-        f[mask] = -_logsinh(-u[mask])
-    _check_f_range(f)
-    return f if f.shape else float(f)
+        f[cone] = -_logsinh(x)
+    _check_f_range(f, u)
+    return f
 
 
 def f_to_u(geometry: Geometry, epsilon, f):
-    """Inverse of u_to_f: u = -asinh(e^{-f}) at hyperbolic eps=1 vertices."""
+    """Inverse of u_to_f: u = -asinh(e^{-f}) at hyperbolic eps=1 vertices; raises alike."""
     f = np.asarray(f, dtype=np.float64)
-    _check_f_range(f)
-    epsilon = _checked_epsilon(epsilon)
-    if geometry is Geometry.EUCLIDEAN:
-        return f.copy()
-    u = f.copy()
-    mask = np.broadcast_to(epsilon == 1, f.shape)
-    u[mask] = -np.arcsinh(np.exp(-f[mask]))
+    _check_f_range(f, f)
+    cone, u = _checked_epsilon(epsilon) == 1, f.copy()
+    if geometry is Geometry.HYPERBOLIC:
+        u[cone] = -np.arcsinh(np.exp(-f[cone]))
     return u if u.shape else float(u)
 
 
@@ -149,9 +155,9 @@ def f_to_u(geometry: Geometry, epsilon, f):
 class ConformalState:
     """Flow coordinates u for every vertex, with derived exponents cached.
 
-    The epsilon array travels with the state because the u <-> f
-    conversion depends on it vertex by vertex.  A Euclidean state's f is
-    its u, which may be the caller's array: edit neither in place.
+    The epsilon array travels with the state because the u <-> f conversion
+    (``_u_to_f``, raising as ``u_to_f``) depends on it vertex by vertex.  A
+    Euclidean state's f is its u, which may be the caller's array: edit neither in place.
     """
 
     geometry: Geometry
@@ -166,14 +172,7 @@ class ConformalState:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.epsilon.shape:
             raise BadParameterError("epsilon and u must have matching shapes")
-        euclidean = self.geometry is Geometry.EUCLIDEAN  # f = u: one reduction checks both
-        if not (np.abs(u).max(initial=0.0) <= F_CAP if euclidean else np.isfinite(u).all()):
-            if not np.isfinite(u).all():
-                raise BadParameterError("u contains non-finite values")
-            _check_f_range(u)
-        # _u_to_f raises DomainError / OverflowRangeError for out-of-range coordinates
-        f = u if euclidean else _u_to_f(self.geometry, self.epsilon, u)
-        self.__dict__.update(u=u, _f=f)
+        self.__dict__.update(u=u, _f=_u_to_f(self.geometry, self.epsilon, u))
 
     @property
     def f(self) -> np.ndarray:
@@ -255,8 +254,8 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     """Length of one edge from the exponents at its ends.  Broadcasts."""
     f_i = np.asarray(f_i, dtype=np.float64)
     f_j = np.asarray(f_j, dtype=np.float64)
-    _check_f_range(f_i)
-    _check_f_range(f_j)
+    _check_f_range(f_i, f_i)
+    _check_f_range(f_j, f_j)
     x_i, w_i = _vertex_terms(geometry, np.asarray(eps_i, dtype=np.float64), f_i)
     x_j, w_j = _vertex_terms(geometry, np.asarray(eps_j, dtype=np.float64), f_j)
     cross = np.asarray(eta, dtype=np.float64) * (2.0 if geometry is Geometry.EUCLIDEAN else 1.0)

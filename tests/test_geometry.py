@@ -142,6 +142,24 @@ def test_with_u_validates_u_with_the_same_error_types():
     assert np.array_equal(moved.f, ConformalState(HY, hy.epsilon, u).f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_non_finite_coordinates_give_the_same_error_at_every_entry(geometry, bad):
+    # a NaN or inf is a bad parameter wherever it enters, not an exponent past F_CAP
+    eps = np.array([1, 1])
+    entries = (
+        lambda: u_to_f(geometry, eps, [-1.0, bad]),
+        lambda: f_to_u(geometry, eps, [0.0, bad]),
+        lambda: edge_length(geometry, 1, 1, 1.0, bad, 0.0),
+        lambda: ConformalState.from_f(geometry, eps, [0.0, bad]),
+        lambda: ConformalState(geometry, eps, [-1.0, bad]),
+        lambda: base_state(geometry, eps).with_u(np.array([-1.0, bad])),
+    )
+    for enter in entries:
+        with pytest.raises(BadParameterError, match="non-finite"):
+            enter()
+
+
 # ---------------------------------------------------------------------------
 # edge lengths
 
