@@ -344,15 +344,15 @@ def _gauss_doubling(evaluate, pieces, out, columns):
     return out
 
 
-def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol):
+def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended):
     """Per-face path integrals of the angle form along S straight segments, (S, F).
 
     ``u0`` and ``u1`` hold the ends as (V, S) columns.  Weights that reach no wall make
     each segment one piece on [0, 1].  Otherwise a segment splits at its wall cuts (if
     the length bounds leave it uncertified), each part into two halves anchored at its
     knots, since a wall at or just past an end stalls a single rule.  Each piece runs to
-    tol / (2 * knot count); nodes are evaluated one by one, so a segment's bits do not
-    depend on the others.  Raises DegenerateFaceError without ``extended`` on a wall.
+    QUADRATURE_TOL / (2 * knot count); nodes are evaluated one by one, so a segment's
+    bits do not depend on the others.  Raises DegenerateFaceError without ``extended`` on a wall.
     """
     du, eps, eta, pieces = u1 - u0, weights.epsilon, weights.eta, []
     moving = np.flatnonzero(np.any(du != 0.0, axis=0))
@@ -373,7 +373,7 @@ def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended, tol):
         knots = [0.0] + cuts + [1.0]
         halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
         rules = [_gauss_rule] if analytic else [partial(_anchored_rule, *h) for h in halves]
-        pieces += [(s, rule, tol / (2 * len(knots))) for rule in rules]
+        pieces += [(s, rule, QUADRATURE_TOL / (2 * len(knots))) for rule in rules]
     evaluate = _energy_evaluator(geometry, mesh, weights, u0, du)
     out = np.zeros((du.shape[1], len(mesh.faces)))
     return _gauss_doubling(evaluate, pieces, out, min(_PIECE_CAP, _CALL_SIZE // len(mesh.faces)))
@@ -386,7 +386,6 @@ def triangle_energy(
     u_triple,
     base_triple=None,
     extended: bool = False,
-    tol: float = QUADRATURE_TOL,
 ) -> float:
     """Path integral of theta . du for one face from a base corner triple.
 
@@ -397,7 +396,7 @@ def triangle_energy(
     weights = WeightConfig(np.reshape(epsilon_triple, 3), np.reshape(eta_triple, 3))
     u0 = base_state(geometry, weights.epsilon).u if base_triple is None else base_triple
     u0, u1 = (np.reshape(u, 3) for u in (u0, u_triple))
-    return float(segment_face_energies(_TRIANGLE, weights, geometry, u0, u1, extended, tol)[0])
+    return float(segment_face_energies(_TRIANGLE, weights, geometry, u0, u1, extended)[0])
 
 
 def segment_face_energies(
@@ -407,7 +406,6 @@ def segment_face_energies(
     u_from,
     u_to,
     extended: bool = True,
-    tol: float = QUADRATURE_TOL,
 ) -> np.ndarray:
     """Per-face integrals of theta . du along the straight segment.
 
@@ -421,7 +419,7 @@ def segment_face_energies(
         sizes = f"shapes {u0.shape} and {u1.shape}, the surface {surface.vertex_count} vertices"
         raise BadParameterError(f"the segment's ends have {sizes}")
     ends = u0[:, None], u1[:, None]
-    return _integrate_face_energies(geometry, surface, weights, *ends, extended, tol)[0]
+    return _integrate_face_energies(geometry, surface, weights, *ends, extended)[0]
 
 
 def surface_energies(
@@ -431,7 +429,6 @@ def surface_energies(
     target=None,
     base: ConformalState | None = None,
     extended: bool = True,
-    tol: float = QUADRATURE_TOL,
 ) -> EnergyValue:
     """Whole-surface energies at one state.
 
@@ -447,7 +444,7 @@ def surface_energies(
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)
-    per_face = segment_face_energies(surface, weights, geometry, base.u, state.u, extended, tol)
+    per_face = segment_face_energies(surface, weights, geometry, base.u, state.u, extended)
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))
@@ -473,7 +470,7 @@ def _potential_chain(surface, weights, geometry, target, base_u, us):
     energy, values = 0.0, []
     for k in range(0, len(us), per_call):
         u0, u1 = (np.stack(u[k : k + per_call], axis=1) for u in (starts, us))
-        chunk = _integrate_face_energies(geometry, surface, weights, u0, u1, True, QUADRATURE_TOL)
+        chunk = _integrate_face_energies(geometry, surface, weights, u0, u1, True)
         for u_from, u_to, per_face in zip(starts[k:], us[k : k + per_call], chunk):
             rise = u_to.sum() - (u_from.sum() if values else 0.0)
             energy += 2.0 * np.pi * float(rise) - float(per_face.sum())

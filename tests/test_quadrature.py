@@ -356,9 +356,7 @@ def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, ge
         return locate_crossings(*args)
 
     monkeypatch.setattr(calculus, "_locate_crossings", counting_crossings)
-    together = calculus._integrate_face_energies(
-        geometry, surface, weights, u0, u1, True, QUADRATURE_TOL
-    )
+    together = calculus._integrate_face_energies(geometry, surface, weights, u0, u1, True)
     assert 0 < cuts.count(0) < len(cuts)
     for (u_from, u_to), values in zip(segments, together):
         alone = segment_face_energies(surface, weights, geometry, u_from, u_to)
@@ -371,9 +369,7 @@ def test_one_piece_segments_do_not_depend_on_their_batch(geometry):
     # and long ones together in one chunk; each gets the bits it gets alone
     surface, weights, geometry, segments = random_segments("torus_grid", (4, 4), geometry, 28, 1.0)
     u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
-    together = calculus._integrate_face_energies(
-        geometry, surface, weights, u0, u1, True, QUADRATURE_TOL
-    )
+    together = calculus._integrate_face_energies(geometry, surface, weights, u0, u1, True)
     for (u_from, u_to), values in zip(segments, together):
         alone = segment_face_energies(surface, weights, geometry, u_from, u_to)
         assert values.tobytes() == alone.tobytes()
