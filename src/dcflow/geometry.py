@@ -106,8 +106,8 @@ def _check_f_range(f: np.ndarray, given: np.ndarray) -> None:
 
 
 def _logsinh(x: np.ndarray) -> np.ndarray:
-    # log(sinh(x)) for x > 0 without overflow.
-    return x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x))
+    # log(sinh(x)) for x > 0 without overflow, and exact for small x: -expm1(-2x) > 0.
+    return x - np.log(2.0) + np.log(-np.expm1(-2.0 * x))
 
 
 def u_to_f(geometry: Geometry, epsilon, u):
@@ -135,8 +135,7 @@ def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u) -> np.ndarray:
         if not np.isfinite(x).all():
             _check_f_range(x, u)  # raises BadParameterError
         raise DomainError("hyperbolic eps=1 coordinates must satisfy u < 0")
-    with np.errstate(divide="ignore"):
-        f[cone] = -_logsinh(x)
+    f[cone] = -_logsinh(x)
     _check_f_range(f, u)
     return f
 

@@ -80,6 +80,23 @@ def test_hyperbolic_cone_round_trip():
     assert np.max(np.abs(f[window] - 0.5 * np.log(c * c - 1.0))) < 1e-9
 
 
+def test_cone_round_trip_matches_mpmath_over_the_whole_range():
+    # f -> u -> f at cone vertices for every |f| <= F_CAP, against mpmath at 50 digits;
+    # log1p(-e^{-2x}) in log sinh lost f from f = 20 on and overflowed at f = 40
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    f = np.concatenate([np.linspace(-700.0, 700.0, 281), rng.uniform(-700.0, 700.0, 120)])
+    eps = np.ones(f.size, dtype=int)
+    u = f_to_u(HY, eps, f)
+    back = u_to_f(HY, eps, u)
+    with mp.workdps(50):
+        u_exact = [float(-mp.asinh(mp.exp(-mp.mpf(x)))) for x in f]
+        f_exact = [float(-mp.log(mp.sinh(-mp.mpf(x)))) for x in u]
+    for ours, exact in ((u, u_exact), (back, f_exact), (back, f)):
+        ulps = np.abs(ours - exact) / np.spacing(np.maximum(np.abs(exact), 1.0))
+        assert ulps.max() <= 2.0
+
+
 def test_cone_coordinates_must_be_negative():
     with pytest.raises(DomainError):
         u_to_f(HY, 1, 0.0)

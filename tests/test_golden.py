@@ -200,27 +200,30 @@ CASES = {
 # one (the curvature digests split from the Jacobian blocks then); the jacobian, solve and
 # modified-calabi digests with the edge-weight Jacobian and the Newton-CG step; the energy
 # digests (energy/triangle and the three flows with energies=True) with many segments per
-# integrand evaluation, one Gauss piece a segment where the weights reach no wall
+# integrand evaluation, one Gauss piece a segment where the weights reach no wall; the five
+# that convert hyperbolic cone coordinates (curvature/ and jacobian/hyperbolic-random,
+# flow/extended- and modified-hyperbolic, solve/hyperbolic-5x5) with log(-expm1(-2x)) in
+# the cone's log sinh
 DIGESTS = {
     "curvature/euclidean-degenerate": "36d21dfef021cf1a454fc5d385d3dc42ec94c9fb34fa979c23b6f821ed13b514",
     "curvature/euclidean-random": "13fceb45bc9102e9391bb1e22238cd8ddae5a68e0fa07bcebbf9220467b6cd7e",
     "curvature/hyperbolic-degenerate": "6b9df8e81b76141410ad47feacaf5aac72cda66a0cd63a4e6c634aafe66d05ca",
-    "curvature/hyperbolic-random": "6b8aea6920cb9e0595d8b4dcab1ef3e30dfb317121b941f6d84fb69cf553f72c",
+    "curvature/hyperbolic-random": "a07155794cbe83ed9b0872b55c7a367d76bd9cad512e4f85bc696b44626f7813",
     "energy/triangle": "d5bd1bdd68b702fc96285b349751f2b99646a6eb569c7528891629e5b0417f4a",
     "flow/extended-eps0-walls": "66d435f371ee72cf6b7e14b6d966ebfa1fd2051f869a9e9270a1bc0e7dda6a67",
     "flow/extended-euler": "2487b1528bdcdc09bb59a0db9edf2d512c8389d0f62d44738f8544561ae23a49",
-    "flow/extended-hyperbolic": "15dfca8f2d17cebff6f0d0867a25fc500f7ea4b0731625a6f5552d1c4eb6f204",
+    "flow/extended-hyperbolic": "d12267e02008f162dc8c45ddc77195e5714023faf94b7b49d2b20f3ac8b5d695",
     "flow/extended-rk4": "8881004bc32b3974b44f0ccc23ff666ea0485b85924f6694c9421817fef86974",
     "flow/modified-calabi": "4ebc44831fa311706639a9b9cee4bfb4f7c8e33a8d344b6bdec1bfbb7544a0e8",
     "flow/modified-halvings": "d78ed80752c6abd8d19c8ecd8fee2c2b6e3158b84b124daee82ac7d71745c561",
-    "flow/modified-hyperbolic": "a09157e467bed3f53aa0f9c942d45646dbd313be5f3eb4f552c7fd8a7343f0be",
+    "flow/modified-hyperbolic": "c49e46ce3ab96ab39ab12cdd77386a34e55b449d65747677cb142645349421ef",
     "flow/ricci": "36571d2331ad96d9bc7367b905e6fe614258e3d3cd57629afdb7888d12463558",
     "jacobian/euclidean-degenerate": "45e2d638773a6e05be61ee3767e5bed960e7da20e1ecc4e0e374dace8355423c",
     "jacobian/euclidean-random": "82294d250a085b7ffc4f803633a4b093de66a9568f8cdeb9d81d085dfc840670",
     "jacobian/hyperbolic-degenerate": "4f89aafc239501f8e7e3bafdf7cada3014cb26ed2998f643921e690e30f67ff4",
-    "jacobian/hyperbolic-random": "520bf25ed8c6c2981a3cd41858361050e381b7d36068498e3dcd54336a19cbdf",
+    "jacobian/hyperbolic-random": "224a3ca52e2ec4229e8dea163dec32982648329eda6b9b5234feb9b6fe4706e5",
     "solve/euclidean-6x6": "5ffd421819b3ddbc6337530c28a72a9f099a712af536ba56843060b8bcfa8292",
-    "solve/hyperbolic-5x5": "c2c921ce22827c37b6e6f477df73367e752ed99cc2d1aa149e662721b079d130",
+    "solve/hyperbolic-5x5": "0b8b1a6d5983858060df0e5d8ef1a08f9050fb5a1bbffcb3d24763404e7b7067",
 }
 
 
