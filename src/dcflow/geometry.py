@@ -106,7 +106,7 @@ def _check_f_range(f: np.ndarray, given: np.ndarray) -> None:
 
 
 def _logsinh(x: np.ndarray) -> np.ndarray:
-    # log(sinh(x)) for x > 0 without overflow, and exact for small x: -expm1(-2x) > 0.
+    # log(sinh(x)) for x > 0 without overflow, nor cancellation at small x: -expm1(-2x) > 0
     return x - np.log(2.0) + np.log(-np.expm1(-2.0 * x))
 
 
