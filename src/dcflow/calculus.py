@@ -37,7 +37,6 @@ from .geometry import (
     _edge_length_bounds,
     _kernel_weights,
     _paired_kernel,
-    _quiet,
     _shape,
     _u_to_f,
     _vertex_terms,
@@ -92,24 +91,25 @@ def _face_shares(surface, weights, f, report, extended):
     DegenerateFaceError.
     """
     plan, euclidean = surface._plan, report.geometry is Geometry.EUCLIDEAN
-    # the pass's lengths are finite, so the vertex terms that made them are too
-    x, w = (t.take(plan.ends) for t in _vertex_terms(report.geometry, weights.epsilon, f))
-    lengths, a, m = report.lengths, report.lengths.take(plan.corners), report.margins
     bad = np.flatnonzero(report.degenerate_corner >= 0)
     if bad.size and not extended:
         raise DegenerateFaceError(int(bad[0]), "angle Jacobian undefined on a degeneracy wall")
-    cross = weights.eta * x[0] * x[1]
-    if euclidean:  # dl/du at both ends of every edge, (2, E), in the memory of x
-        tangent = np.add(w, cross, out=x)
-    else:
-        eps_x2 = weights.epsilon * np.exp(2.0 * f)
-        tangent = np.multiply(eps_x2.take(plan.ends), w[::-1], out=x)
-        tangent += cross * w
-        lengths = np.sinh(lengths)
-    tangent /= lengths
-    dp, dq = shares = tangent.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares
-    del lengths, x, w, cross, tangent  # fewer arrays alive: less heap to fault in
-    with np.errstate(**({"divide": "ignore", "invalid": "ignore"} if bad.size else {})):
+    # e^{2f} overflows past a hyperbolic f of 354.9, and a degenerate face divides by 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore" if bad.size else None):
+        # the pass's lengths are finite, so the vertex terms that made them are too
+        x, w = (t.take(plan.ends) for t in _vertex_terms(report.geometry, weights.epsilon, f))
+        lengths, a, m = report.lengths, report.lengths.take(plan.corners), report.margins
+        cross = weights.eta * x[0] * x[1]
+        if euclidean:  # dl/du at both ends of every edge, (2, E), in the memory of x
+            tangent = np.add(w, cross, out=x)
+        else:
+            eps_x2 = weights.epsilon * np.exp(2.0 * f)
+            tangent = np.multiply(eps_x2.take(plan.ends), w[::-1], out=x)
+            tangent += cross * w
+            lengths = np.sinh(lengths)
+        tangent /= lengths
+        dp, dq = shares = tangent.take(plan.tangents)  # dP/du_c, dQ/du_c, made into the shares
+        del lengths, x, w, cross, tangent  # fewer arrays alive: less heap to fault in
         perim = a[0] + a[1] + a[2]
         scale = perim if euclidean else -np.expm1(-perim)
         r = (m if euclidean else -np.expm1(-m)) / scale
@@ -221,7 +221,6 @@ class EnergyValue:
     extended: bool
 
 
-@_quiet
 def _segment_shape(geometry, mesh, weights, u0, du, ts, seg):
     # Rolled opposite lengths (5, F, T) and margins (3, F, T) on the mesh's plan: node k at
     # u0 + ts[k] du in column seg[k] (or seg[0] for all) of the (V, S) u0 and du

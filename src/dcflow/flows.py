@@ -12,9 +12,9 @@ option.  A failed stage is rejected with the status the step reports
 if it gives up: a wall gives DEGENERATED and an overflow ANOMALY, and
 strict kinds retry both at half the step; a hyperbolic cone coordinate
 reaching zero gives ANOMALY at once.  ``run_flow`` resolves the target
-and the kernel's weights and enters the kernel's ``np.errstate``
-(``geometry._quiet``) once per call, as a ``step`` or ``vector_field``
-call of its own does.  Every accepted state gets one metric kernel pass
+and the kernel's weights once per call, as a ``step`` or ``vector_field``
+call of its own does; the kernel and the Jacobian enter their own
+``np.errstate``.  Every accepted state gets one metric kernel pass
 (``geometry._metric``): ``run_flow`` makes the start's, and ``step`` the
 pass of each state it accepts (a strict kind's is its wall test; a pass
 that fails rejects the step).  The pass and its deficit target - K serve
@@ -43,7 +43,7 @@ from .errors import (
     OverflowRangeError,
     TargetInadmissibleError,
 )
-from .geometry import ConformalState, Geometry, _metric, _paired_kernel, _quiet, base_state
+from .geometry import ConformalState, Geometry, _metric, _paired_kernel, base_state
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = [
@@ -267,7 +267,7 @@ def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig
 
 
 def _field(spec, surface, weights, state, run, metric=None):
-    # run: _resolve's (target, kernel); metric: a kernel pass at state (see step); under _quiet
+    # run: _resolve's (target, kernel); metric: a kernel pass at state (see step)
     kind, (target, kernel) = spec.kind, run
     if metric is None:
         metric = _metric(surface, kernel, state.geometry, state.f, kind.is_extended)
@@ -280,7 +280,6 @@ def _field(spec, surface, weights, state, run, metric=None):
     return -(lam @ (metric.curvature - target))
 
 
-@_quiet
 def vector_field(
     spec: FlowSpec,
     surface: TriangulatedSurface,
@@ -320,17 +319,12 @@ def step(
     Returns the new state with a StepOutcome; on DEGENERATED or ANOMALY
     the state is returned unchanged.  ``sum_reference`` is the
     coordinate sum the drift compensation restores (defaults to the
-    current sum).  ``_run``: the caller's ``_resolve``, under its ``_quiet`` (a call
-    without it enters both); ``_pass``: its kernel pass at ``state`` (with the kind's
-    ``extended`` flag) and the velocity there or None.  The new state's extended pass,
-    a strict kind's wall test, goes out as ``StepOutcome._pass``.
+    current sum).  ``_run``: the caller's ``_resolve`` (run_flow resolves once per run; a
+    call without it resolves its own); ``_pass``: its kernel pass at ``state`` (with the
+    kind's ``extended`` flag) and the velocity there or None.  The new state's extended
+    pass, a strict kind's wall test, goes out as ``StepOutcome._pass``.
     """
-    if _run is None:  # run_flow resolves and enters the errstate once per run, not per step
-        return _quiet(step)(
-            spec, surface, weights, state, dt, sum_reference=sum_reference,
-            _run=_resolve(spec, surface, weights, state), _pass=_pass,
-        )  # fmt: skip
-    kind, run = spec.kind, _run
+    kind, run = spec.kind, _run or _resolve(spec, surface, weights, state)
     metric, k1 = (None, None) if _pass is None else _pass
     calabi, extended = kind.is_calabi, kind.is_extended
     margin_floor = CALABI_MARGIN_SLACK if calabi else 0.0
@@ -374,7 +368,6 @@ def step(
         dt_try *= 0.5
 
 
-@_quiet
 def run_flow(
     spec: FlowSpec,
     surface: TriangulatedSurface,

@@ -34,8 +34,8 @@ one the face-major (F, 3) formulas make, in the same order, and the
 angles go back to (F, 3) order before ``bincount`` sums them, so the
 layout changes no bit.  The energy integrand takes every quantity from
 these functions, and every Jacobian is built on the caller's report.
-Only the length formula can overflow or go invalid: it runs under its
-callers' ``np.errstate`` (``_quiet``) and its checks reject what did.
+Only the length formula can overflow or go invalid: the three functions
+that run it enter ``_quiet`` themselves, and their checks reject what did.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ __all__ = [
 # |f| beyond this cannot be exponentiated in double precision.
 F_CAP = 700.0
 
-# The length formula runs under this, entered by the functions that call the kernel
-# (run_flow once per run): its checks reject what overflowed or went invalid.  As a
-# decorator it keeps its state per call, so nested calls are safe.
+# The length formula runs under this, entered by the three functions that run it
+# (_shape, edge_length, _edge_length_bounds): its checks reject what overflowed or went
+# invalid.  As a decorator it keeps its state per call, so nested calls are safe.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -106,8 +106,8 @@ def _check_f_range(f: np.ndarray, given: np.ndarray) -> None:
 
 
 def _logsinh(x: np.ndarray) -> np.ndarray:
-    # log(sinh(x)) for x > 0 without overflow, nor cancellation at small x: -expm1(-2x) > 0
-    return x - np.log(2.0) + np.log(-np.expm1(-2.0 * x))
+    # log(sinh(x)) for x > 0 without overflow (2x capped where expm1 is -1) or cancellation
+    return x - np.log(2.0) + np.log(-np.expm1(-2.0 * np.minimum(x, F_CAP)))
 
 
 def u_to_f(geometry: Geometry, epsilon, u):
@@ -117,8 +117,16 @@ def u_to_f(geometry: Geometry, epsilon, u):
     f = -log(sinh(-u)).  Everywhere else f = u.  Epsilon values outside
     {0, 1} and non-finite u raise BadParameterError, |f| > F_CAP OverflowRangeError.
     """
-    f = _u_to_f(geometry, _checked_epsilon(epsilon), u)
+    f = _u_to_f(geometry, _paired_epsilon(epsilon, u), u)
     return np.array(f) if f.shape else float(f)
+
+
+def _paired_epsilon(epsilon, x) -> np.ndarray:
+    # the checked epsilon: a scalar or one entry per row of the coordinates x, as _u_to_f reads it
+    eps, shape = _checked_epsilon(epsilon), np.shape(x)
+    if eps.ndim and eps.shape != shape[:1]:
+        raise BadParameterError(f"epsilon of shape {eps.shape} for coordinates of shape {shape}")
+    return eps
 
 
 def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u) -> np.ndarray:
@@ -144,7 +152,7 @@ def f_to_u(geometry: Geometry, epsilon, f):
     """Inverse of u_to_f: u = -asinh(e^{-f}) at hyperbolic eps=1 vertices; raises alike."""
     f = np.asarray(f, dtype=np.float64)
     _check_f_range(f, f)
-    cone, u = _checked_epsilon(epsilon) == 1, f.copy()
+    cone, u = _paired_epsilon(epsilon, f) == 1, f.copy()
     if geometry is Geometry.HYPERBOLIC:
         u[cone] = -np.arcsinh(np.exp(-f[cone]))
     return u if u.shape else float(u)
@@ -220,7 +228,7 @@ def _paired_kernel(surface: TriangulatedSurface, weights: WeightConfig, state) -
     # _kernel_weights for state; BadParameterError unless the weights and the state fit
     # the surface, and the state's epsilon, from which its f follows, is the weights'
     _check_sizes(surface, weights)
-    if state.epsilon is not weights.epsilon and not np.array_equal(state.epsilon, weights.epsilon):
+    if not np.array_equal(state.epsilon, weights.epsilon):
         if state.u.shape != weights.epsilon.shape:
             sizes = f"{state.u.size} vertices, the surface {surface.vertex_count}"
             raise BadParameterError(f"the state has {sizes}")
@@ -262,11 +270,12 @@ def edge_length(geometry: Geometry, eps_i, eps_j, eta, f_i, f_j):
     return out if out.shape else float(out)
 
 
+@_quiet
 def _shape(plan, kernel: tuple, geometry: Geometry, f) -> tuple:
     """The kernel's first half: vertex terms (x, w) (2, E), lengths (E,), rolled lengths
     a (5, F) and margins m (3, F) from exponents f (V,) on a surface's ``plan``, with the
-    weights of ``_kernel_weights``, under the caller's ``_quiet``; all broadcast over the
-    trailing axes of f."""
+    weights of ``_kernel_weights``; all broadcast over the trailing axes of f.  The one
+    pass of the length formula in the kernel, so it enters ``_quiet`` for its callers."""
     eps, cross = kernel
     if f.ndim > 1:  # columns against the trailing axes of f
         column = (-1,) + (1,) * (f.ndim - 1)
@@ -308,7 +317,6 @@ def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
     return np.arccosh(np.maximum(lo, 1.0)), np.arccosh(hi)
 
 
-@_quiet
 def edge_lengths(
     surface: TriangulatedSurface, weights: WeightConfig, state: ConformalState
 ) -> np.ndarray:
@@ -500,7 +508,7 @@ def _metric(
 ) -> MetricReport:
     """The metric kernel: lengths, margins, angles and K from exponents f in one pass.
 
-    ``kernel`` holds the weights as ``_kernel_weights`` resolves them; the caller enters
+    ``kernel`` holds the weights as ``_kernel_weights`` resolves them; ``_shape`` enters
     ``_quiet``.  Without ``extended`` the first degenerate face raises DegenerateFaceError."""
     plan = surface._plan
     lengths, a, m = _shape(plan, kernel, geometry, f)[1:]  # the vertex terms go
@@ -511,7 +519,6 @@ def _metric(
     return MetricReport(geometry, extended, lengths, m, angles, 2.0 * np.pi - acc)
 
 
-@_quiet
 def curvature(
     surface: TriangulatedSurface,
     weights: WeightConfig,

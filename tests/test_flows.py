@@ -1,7 +1,9 @@
 """Tests for the flow vector fields, stepping, and full runs."""
 
 import collections
+import contextlib
 import functools
+import warnings
 import zlib
 
 import numpy as np
@@ -15,6 +17,7 @@ from dcflow.calculus import (
 )
 from dcflow.errors import (
     BadParameterError,
+    DCFlowError,
     DegenerateFaceError,
     OverflowRangeError,
     QuadratureFailureError,
@@ -275,6 +278,21 @@ class TestVectorField:
         spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.zeros(4))
         with pytest.raises(TargetInadmissibleError):
             vector_field(spec, surface, weights, state)
+
+
+@pytest.mark.parametrize("entry", [step, run_flow, vector_field])
+def test_calabi_at_a_far_hyperbolic_cone_warns_nothing(entry):
+    # at f = 360 the lengths are finite but the Jacobian's e^{2f} overflows; the flows enter
+    # no errstate, so the Jacobian enters its own.  Only the warnings are asserted here
+    surface = generate("torus_grid", 4, 4)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    f = np.zeros(16)
+    f[5] = 360.0
+    state = ConformalState.from_f(Geometry.HYPERBOLIC, weights.epsilon, f)
+    spec = FlowSpec(FlowKind.MODIFIED_CALABI, Geometry.HYPERBOLIC, target=np.full(16, 0.1))
+    with warnings.catch_warnings(), contextlib.suppress(DCFlowError):
+        warnings.simplefilter("error")
+        entry(spec, surface, weights, state)
 
 
 class TestStep:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
-from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _quiet, _shape
+from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _metric, _quiet, _shape
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -132,6 +133,32 @@ def test_coordinate_conversions_check_epsilon(convert, geometry):
     assert np.array_equal(convert(geometry, [1.0, 0.0], u), convert(geometry, [1, 0], u))
 
 
+@pytest.mark.parametrize("convert", [u_to_f, f_to_u])
+@pytest.mark.parametrize("geometry", [EU, HY])
+def test_coordinate_conversions_want_one_epsilon_per_row(convert, geometry):
+    # numpy read a mismatch as an IndexError (hyperbolic) or not at all (Euclidean)
+    for eps in ([1, 1, 1], [1]):
+        with pytest.raises(BadParameterError, match=rf"shape \({len(eps)},\) .* shape \(2,\)"):
+            convert(geometry, eps, [-1.0, -2.0])
+    u = [-1.0, -2.0]  # a scalar epsilon keeps applying to every row
+    assert np.array_equal(convert(geometry, 1, u), convert(geometry, [1, 1], u))
+
+
+@pytest.mark.parametrize("u", [-1e308, -np.finfo(np.float64).max])
+def test_a_far_cone_coordinate_names_its_cause(u):
+    # -2u overflowed in log sinh and warned before the range check named the cause
+    entries = (
+        lambda: u_to_f(HY, 1, u),
+        lambda: ConformalState(HY, [1], [u]),
+        lambda: base_state(HY, [1]).with_u(np.array([u])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for enter in entries:
+            with pytest.raises(OverflowRangeError, match="exceeds"):
+                enter()
+
+
 def test_with_u_validates_u_with_the_same_error_types():
     # with_u checks only the new coordinates; each bad input keeps its cause
     eu = ConformalState(EU, np.ones(3, dtype=int), np.zeros(3))
@@ -220,6 +247,19 @@ def test_length_domain_violation_raises():
 def test_length_overflow_raises():
     with pytest.raises(OverflowRangeError):
         edge_length(EU, 1, 1, 1.0, 600.0, 600.0)
+
+
+def test_the_kernel_enters_its_own_errstate():
+    # a bare kernel pass, under no caller's errstate: e^{2f} squared overflows at f = 360,
+    # and the length check, not a RuntimeWarning, names the cause
+    surface = generate("torus_grid", 4, 4)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    f = np.zeros(16)
+    f[5] = 360.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowRangeError, match="euclidean length overflow"):
+            _metric(surface, _kernel_weights(EU, weights), EU, f, False)
 
 
 def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
