@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ class TestFlowCommand:
         code = main(["flow", mesh, "--kind", "extended-ricci", "--trace", trace])
         assert code == 0
         assert "converged" in capsys.readouterr().out
-        lines = open(trace).read().strip().split("\n")
+        lines = Path(trace).read_text().strip().split("\n")
         assert len(lines) > 2
 
     def test_trace_reruns_byte_identical(self, tmp_path):
