@@ -105,9 +105,9 @@ def _check_f_range(f: np.ndarray, given: np.ndarray) -> None:
         raise OverflowRangeError(f"conformal exponent exceeds |f| <= {F_CAP}")
 
 
-def _logsinh(x: np.ndarray) -> np.ndarray:
-    # log(sinh(x)) for x > 0 without overflow (2x capped where expm1 is -1) or cancellation
-    return x - np.log(2.0) + np.log(-np.expm1(-2.0 * np.minimum(x, F_CAP)))
+def _cone_f(u: np.ndarray) -> np.ndarray:
+    # -log(sinh(-u)) for u < 0 with no cancellation nor overflow (2u capped where expm1 is -1)
+    return (u + np.log(2.0)) - np.log(-np.expm1(2.0 * np.maximum(u, -F_CAP)))
 
 
 def u_to_f(geometry: Geometry, epsilon, u):
@@ -138,12 +138,12 @@ def _u_to_f(geometry: Geometry, epsilon: np.ndarray, u) -> np.ndarray:
         _check_f_range(u, u)
         return u
     cone = epsilon == 1
-    x, f = -u[cone], u.copy()
-    if not (x > 0.0).all():  # NaN fails too
-        if not np.isfinite(x).all():
-            _check_f_range(x, u)  # raises BadParameterError
+    v, f = u[cone], u.copy()
+    if not (v < 0.0).all():  # NaN fails too
+        if not np.isfinite(v).all():
+            _check_f_range(v, u)  # raises BadParameterError
         raise DomainError("hyperbolic eps=1 coordinates must satisfy u < 0")
-    f[cone] = -_logsinh(x)
+    f[cone] = _cone_f(v)
     _check_f_range(f, u)
     return f
 

@@ -33,7 +33,7 @@ from dcflow import (
     u_to_f,
     wall_reachability,
 )
-from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _metric, _quiet, _shape
+from dcflow.geometry import _degeneracy, _kernel_weights, _margins, _metric, _shape
 
 EU = Geometry.EUCLIDEAN
 HY = Geometry.HYPERBOLIC
@@ -146,7 +146,7 @@ def test_coordinate_conversions_want_one_epsilon_per_row(convert, geometry):
 
 @pytest.mark.parametrize("u", [-1e308, -np.finfo(np.float64).max])
 def test_a_far_cone_coordinate_names_its_cause(u):
-    # -2u overflowed in log sinh and warned before the range check named the cause
+    # 2u overflowed in log sinh and warned before the range check named the cause
     entries = (
         lambda: u_to_f(HY, 1, u),
         lambda: ConformalState(HY, [1], [u]),
@@ -271,7 +271,6 @@ def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
         return float(mp.sqrt(rad))
 
 
-@_quiet  # the kernel runs under its caller's errstate
 def lengths_of_pairs(eps_i, eps_j, eta, f_i, f_j):
     # the per-edge kernel on a complex of separate edges (2k, 2k + 1) and no face
     f = np.column_stack([f_i, f_j]).ravel()
