@@ -113,9 +113,9 @@ def _cone_f(u: np.ndarray) -> np.ndarray:
 def u_to_f(geometry: Geometry, epsilon, u):
     """Convert flow coordinates to conformal exponents.
 
-    Hyperbolic vertices with eps = 1 require u < 0 (DomainError); there
-    f = -log(sinh(-u)).  Everywhere else f = u.  Epsilon values outside
-    {0, 1} and non-finite u raise BadParameterError, |f| > F_CAP OverflowRangeError.
+    Hyperbolic vertices with eps = 1 require u < 0 (DomainError); there f = -log(sinh(-u)).
+    Everywhere else f = u.  Epsilon other than a scalar or one 0 or 1 per row of u, and
+    non-finite u, raise BadParameterError; |f| > F_CAP raises OverflowRangeError.
     """
     f = _u_to_f(geometry, _paired_epsilon(epsilon, u), u)
     return np.array(f) if f.shape else float(f)
