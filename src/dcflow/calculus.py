@@ -15,6 +15,8 @@ weights: length bounds certify a segment clear of walls, and only otherwise do
 a margin scan and a bisection of all its sign changes locate the crossings,
 where the integrand is only piecewise smooth; the parts between crossings split
 into halves anchored at their ends.  Doubling rules run on all pieces together.
+The trace and solve potentials of Euclidean tangency packings and vertex scaling
+take closed forms in Clausen's function instead, with the quadrature as their oracle.
 
 Lengths, margins, degeneracy and angles all come from the kernel in
 ``geometry``; the integrand evaluates them per vertex (u -> f and e^f),
@@ -459,7 +461,69 @@ def surface_energies(
     )
 
 
-def _potential_chain(surface, weights, geometry, target, base_u, us):
+# ---------------------------------------------------------------------------
+# closed-form potentials
+
+# Cl_2(x) = y (1 - log y + t g(t)) with y = x or 2 pi - x in [0, pi] and t = y^2: g(t) =
+# sum_k |B_2k| t^(k-1) / (2k (2k + 1)!), here its interpolant at 13 Chebyshev nodes of
+# [0, pi^2], within 2.4e-17 of Cl_2 in exact arithmetic.  On [0, pi / 2], Cl_2(y) +
+# Cl_2(pi - y) = 2 Cl_2(y) - Cl_2(2y) / 2 = y (1 + log 2 - log y + t (2 g(t) - 4 g(4t)))
+_CLAUSEN = (
+    1.388888888888889e-02, 6.94444444444399e-05, 7.873519778538069e-07, 1.148221628652533e-08,
+    1.8978876505639245e-10, 3.3872570555123936e-12, 6.374561018604873e-14, 1.240643100703569e-15,
+    2.6195481983755168e-17, 3.733194177512254e-19, 2.35059128293395e-20, -4.446698517072681e-22,
+    2.3710833242171887e-23,
+)
+_CLAUSEN_PAIR = tuple(c * (2.0 - 4.0 ** (j + 1)) for j, c in enumerate(_CLAUSEN))
+
+
+def _clausen_series(y, coefficients, constant):
+    # y (constant - log y + t sum_j coefficients[j] t^j), t = y^2: y log y is 0 at y = 0
+    t = y * y
+    p = t * coefficients[-1]
+    for c in coefficients[-2::-1]:
+        p += c
+        p *= t
+    p += constant
+    p -= np.log(np.maximum(y, 5e-324))
+    p *= y
+    return p
+
+
+def _clausen(x):
+    # Clausen's function Cl_2(x) = sum_k sin(k x) / k^2 on an array x in [0, 2 pi], within a
+    # few 1e-16; exactly 0 at 0, pi and 2 pi, where the potentials meet the walls
+    p = _clausen_series(np.minimum(x, 2.0 * np.pi - x), _CLAUSEN, 1.0)
+    p *= np.sign(np.pi - x)  # Cl_2(2 pi - y) = -Cl_2(y), and 0 at pi
+    return p
+
+
+def _face_potentials(surface, weights, geometry, u):
+    """Per-face Phi = sum_c theta_c (u_c - k_c) - kappa(theta_c), (F, R) at the (V, R)
+    columns u, whose u-gradient is theta; None where the weights have no closed form here.
+    Euclidean tangency packings (every eps = eta = 1; Colin de Verdiere) take k_c = 0 and
+    kappa(x) = Cl_2(x) + Cl_2(pi - x); Euclidean vertex scaling (every eps = 0; Bobenko-
+    Pinkall-Springborn) k_c = log(2 eta_c), eta_c opposite corner c, and kappa(x) = Cl_2(2x),
+    so Phi is their pi sum(u) - 2 F (the angles sum to pi), through walls too."""
+    scaling = not weights.epsilon.any()
+    tangency = weights.epsilon.all() and np.all(weights.eta == 1.0)
+    if geometry is not Geometry.EUCLIDEAN or not (scaling or tangency):
+        return None
+    kernel = _kernel_weights(geometry, weights)
+    theta = _angles(geometry, *_shape(surface._plan, kernel, geometry, u)[2:])
+    lever = u.take(surface.faces.T, axis=0)  # u at corner c of every face, (3, F, R)
+    if scaling:
+        lever -= np.log(2.0 * weights.eta).take(surface.face_edges.T)[..., None]
+        kappa = _clausen(2.0 * theta)
+    else:
+        folded = np.minimum(theta, np.pi - theta)  # kappa is symmetric about pi / 2
+        kappa = _clausen_series(folded, _CLAUSEN_PAIR, 1.0 + np.log(2.0))
+    lever *= theta
+    lever -= kappa
+    return lever[0] + lever[1] + lever[2]
+
+
+def _quadrature_chain(surface, weights, geometry, target, base_u, us):
     """Extended potential at each point of ``us``, chained along straight segments.
 
     The first value is integrated from ``base_u`` as in ``surface_energies``.  Chunks of
@@ -474,4 +538,22 @@ def _potential_chain(surface, weights, geometry, target, base_u, us):
             rise = u_to.sum() - (u_from.sum() if values else 0.0)
             energy += 2.0 * np.pi * float(rise) - float(per_face.sum())
             values.append(energy - float(target @ (u_to - base_u)))
+    return tuple(values)
+
+
+def _potential_chain(surface, weights, geometry, target, base_u, us):
+    """Extended potential at each point of ``us``, relative to ``base_u``: in closed form,
+    2 pi sum(u) - target . (u - base_u) minus the sum of each face's Phi(u) - Phi(base_u),
+    rows alone whatever their chunk of at most _CALL_SIZE corners; else the quadrature's.
+    The base is taken wider: its faces often share their bits, and so would their rounding.
+    """
+    base = _face_potentials(surface, weights, geometry, base_u[:, None].astype(np.longdouble))
+    if base is None:
+        return _quadrature_chain(surface, weights, geometry, target, base_u, us)
+    per_call, values = max(1, _CALL_SIZE // (3 * len(surface.faces))), []
+    for k in range(0, len(us), per_call):
+        rows = us[k : k + per_call]
+        drop = _face_potentials(surface, weights, geometry, np.stack(rows, axis=1)) - base
+        for u, fall in zip(rows, np.ascontiguousarray(drop.T).sum(axis=1).tolist()):
+            values.append(float(2.0 * np.pi * float(u.sum()) - fall - target @ (u - base_u)))
     return tuple(values)

@@ -363,27 +363,35 @@ def dump_document(payload: dict) -> str:
 # trace files
 
 
-def format_trace(trace: FlowTrace) -> str:
-    """CSV text: t, residual, sum_u, energy_H, calabi_C, u_*, K_*."""
+def _trace_lines(trace: FlowTrace):
+    """The lines of ``format_trace``, lazily, once the energies are read and every other
+    number is checked finite (energy_H may be nan): a failure writes nothing."""
+    energies = trace.energies
+    for r in trace.rows:
+        if not np.isfinite(np.r_[r.t, r.residual, r.sum_u, r.calabi, r.u, r.curvature]).all():
+            raise MeshDocumentError("cannot serialize a non-finite number")
     n = len(trace.rows[0].u)
     header = ["t", "residual", "sum_u", "energy_H", "calabi_C"]
     header += [f"u_{i}" for i in range(n)]
     header += [f"K_{i}" for i in range(n)]
-    lines = [",".join(header)]
-    row_format = ",".join(["%.17g"] * len(header))
-    for row, energy in zip(trace.rows, trace.energies):
-        cells = [row.t, row.residual, row.sum_u, energy, row.calabi]
-        cells += row.u.tolist() + row.curvature.tolist()
-        finite = np.isfinite(cells)
-        finite[3] = True  # energy_H may be nan when not evaluable
-        if not np.all(finite):
-            raise MeshDocumentError("cannot serialize a non-finite number")
-        lines.append(row_format % tuple(cells))
-    return "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+
+    def line(row, energy):
+        cells = (row.t, row.residual, row.sum_u, energy, row.calabi)
+        return row_format % (*cells, *row.u.tolist(), *row.curvature.tolist())
+
+    return chain([",".join(header) + "\n"], map(line, trace.rows, energies))
+
+
+def format_trace(trace: FlowTrace) -> str:
+    """CSV text: t, residual, sum_u, energy_H, calabi_C, u_*, K_*."""
+    return "".join(_trace_lines(trace))
 
 
 def write_trace(path: str, trace: FlowTrace) -> None:
-    _write_text(path, format_trace(trace))  # a failed energy read opens no file
+    lines = _trace_lines(trace)  # before the file opens: a failed energy read opens none
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

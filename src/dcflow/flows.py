@@ -22,7 +22,7 @@ the residual check, the trace row and the first stage of the next step
 (a Calabi step builds its Jacobian on the pass's lengths).  ``run_flow``
 records rows in one place: at the start, every ``trace_stride`` steps
 and at the last accepted state.  The flow never reads the potential it
-decreases, so ``FlowTrace.energies`` integrates the row potentials on
+decreases, so ``FlowTrace.energies`` evaluates the row potentials on
 first read.
 """
 
@@ -102,9 +102,7 @@ _INTEGRATORS = ("euler", "rk4")
 class FlowSpec:
     """Flow configuration: the ODE kind plus integration policy.
 
-    ``target`` defaults per kind (see resolve_target).  When
-    ``normalize_sum_to`` is set, Euclidean runs first mean-shift the
-    initial factors to that coordinate sum and record the shift.
+    ``target`` defaults per kind (see resolve_target).
     """
 
     kind: FlowKind
@@ -115,7 +113,6 @@ class FlowSpec:
     tolerance: float = 1e-10
     max_time: float = 500.0
     trace_stride: int = 10
-    normalize_sum_to: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.kind, FlowKind):
@@ -170,7 +167,6 @@ class TraceRow:
 class FlowTrace:
     rows: tuple[TraceRow, ...]
     termination: TerminationReason
-    normalized_shift: float = 0.0
     _path: tuple = field(default=None, compare=False, repr=False)  # read by energies
 
     @property
@@ -179,8 +175,9 @@ class FlowTrace:
 
     @cached_property
     def energies(self) -> tuple[float, ...]:
-        """Potential at each row, integrated on first read, many row segments per
-        integrand evaluation; may raise QuadratureFailureError."""
+        """Potential at each row, evaluated on first read: in closed form for Euclidean
+        tangency packings and vertex scaling, else integrated, many row segments per
+        integrand evaluation (which may raise QuadratureFailureError)."""
         surface, weights, geometry, base_u, target = self._path
         us = [row.u for row in self.rows]
         return _potential_chain(surface, weights, geometry, target, base_u, us)
@@ -383,12 +380,6 @@ def run_flow(
     target, kernel = run
 
     state = initial
-    shift = 0.0
-    if spec.normalize_sum_to is not None and spec.geometry is Geometry.EUCLIDEAN:
-        shift = (spec.normalize_sum_to - float(state.u.sum())) / surface.vertex_count
-        if shift != 0.0:
-            state = state.with_u(state.u + shift)
-
     sum_reference = float(state.u.sum())
     base = base_state(spec.geometry, state.epsilon)
     path = (surface, weights, spec.geometry, base.u, target)
@@ -441,4 +432,4 @@ def run_flow(
 
     if rows[-1].t < t:
         record(t, state, metric.curvature, deficit, residual)
-    return FlowTrace(tuple(rows), termination, shift, path)
+    return FlowTrace(tuple(rows), termination, path)

@@ -19,7 +19,7 @@ potential's derivative phi'(tau) = (K(u + tau s) - target) . s is
 nondecreasing, so the right Riemann sum of phi' over [0, 1] bounds the
 increment phi(1) - phi(0) from above, across degeneracy walls too, and no
 finer grid raises it; the Armijo test runs on that bound with 1, 2, 4 and
-then 8 nodes.  The potential is integrated only when
+then 8 nodes.  The potential is evaluated only when
 ``potential_history`` is read.
 """
 
@@ -67,10 +67,10 @@ class SolveReport:
     ``CERTIFICATE_TOL`` relative; the roundoff of the pinned solves, about
     machine epsilon times the condition number of the Jacobian, can be larger
     (1.5e-12 relative on a flat 100x100 torus).  ``potential_history``
-    holds the potential at the guess and after each accepted step: the
-    first from the base state, the rest chained from segment
-    increments.  It is integrated on first access, which raises
-    QuadratureFailureError if the quadrature fails.
+    holds the potential at the guess and after each accepted step, from
+    the base state: in closed form where calculus has one, else chained
+    from segment increments.  It is evaluated on first access, which
+    raises QuadratureFailureError if the quadrature fails.
     """
 
     state: ConformalState

@@ -655,3 +655,33 @@ class TestSurfaceEnergies:
             surface, weights, Geometry.EUCLIDEAN, np.zeros(9), u1
         ) + segment_face_energies(surface, weights, Geometry.EUCLIDEAN, u1, u2)
         assert np.max(np.abs(chained - direct)) < 1e-9
+
+
+class TestClausen:
+    def test_matches_mpmath_on_a_period(self):
+        # within a few 1e-16 of Cl_2 on [0, 2 pi], plus the slope log|2 sin(x/2)| of Cl_2
+        # times the rounding of x: the period is read as 2 * np.pi, which matters near it
+        x = np.linspace(0.0, 2.0 * np.pi, 2001)
+        with mp.workdps(30):
+            exact = [mp.clsin(2, mp.mpf(v)) for v in x]
+            error = np.array([float(abs(e - mp.mpf(c))) for e, c in zip(exact, calculus._clausen(x))])
+        slope = np.abs(np.log(np.maximum(np.abs(2.0 * np.sin(0.5 * x)), 1e-300)))
+        assert np.all(error <= np.finfo(float).eps * (2.0 + x * slope))
+        assert np.max(error[x < 6.0]) < 1e-15
+
+    def test_exact_zeros_and_symmetry(self):
+        assert calculus._clausen(np.array([0.0, np.pi, 2.0 * np.pi])).tolist() == [0.0] * 3
+        x = np.linspace(0.1, 6.0, 60)
+        assert np.max(np.abs(calculus._clausen(2.0 * np.pi - x) + calculus._clausen(x))) < 1e-14
+        catalan = calculus._clausen(np.array([np.pi / 2]))[0]
+        assert catalan == pytest.approx(0.915965594177219, abs=1e-16)
+
+    def test_pair_series_matches_two_calls(self):
+        # tangency packings evaluate Cl_2(x) + Cl_2(pi - x), symmetric about pi / 2, from one
+        # series with coefficients derived from the same literals
+        x = np.linspace(0.0, np.pi, 2001)
+        folded = np.minimum(x, np.pi - x)
+        pair = calculus._clausen_series(folded, calculus._CLAUSEN_PAIR, 1.0 + np.log(2.0))
+        two_calls = calculus._clausen(x) + calculus._clausen(np.pi - x)
+        assert np.max(np.abs(pair - two_calls)) < 2e-15
+        assert pair[0] == pair[-1] == 0.0

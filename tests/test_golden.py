@@ -210,8 +210,8 @@ DIGESTS = {
     "curvature/hyperbolic-degenerate": "6b9df8e81b76141410ad47feacaf5aac72cda66a0cd63a4e6c634aafe66d05ca",
     "curvature/hyperbolic-random": "a07155794cbe83ed9b0872b55c7a367d76bd9cad512e4f85bc696b44626f7813",
     "energy/triangle": "d5bd1bdd68b702fc96285b349751f2b99646a6eb569c7528891629e5b0417f4a",
-    "flow/extended-eps0-walls": "66d435f371ee72cf6b7e14b6d966ebfa1fd2051f869a9e9270a1bc0e7dda6a67",
-    "flow/extended-euler": "2487b1528bdcdc09bb59a0db9edf2d512c8389d0f62d44738f8544561ae23a49",
+    "flow/extended-eps0-walls": "03a692f67b7e6af7deb730457e24e2667b8ae739e83b3723b8deb1f5e063674c",
+    "flow/extended-euler": "87843039df06def07f502573df7a3c169101f1c389022472cbc6bf4de0b80bc4",
     "flow/extended-hyperbolic": "d12267e02008f162dc8c45ddc77195e5714023faf94b7b49d2b20f3ac8b5d695",
     "flow/extended-rk4": "8881004bc32b3974b44f0ccc23ff666ea0485b85924f6694c9421817fef86974",
     "flow/modified-calabi": "4ebc44831fa311706639a9b9cee4bfb4f7c8e33a8d344b6bdec1bfbb7544a0e8",

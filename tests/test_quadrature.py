@@ -305,9 +305,10 @@ def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
 
 
 def test_potential_chain_certifies_in_chunks(monkeypatch):
-    # the chain certifies and integrates its segments in chunks whose first doubling
-    # round (4 + 8 nodes a segment) is one integrand evaluation, with the values of one
-    # segment_face_energies call a segment
+    # the quadrature's chain certifies and integrates its segments in chunks whose first
+    # doubling round (4 + 8 nodes a segment) is one integrand evaluation, with the values
+    # of one segment_face_energies call a segment (these weights, eps = eta = 1, give the
+    # potential chain a closed form, whose oracle this chain is)
     surface, weights, state = make_setup("torus_grid", (4, 4))
     geometry, base_u = Geometry.EUCLIDEAN, state.u
     steps = np.random.default_rng(23).normal(0.0, 0.02, (70, surface.vertex_count))
@@ -328,11 +329,29 @@ def test_potential_chain_certifies_in_chunks(monkeypatch):
 
     monkeypatch.setattr(calculus, "_clear_of_walls", counting_certify)
     sizes = count_evaluations(monkeypatch)
-    values = calculus._potential_chain(surface, weights, geometry, target, base_u, us)
+    values = calculus._quadrature_chain(surface, weights, geometry, target, base_u, us)
     assert list(values) == expected
     per_call = calculus._CALL_SIZE // (12 * len(surface.faces))
     assert batches == [(per_call,), (len(us) - per_call,)]
     assert sizes == [12 * per_call, 12 * (len(us) - per_call)]
+
+
+@pytest.mark.parametrize("epsilon", [1, 0], ids=["tangency", "vertex-scaling"])
+def test_closed_form_rows_do_not_depend_on_their_chunk(epsilon):
+    # the closed-form chain evaluates its rows in chunks of at most _CALL_SIZE corners;
+    # each row, walls crossed or not, gets the bits it gets alone
+    surface, weights, _ = make_setup("torus_grid", (6, 6), epsilon=epsilon)
+    geometry, target, base_u = Geometry.EUCLIDEAN, np.ones(36) / 36, np.zeros(36)
+    scales = np.linspace(0.02, 0.8, 100)[:, None]
+    us = list(np.random.default_rng(29).normal(0.0, 1.0, (100, 36)) * scales)
+    if epsilon == 0:
+        states = [ConformalState(geometry, weights.epsilon, u) for u in us]
+        walls = [curvature(surface, weights, state, True).degenerate_faces for state in states]
+        assert 0 < sum(map(bool, walls)) < len(us)
+    assert calculus._CALL_SIZE // (3 * len(surface.faces)) < len(us)
+    together = calculus._potential_chain(surface, weights, geometry, target, base_u, us)
+    for u, value in zip(us, together):
+        assert calculus._potential_chain(surface, weights, geometry, target, base_u, [u]) == (value,)
 
 
 @pytest.mark.parametrize(
@@ -465,8 +484,9 @@ def test_batched_bisection_matches_one_crossing_at_a_time():
 
 def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
     # the seeded vertex-scaling flow (eps = 0, eta = 1) writes 375 rows and crosses 62 walls
-    # in three row segments; one read of its energies evaluates the kernel 364 times: three
-    # scans, 60 bisection rounds a crossing segment and the chunked quadrature rounds
+    # in three row segments; the quadrature's chain along them (the oracle of the closed
+    # form that trace.energies reads) evaluates the kernel 364 times: three scans, 60
+    # bisection rounds a crossing segment and the chunked quadrature rounds
     surface = generate("torus_grid", 10, 10)
     weights, geometry = WeightConfig.uniform(surface, 0, 1.0), Geometry.EUCLIDEAN
     u = np.random.default_rng(2).normal(0.0, 0.8, 100)
@@ -488,10 +508,13 @@ def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
 
     monkeypatch.setattr(calculus, "_segment_shape", counting_shape)
     monkeypatch.setattr(calculus, "_locate_crossings", counting_crossings)
-    trace.energies
+    surface, weights, geometry, base_u, target = trace._path
+    us = [row.u for row in trace.rows]
+    chained = calculus._quadrature_chain(surface, weights, geometry, target, base_u, us)
     crossing_segments = [n for n in cuts if n]
     assert sum(crossing_segments) == 62 and len(crossing_segments) == 3
     assert len(sizes) == 364
+    assert np.max(np.abs(np.subtract(trace.energies, chained))) < 1e-12
 
 
 def right_riemann_sums(surface, weights, geometry, u_from, u_to):

@@ -435,6 +435,21 @@ def torus_6x6_case():
     return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), guess
 
 
+def packing_6x6_case():
+    # circle packing weights (eps = 1, eta = cos 60 degrees) whose potential has no closed form
+    surface = generate("torus_grid", 6, 6)
+    weights = WeightConfig.uniform(surface, 1, 0.5)
+    guess = random_euclidean_guess(surface, weights, 50)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), guess
+
+
+def vertex_scaling_6x6_case():
+    surface = generate("torus_grid", 6, 6)
+    weights = WeightConfig.uniform(surface, 0, 1.0)
+    guess = random_euclidean_guess(surface, weights, 51, scale=0.8)
+    return surface, weights, Geometry.EUCLIDEAN, np.zeros(surface.vertex_count), guess
+
+
 def degenerate_cone_case():
     surface, weights = cone_torus_setup()
     guess = degenerate_cone_state(surface, weights)
@@ -748,8 +763,10 @@ class TestLineSearch:
 
 
 class TestPotentialHistory:
+    # the quadrature's chain: weights that have no closed form (a tangency packing and
+    # vertex scaling have one, checked against this chain below)
     @pytest.mark.parametrize(
-        "case", [torus_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
+        "case", [packing_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
     )
     def test_running_value_matches_from_base(self, case):
         surface, weights, _, target, guess = case()
@@ -764,7 +781,7 @@ class TestPotentialHistory:
         assert abs(report.potential_history[-1] - last.potential) < 1e-9
 
     @pytest.mark.parametrize(
-        "case", [torus_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
+        "case", [packing_6x6_case, degenerate_cone_case], ids=lambda c: c.__name__
     )
     def test_solve_integrates_nothing_until_read(self, case, monkeypatch):
         # the line search needs curvature only; the potential is integrated
@@ -787,6 +804,20 @@ class TestPotentialHistory:
         assert history[0] == first.potential
         assert abs(history[-1] - last.potential) < 1e-9
         assert all(b <= a + 1e-8 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize(
+        "case", [torus_6x6_case, vertex_scaling_6x6_case], ids=lambda c: c.__name__
+    )
+    def test_closed_form_matches_the_chained_quadrature(self, case):
+        # a tangency packing (eps = eta = 1) and vertex scaling (eps = 0) evaluate the
+        # history in closed form; the quadrature chained along the same iterates is its oracle
+        surface, weights, geometry, target, guess = case()
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert report.iterations > 1
+        iterates, base_u = report._iterates[3], np.zeros(surface.vertex_count)
+        chain = calculus_module._quadrature_chain
+        oracle = chain(surface, weights, geometry, target, base_u, iterates)
+        assert np.max(np.abs(np.subtract(report.potential_history, oracle))) < 1e-12
 
 
 def test_import_leaves_scipy_linalg_unloaded():
