@@ -38,6 +38,7 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _kernel_weights,
+    _metric,
     _paired_kernel,
     _shape,
     _u_to_f,
@@ -223,40 +224,39 @@ class EnergyValue:
     extended: bool
 
 
-def _segment_shape(geometry, mesh, weights, u0, du, ts, seg):
-    # Rolled opposite lengths (5, F, T) and margins (3, F, T) on the mesh's plan: node k at
-    # u0 + ts[k] du in column seg[k] (or seg[0] for all) of the (V, S) u0 and du
+def _segment_shape(geometry, mesh, kernel, u0, du, ts, seg):
+    # Rolled opposite lengths (5, F, T) and margins (3, F, T) on the mesh's plan and kernel:
+    # node k at u0 + ts[k] du in column seg[k] (or seg[0] for all) of the (V, S) u0 and du
     u_t = u0[:, seg] + ts * du[:, seg]
-    f_t = _u_to_f(geometry, weights.epsilon, u_t)
-    return _shape(mesh._plan, _kernel_weights(geometry, weights), geometry, f_t)[2:]
+    return _shape(mesh._plan, kernel, geometry, _u_to_f(geometry, kernel[0], u_t))[2:]
 
 
-def _energy_evaluator(geometry, mesh, weights, u0, du):
+def _energy_evaluator(geometry, mesh, kernel, u0, du):
     # theta . du, (F, T), node by node, so no value depends on the rest of its call
     du3 = du.take(mesh.faces.T, axis=0)  # du at corner c of every face, (3, F, S)
 
     def evaluate(ts, seg):
-        theta = _angles(geometry, *_segment_shape(geometry, mesh, weights, u0, du, ts, seg))
+        theta = _angles(geometry, *_segment_shape(geometry, mesh, kernel, u0, du, ts, seg))
         theta *= du3[:, :, seg]
         return theta[0] + theta[1] + theta[2]
 
     return evaluate
 
 
-def _reach_no_wall(epsilon, eta):
+def _reach_no_wall(weights):
     # no wall is reachable in either geometry: every eps = 1, every eta in [0, 1]
-    return np.all(epsilon == 1) and np.all((0.0 <= eta) & (eta <= 1.0))
+    return np.all(weights.epsilon == 1) and np.all((0.0 <= weights.eta) & (weights.eta <= 1.0))
 
 
-def _clear_of_walls(geometry, mesh, epsilon, eta, u0, du):
+def _clear_of_walls(geometry, mesh, weights, kernel, u0, du):
     # True when the length bounds keep every margin on u0 + t du, t in [0, 1], above its
     # own rounding error, for each column of (V, S) u0 and du (weights that reach no wall
-    # certify every segment without a bound); ends as in _segment_shape
-    if _reach_no_wall(epsilon, eta):
+    # certify every segment without a bound); kernel and ends as in _segment_shape
+    if _reach_no_wall(weights):
         return np.full(du.shape[1:], True)
     u_ends = u0[:, None] + np.array([[0.0], [1.0]]) * du[:, None]  # (V, 2, S)
-    f_ends = _u_to_f(geometry, epsilon, u_ends)
-    bounds = _edge_length_bounds(geometry, epsilon, eta, mesh.edges, f_ends)
+    f_ends = _u_to_f(geometry, kernel[0], u_ends)
+    bounds = _edge_length_bounds(geometry, kernel, mesh.edges, f_ends)
     lo, hi = (b[mesh.face_edges] for b in bounds)
     margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
     rounding = 8.0 * np.finfo(np.float64).eps * hi.sum(axis=1, keepdims=True)
@@ -348,22 +348,23 @@ def _gauss_doubling(evaluate, pieces, out, columns):
 def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended):
     """Per-face path integrals of the angle form along S straight segments, (S, F).
 
-    ``u0`` and ``u1`` hold the ends as (V, S) columns.  Weights that reach no wall make
-    each segment one piece on [0, 1].  Otherwise a segment splits at its wall cuts (if
-    the length bounds leave it uncertified), each part into two halves anchored at its
-    knots, since a wall at or just past an end stalls a single rule.  Each piece runs to
-    QUADRATURE_TOL / (2 * knot count); nodes are evaluated one by one, so a segment's
-    bits do not depend on the others.  Raises DegenerateFaceError without ``extended`` on a wall.
+    ``u0`` and ``u1`` hold the ends as (V, S) columns, checked by the caller; the kernel's
+    weights are resolved once.  Weights that reach no wall make each segment one piece on
+    [0, 1].  Otherwise a segment splits at its wall cuts (if the length bounds leave it
+    uncertified), each part into two halves anchored at its knots, since a wall at or just
+    past an end stalls a single rule.  Each piece runs to QUADRATURE_TOL / (2 * knot count);
+    nodes are evaluated one by one, so a segment's bits do not depend on the others.
+    Raises DegenerateFaceError without ``extended`` on a wall.
     """
-    du, eps, eta, pieces = u1 - u0, weights.epsilon, weights.eta, []
+    du, kernel, pieces = u1 - u0, _kernel_weights(geometry, weights), []
     moving = np.flatnonzero(np.any(du != 0.0, axis=0))
-    clear = _clear_of_walls(geometry, mesh, eps, eta, u0[:, moving], du[:, moving])
-    analytic = _reach_no_wall(eps, eta)
+    clear = _clear_of_walls(geometry, mesh, weights, kernel, u0[:, moving], du[:, moving])
+    analytic = _reach_no_wall(weights)
     for s, certified in zip(moving.tolist(), clear.tolist()):
         cuts = []
         if not certified:
             def margins_at(ts):
-                return _degeneracy(_segment_shape(geometry, mesh, weights, u0, du, ts, [s])[1])[0]
+                return _degeneracy(_segment_shape(geometry, mesh, kernel, u0, du, ts, [s])[1])[0]
 
             grid = np.linspace(0.0, 1.0, 65)
             margins = margins_at(grid)
@@ -375,7 +376,7 @@ def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended):
         halves = [(t, 0.5 * (t0 + t1)) for t0, t1 in zip(knots[:-1], knots[1:]) for t in (t0, t1)]
         rules = [_gauss_rule] if analytic else [partial(_anchored_rule, *h) for h in halves]
         pieces += [(s, rule, QUADRATURE_TOL / (2 * len(knots))) for rule in rules]
-    evaluate = _energy_evaluator(geometry, mesh, weights, u0, du)
+    evaluate = _energy_evaluator(geometry, mesh, kernel, u0, du)
     out = np.zeros((du.shape[1], len(mesh.faces)))
     return _gauss_doubling(evaluate, pieces, out, min(_PIECE_CAP, _CALL_SIZE // len(mesh.faces)))
 
@@ -396,8 +397,8 @@ def triangle_energy(
     """
     weights = WeightConfig(np.reshape(epsilon_triple, 3), np.reshape(eta_triple, 3))
     u0 = base_state(geometry, weights.epsilon).u if base_triple is None else base_triple
-    u0, u1 = (np.reshape(u, 3) for u in (u0, u_triple))
-    return float(segment_face_energies(_TRIANGLE, weights, geometry, u0, u1, extended)[0])
+    u0, u1 = (np.asarray(u, dtype=np.float64).reshape(3, 1) for u in (u0, u_triple))
+    return float(_integrate_face_energies(geometry, _TRIANGLE, weights, u0, u1, extended)[0, 0])
 
 
 def segment_face_energies(
@@ -440,16 +441,17 @@ def surface_energies(
     geometry = state.geometry
     if base is None:
         base = base_state(geometry, state.epsilon)
-    for end in (base, state):  # before the integration, which would fail less clearly
-        _paired_kernel(surface, weights, end)
+    _paired_kernel(surface, weights, base)  # both ends before the integration, which
+    kernel = _paired_kernel(surface, weights, state)  # would fail less clearly
     if target is None:
         target = np.zeros(surface.vertex_count)
     target = np.asarray(target, dtype=np.float64)
-    per_face = segment_face_energies(surface, weights, geometry, base.u, state.u, extended)
+    ends = base.u[:, None], state.u[:, None]
+    per_face = _integrate_face_energies(geometry, surface, weights, *ends, extended)[0]
 
     energy = 2.0 * np.pi * float(state.u.sum()) - float(per_face.sum())
     potential = energy - float(target @ (state.u - base.u))
-    report = curvature(surface, weights, state, extended=extended)
+    report = _metric(surface, kernel, geometry, state.f, extended)
     calabi = 0.5 * float(np.sum((target - report.curvature) ** 2))
     return EnergyValue(
         energy=energy,
@@ -498,18 +500,17 @@ def _clausen(x):
     return p
 
 
-def _face_potentials(surface, weights, geometry, u):
-    """Per-face Phi = sum_c theta_c (u_c - k_c) - kappa(theta_c), (F, R) at the (V, R)
-    columns u, whose u-gradient is theta; None where the weights have no closed form here.
-    Euclidean tangency packings (every eps = eta = 1; Colin de Verdiere) take k_c = 0 and
-    kappa(x) = Cl_2(x) + Cl_2(pi - x); Euclidean vertex scaling (every eps = 0; Bobenko-
-    Pinkall-Springborn) k_c = log(2 eta_c), eta_c opposite corner c, and kappa(x) = Cl_2(2x),
-    so Phi is their pi sum(u) - 2 F (the angles sum to pi), through walls too."""
+def _face_potentials(surface, weights, kernel, geometry, u):
+    """Per-face Phi = sum_c theta_c (u_c - k_c) - kappa(theta_c), (F, R) at the (V, R) columns
+    u on the weights and their kernel, with u-gradient theta; None where they have no closed
+    form here.  Euclidean tangency packings (every eps = eta = 1; Colin de Verdiere) take
+    k_c = 0 and kappa(x) = Cl_2(x) + Cl_2(pi - x); Euclidean vertex scaling (every eps = 0;
+    Bobenko-Pinkall-Springborn) k_c = log(2 eta_c), eta_c opposite corner c, and kappa(x) =
+    Cl_2(2x), so Phi is their pi sum(u) - 2 F (the angles sum to pi), through walls too."""
     scaling = not weights.epsilon.any()
     tangency = weights.epsilon.all() and np.all(weights.eta == 1.0)
     if geometry is not Geometry.EUCLIDEAN or not (scaling or tangency):
         return None
-    kernel = _kernel_weights(geometry, weights)
     theta = _angles(geometry, *_shape(surface._plan, kernel, geometry, u)[2:])
     lever = u.take(surface.faces.T, axis=0)  # u at corner c of every face, (3, F, R)
     if scaling:
@@ -547,13 +548,14 @@ def _potential_chain(surface, weights, geometry, target, base_u, us):
     rows alone whatever their chunk of at most _CALL_SIZE corners; else the quadrature's.
     The base is taken wider: its faces often share their bits, and so would their rounding.
     """
-    base = _face_potentials(surface, weights, geometry, base_u[:, None].astype(np.longdouble))
+    kernel, wide = _kernel_weights(geometry, weights), base_u[:, None].astype(np.longdouble)
+    base = _face_potentials(surface, weights, kernel, geometry, wide)
     if base is None:
         return _quadrature_chain(surface, weights, geometry, target, base_u, us)
     per_call, values = max(1, _CALL_SIZE // (3 * len(surface.faces))), []
     for k in range(0, len(us), per_call):
         rows = us[k : k + per_call]
-        drop = _face_potentials(surface, weights, geometry, np.stack(rows, axis=1)) - base
+        drop = _face_potentials(surface, weights, kernel, geometry, np.stack(rows, axis=1)) - base
         for u, fall in zip(rows, np.ascontiguousarray(drop.T).sum(axis=1).tolist()):
             values.append(float(2.0 * np.pi * float(u.sum()) - fall - target @ (u - base_u)))
     return tuple(values)

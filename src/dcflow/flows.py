@@ -247,20 +247,16 @@ def check_target(spec: FlowSpec, surface: TriangulatedSurface) -> TargetValidati
     return TargetValidation(tuple(violations))
 
 
-def _admissible_target(spec: FlowSpec, surface: TriangulatedSurface) -> np.ndarray:
-    """The resolved target; raises TargetInadmissibleError when it is inadmissible."""
+def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig, state) -> tuple:
+    # the admissible target (else TargetInadmissibleError) and the kernel's weights, once per
+    # run_flow, solve_prescribed, step or vector_field call, for a state of the spec's
+    # geometry that fits the surface and the weights
+    if state.geometry is not spec.geometry:
+        raise BadParameterError("state geometry does not match the flow spec")
     validation = check_target(spec, surface)
     if not validation.ok:
         raise TargetInadmissibleError("; ".join(validation.violations))
-    return resolve_target(spec, surface)
-
-
-def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig, state) -> tuple:
-    # the target and the kernel's weights, once per run_flow, step or vector_field call,
-    # for a state of the spec's geometry that fits the surface and the weights
-    if state.geometry is not spec.geometry:
-        raise BadParameterError("state geometry does not match the flow spec")
-    return _admissible_target(spec, surface), _paired_kernel(surface, weights, state)
+    return resolve_target(spec, surface), _paired_kernel(surface, weights, state)
 
 
 def _field(spec, surface, weights, state, run, metric=None):

@@ -288,25 +288,24 @@ def _shape(plan, kernel: tuple, geometry: Geometry, f) -> tuple:
 
 
 @_quiet
-def _edge_length_bounds(geometry: Geometry, epsilon, eta, edges, f_ends):
+def _edge_length_bounds(geometry: Geometry, kernel: tuple, edges, f_ends):
     """Bounds (lo, hi) on every length of ``edges`` along a segment in u.
 
-    ``f_ends`` (V, 2) holds the exponents at its two ends; (V, 2, S) those of S
-    segments, bounded one by one.  u_to_f is increasing, so each f, e^f and C lie
-    between their end values, and the length formula in interval arithmetic (a term
+    ``f_ends`` (V, 2) holds the exponents at its two ends; (V, 2, S) those of S segments,
+    bounded one by one.  u_to_f is increasing, so each f, e^f and C lie between their end
+    values, and the length formula on the ``kernel`` weights in interval arithmetic (a term
     with a negative weight takes the opposite end) bounds every length on the segment.
     The bounds are widened by the formula's rounding error, which grows with |f|, so
     they hold for lengths evaluated in floating point too.
     """
     trailing = (1,) * (f_ends.ndim - 1)
-    eps = np.asarray(epsilon, dtype=np.float64).reshape(-1, *trailing)
+    eps, cross = (k.reshape(-1, *trailing) for k in kernel)
     x, w = _vertex_terms(geometry, eps, np.sort(f_ends, axis=1))  # low end, high end
     i, j = edges[:, 0], edges[:, 1]
-    eta = np.asarray(eta, dtype=np.float64).reshape(-1, *trailing)
     if geometry is Geometry.EUCLIDEAN:
-        terms = [w[i], w[j], 2.0 * eta * x[i] * x[j]]
+        terms = [w[i], w[j], cross * x[i] * x[j]]
     else:
-        terms = [w[i] * w[j], eta * x[i] * x[j]]
+        terms = [w[i] * w[j], cross * x[i] * x[j]]
     ends = np.sort(terms, axis=2)  # (term, E, end, segment)
     size = np.spacing(1.0 + np.abs(f_ends).max(axis=(0, 1)))  # per segment
     slack = 32.0 * size * np.abs(ends).sum(axis=(0, 2))

@@ -20,7 +20,9 @@ nondecreasing, so the right Riemann sum of phi' over [0, 1] bounds the
 increment phi(1) - phi(0) from above, across degeneracy walls too, and no
 finer grid raises it; the Armijo test runs on that bound with 1, 2, 4 and
 then 8 nodes.  The potential is evaluated only when
-``potential_history`` is read.
+``potential_history`` is read.  The target and the kernel's weights are
+resolved once a solve, by ``flows._resolve`` as ``run_flow`` resolves them,
+and each trial point is one kernel pass (``geometry._metric``) on that run.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (
     NoInteriorSolutionError,
     OverflowRangeError,
 )
-from .flows import FlowKind, FlowSpec, _admissible_target
-from .geometry import ConformalState, Geometry, base_state, curvature
+from .flows import FlowKind, FlowSpec, _resolve
+from .geometry import ConformalState, Geometry, _metric, base_state
 from .surface import TriangulatedSurface, WeightConfig
 
 __all__ = ["SolveReport", "solve_prescribed"]
@@ -167,32 +169,28 @@ def solve_prescribed(
 ) -> SolveReport:
     """Find conformal factors whose curvature equals the target.
 
-    Raises BadParameterError unless ``tolerance`` > 0 and
-    ``max_iterations`` >= 0, TargetInadmissibleError when the target
-    violates the admissibility constraints, NoInteriorSolutionError
-    when the iteration converges to a generalized solution with
-    degenerate faces, and MaxIterationsError when a budget runs out.
+    Raises BadParameterError unless ``tolerance`` > 0, ``max_iterations`` >= 0
+    and the target is a finite per-vertex vector, TargetInadmissibleError when
+    the target violates the admissibility constraints, NoInteriorSolutionError
+    when the iteration converges to a generalized solution with degenerate
+    faces, and MaxIterationsError when a budget runs out.
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != (surface.vertex_count,) or not np.all(np.isfinite(target)):
-        raise BadParameterError("target must be a finite per-vertex vector")
     if max_iterations < 0:
         raise BadParameterError("max_iterations must be non-negative")
-    # the spec rejects a tolerance that is not positive, NaN included
-    kind = FlowKind.EXTENDED_MODIFIED_RICCI
-    probe = FlowSpec(kind, geometry, target=target, tolerance=tolerance)
-    target = _admissible_target(probe, surface)
-
+    # the spec rejects a tolerance that is not positive (NaN too) and a target that is not a
+    # finite vector; _resolve rejects one of the wrong length
+    probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target, tolerance=tolerance)
     if initial_guess is None:
         state = base_state(geometry, weights.epsilon)
+    elif initial_guess.geometry is not geometry:
+        raise BadParameterError("initial guess geometry mismatch")
     else:
-        if initial_guess.geometry is not geometry:
-            raise BadParameterError("initial guess geometry mismatch")
         state = initial_guess
+    target, kernel = _resolve(probe, surface, weights, state)
     sum_reference = float(state.u.sum())
 
     def report_at(st):
-        return curvature(surface, weights, st, extended=True)
+        return _metric(surface, kernel, geometry, st.f, True)
 
     def certified(current, candidate, bound):
         # Report at the candidate when the right Riemann sum of phi' on

@@ -523,6 +523,42 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["validate", "curvature"])
+    def test_document_root_that_is_not_an_object_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: document root must be an object\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["curvature"], ["flow", "--target", "const:0"], ["solve", "--target", "const:0"]],
+        ids=["curvature", "flow", "solve"],
+    )
+    def test_open_surface_exits_2(self, tmp_path, capsys, command):
+        # a tetrahedron short of one face parses, but does not build a closed surface
+        path = write_tetra(tmp_path, faces=[[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+        assert main([command[0], path, *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: document does not describe a valid surface: "
+            "edge (1, 2) bounds 1 face(s), expected 2\n"
+        )
+
+    @pytest.mark.parametrize("command", ["flow", "solve"])
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("const:abc", "bad constant target 'const:abc'"),
+            ("foo", "target must look like const:x or file:path, got 'foo'"),
+        ],
+        ids=["bad-constant", "unknown-source"],
+    )
+    def test_unreadable_target_exits_2(self, tmp_path, capsys, command, target, message):
+        path = write_tetra(tmp_path)
+        assert main([command, path, "--target", target]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # the array formatter against a one-call-per-number reference
 

@@ -158,6 +158,21 @@ class TestFlowSpec:
         with pytest.raises(BadParameterError):
             FlowSpec("ricci", Geometry.EUCLIDEAN)
 
+    def test_rejects_a_time_budget_that_is_not_positive(self):
+        for max_time in (0.0, -1.0, np.nan):
+            with pytest.raises(BadParameterError, match="^max_time must be positive$"):
+                FlowSpec(FlowKind.RICCI, Geometry.EUCLIDEAN, max_time=max_time)
+
+    def test_rejects_a_geometry_that_is_not_a_geometry(self):
+        with pytest.raises(BadParameterError, match="^unknown geometry: 'euclidean'$"):
+            FlowSpec(FlowKind.RICCI, "euclidean")
+
+    def test_resolve_target_rejects_a_target_of_the_wrong_length(self):
+        surface, _ = tetra_setup()
+        spec = FlowSpec(FlowKind.RICCI, Geometry.EUCLIDEAN, target=np.zeros(3))
+        with pytest.raises(BadParameterError, match=r"^target has shape \(3,\), expected \(4,\)$"):
+            resolve_target(spec, surface)
+
     def test_default_targets(self):
         surface, _ = tetra_setup()
         euclidean = FlowSpec(FlowKind.RICCI, Geometry.EUCLIDEAN)
@@ -439,6 +454,37 @@ class TestStep:
         assert outcome.halvings == 0
         assert new_state is state
 
+    def test_strict_rk4_stage_past_a_wall_halves_the_step(self, monkeypatch):
+        # 1e-3 before a wall, the first RK4 stages at dt = 0.01 land past it: the stage's
+        # strict pass raises DegenerateFaceError, and the step halves until every stage is
+        # clear (four times), then accepts a nondegenerate state
+        surface, weights, lo, hi = wall_straddles()[0]
+        v = int(np.flatnonzero(lo.u != hi.u)[0])
+        u = lo.u.copy()
+        u[v] -= 1e-3
+        state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+        push = np.full(surface.vertex_count, -1.0 / surface.vertex_count)
+        push[v] += 1.0  # toward the wall, and zero-sum
+        target = curvature(surface, weights, state).curvature + push
+        spec = FlowSpec(
+            FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target, integrator="rk4", dt=0.01
+        )
+        raised, real_metric = [], flows._metric
+
+        def recording_metric(*args, **kwargs):
+            try:
+                return real_metric(*args, **kwargs)
+            except DegenerateFaceError as error:
+                raised.append(error)
+                raise
+
+        monkeypatch.setattr(flows, "_metric", recording_metric)
+        new_state, outcome = step(spec, surface, weights, state)
+        assert len(raised) == outcome.halvings == 4
+        assert outcome.status is StepStatus.OK
+        assert outcome.dt_used == 0.01 / 16
+        assert not curvature(surface, weights, new_state, extended=True).degenerate_faces
+
     def test_drift_compensation_records_correction(self):
         surface, weights = torus_setup()
         rng = np.random.default_rng(64)
@@ -601,6 +647,33 @@ class TestRunFlow:
         assert len(passes) == 26
         assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.1, 0.2, 0.24]
         assert trace.rows == (rows[0], rows[10], rows[20], rows[24])
+
+    def test_a_residual_past_the_divergence_bound_ends_the_run(self, monkeypatch):
+        # a pass whose deficit exceeds DIVERGENCE_RESIDUAL ends the run DIVERGED at the
+        # state it was made at, which the last row records (the extended angles keep every
+        # real deficit far below the bound, so a patched pass stands in for one)
+        surface, weights = tetra_setup()
+        state = ConformalState(
+            Geometry.EUCLIDEAN, weights.epsilon, np.array([0.3, -0.1, 0.2, -0.4])
+        )
+        spec = FlowSpec(
+            FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.full(4, np.pi)
+        )
+        passes, real_metric = [], flows._metric
+
+        def diverging_metric(*args, **kwargs):
+            report = real_metric(*args, **kwargs)
+            passes.append(report)
+            if len(passes) == 4:  # the start's pass, then the third step's
+                return report._replace(curvature=report.curvature + 2.0 * flows.DIVERGENCE_RESIDUAL)
+            return report
+
+        monkeypatch.setattr(flows, "_metric", diverging_metric)
+        trace = run_flow(spec, surface, weights, state)
+        assert trace.termination is TerminationReason.DIVERGED
+        assert len(passes) == 4
+        assert [round(row.t, 12) for row in trace.rows] == [0.0, 0.03]
+        assert trace.rows[-1].residual > flows.DIVERGENCE_RESIDUAL
 
     def test_degenerated_run(self):
         surface, weights = torus_setup()

@@ -5,7 +5,7 @@ import pytest
 
 from dcflow import calculus
 from dcflow.calculus import QUADRATURE_TOL, segment_face_energies
-from dcflow.geometry import ConformalState, Geometry, curvature
+from dcflow.geometry import ConformalState, Geometry, _kernel_weights, curvature
 from dcflow.surface import WeightConfig
 
 from conftest import make_setup
@@ -74,6 +74,7 @@ def test_closed_form_face_energies_match_the_quadrature(segment):
         end_state = ConformalState(geometry, weights.epsilon, end)
         assert curvature(surface, weights, end_state, extended=True).degenerate_faces
     ends = np.stack([start, end], axis=1)
-    potentials = calculus._face_potentials(surface, weights, geometry, ends)
+    kernel = _kernel_weights(geometry, weights)
+    potentials = calculus._face_potentials(surface, weights, kernel, geometry, ends)
     oracle = segment_face_energies(surface, weights, geometry, start, end)
     assert np.max(np.abs(potentials[:, 1] - potentials[:, 0] - oracle)) < QUADRATURE_TOL

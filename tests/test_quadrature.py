@@ -12,7 +12,7 @@ from dcflow import calculus
 from dcflow.calculus import QUADRATURE_TOL, segment_face_energies
 from dcflow.errors import BadParameterError, QuadratureFailureError
 from dcflow.flows import FlowKind, FlowSpec, run_flow
-from dcflow.geometry import ConformalState, Geometry, curvature
+from dcflow.geometry import ConformalState, Geometry, _kernel_weights, curvature
 from dcflow.surface import WeightConfig, generate
 
 from conftest import make_setup, random_admissible_state
@@ -123,14 +123,15 @@ def test_vertex_scaling_energies_match_the_closed_form():
     # on a whole eps = 0 torus, along a short certified segment and a long one through
     # walls, each face's integral is pi sum(du) - 2 (F(u_to) - F(u_from))
     surface, weights, _ = make_setup("torus_grid", (4, 4), epsilon=0)
-    geometry, eps, eta = Geometry.EUCLIDEAN, weights.epsilon, weights.eta
+    geometry, eps = Geometry.EUCLIDEAN, weights.epsilon
+    kernel = _kernel_weights(geometry, weights)
     rng = np.random.default_rng(27)
     u_from = random_admissible_state(surface, weights, geometry, rng).u
     ends = {"clear": u_from + rng.normal(0.0, 0.05, u_from.size), "walls": 3.0 * u_from}
     at_start = vertex_scaling_face_function(surface, weights, u_from)
     for name, u_to in ends.items():
         column = u_from[:, None], (u_to - u_from)[:, None]
-        certified = calculus._clear_of_walls(geometry, surface, eps, eta, *column)[0]
+        certified = calculus._clear_of_walls(geometry, surface, weights, kernel, *column)[0]
         assert certified == (name == "clear")
         at_end = vertex_scaling_face_function(surface, weights, u_to)
         rise = (u_to - u_from)[surface.faces].sum(axis=1)
@@ -195,9 +196,9 @@ def test_certified_segment_is_one_evaluation(monkeypatch):
     rng = np.random.default_rng(31)
     u_from = rng.normal(0.0, 0.1, surface.vertex_count)
     u_to = u_from + rng.normal(0.0, 0.01, surface.vertex_count)
-    eps, eta = weights.epsilon, weights.eta
+    kernel = _kernel_weights(Geometry.EUCLIDEAN, weights)
     column = u_from[:, None], (u_to - u_from)[:, None]
-    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, eps, eta, *column)
+    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, weights, kernel, *column)
     sizes = count_evaluations(monkeypatch)
     per_face = segment_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
     assert sizes == [4 + 8]
@@ -219,7 +220,7 @@ def test_wall_crossing_path_batches_each_round(monkeypatch):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
-def never_clear(geometry, mesh, epsilon, eta, u0, du):
+def never_clear(geometry, mesh, weights, kernel, u0, du):
     """A wall certificate that refuses every column, so that every segment is scanned."""
     return np.zeros(du.shape[1:], dtype=bool)
 
@@ -250,15 +251,15 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
     # where the length bounds certify a segment, no margin on a fine grid may
     # be non-positive, and skipping the scan must not change a single bit
     surface, weights, geometry, segments = random_segments(kind, dims, geometry, 21)
-    eps, eta = weights.epsilon, weights.eta
+    kernel = _kernel_weights(geometry, weights)
     grid = np.linspace(0.0, 1.0, 4097)
     certified, refused, energies = 0, 0, []
     for u_from, u_to in segments:
         du = u_to - u_from
-        if calculus._clear_of_walls(geometry, surface, eps, eta, u_from[:, None], du[:, None]):
+        columns, seg = (u_from[:, None], du[:, None]), np.zeros(grid.size, dtype=int)
+        if calculus._clear_of_walls(geometry, surface, weights, kernel, *columns):
             certified += 1
-            columns, seg = (u_from[:, None], du[:, None]), np.zeros(grid.size, dtype=int)
-            _, m = calculus._segment_shape(geometry, surface, weights, *columns, grid, seg)
+            _, m = calculus._segment_shape(geometry, surface, kernel, *columns, grid, seg)
             margins = calculus._degeneracy(m)[0]
             assert np.all(margins > 0.0)
             strict = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=False)
@@ -288,19 +289,17 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
 def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
     # each column gets the verdict of its own call, slack included
     surface, weights, geometry, segments = random_segments(kind, dims, geometry, 22)
-    eps, eta = weights.epsilon, weights.eta
+    kernel = _kernel_weights(geometry, weights)
     u0 = np.stack([u_from for u_from, _ in segments], axis=1)
     du = np.stack([u_to for _, u_to in segments], axis=1) - u0
-    batched = calculus._clear_of_walls(geometry, surface, eps, eta, u0, du)
-    single = [
-        calculus._clear_of_walls(geometry, surface, eps, eta, a[:, None], (b - a)[:, None])[0]
-        for a, b in segments
-    ]
+    certify = functools.partial(calculus._clear_of_walls, geometry, surface, weights, kernel)
+    batched = certify(u0, du)
+    single = [certify(a[:, None], (b - a)[:, None])[0] for a, b in segments]
     assert batched.tolist() == single
     assert 0 < sum(single) < len(single)
     f_ends = np.stack([u0, u0 + du], axis=1) if geometry is Geometry.EUCLIDEAN else None
     if f_ends is not None:
-        lo, hi = calculus._edge_length_bounds(geometry, eps, eta, surface.edges, f_ends)
+        lo, hi = calculus._edge_length_bounds(geometry, kernel, surface.edges, f_ends)
         assert lo.shape == hi.shape == (surface.edge_count, len(segments))
 
 
@@ -323,9 +322,9 @@ def test_potential_chain_certifies_in_chunks(monkeypatch):
         expected.append(energy - float(target @ (u_to - base_u)))
     batches, certify = [], calculus._clear_of_walls
 
-    def counting_certify(geometry, mesh, epsilon, eta, u0, du):
+    def counting_certify(geometry, mesh, weights, kernel, u0, du):
         batches.append(du.shape[1:])
-        return certify(geometry, mesh, epsilon, eta, u0, du)
+        return certify(geometry, mesh, weights, kernel, u0, du)
 
     monkeypatch.setattr(calculus, "_clear_of_walls", counting_certify)
     sizes = count_evaluations(monkeypatch)
@@ -365,8 +364,8 @@ def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, ge
     surface, weights, geometry, segments = random_segments(kind, dims, geometry, 26)
     segments.insert(3, (segments[2][0], segments[2][0]))
     u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
-    eps, eta = weights.epsilon, weights.eta
-    clear = calculus._clear_of_walls(geometry, surface, eps, eta, u0, u1 - u0)
+    kernel = _kernel_weights(geometry, weights)
+    clear = calculus._clear_of_walls(geometry, surface, weights, kernel, u0, u1 - u0)
     assert 0 < clear.sum() < len(segments) - 1
     cuts, locate_crossings = [], calculus._locate_crossings
 
@@ -383,6 +382,32 @@ def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, ge
 
 
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_kernel_weights_resolved_once_per_call(monkeypatch, geometry):
+    # the integrand, the wall scan and the bisection run on the kernel weights that
+    # _integrate_face_energies resolves once, and the closed-form chain on its own one
+    resolved, kernel_weights = [], calculus._kernel_weights
+
+    def counted(*args):
+        resolved.append(args)
+        return kernel_weights(*args)
+
+    monkeypatch.setattr(calculus, "_kernel_weights", counted)
+    surface, weights, geometry, segments = random_segments("torus_grid", (6, 6), geometry, 26)
+    u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
+    sizes = count_evaluations(monkeypatch)
+    calculus._integrate_face_energies(geometry, surface, weights, u0, u1, True)
+    assert len(sizes) > 1
+    assert len(resolved) == 1
+    if geometry is Geometry.EUCLIDEAN:  # tangency packings have a closed form
+        surface, weights, _ = make_setup("torus_grid", (6, 6))
+        us = list(np.random.default_rng(29).normal(0.0, 0.3, (100, 36)))
+        assert calculus._CALL_SIZE // (3 * len(surface.faces)) < len(us)  # several chunks
+        resolved.clear()
+        calculus._potential_chain(surface, weights, geometry, np.zeros(36), np.zeros(36), us)
+        assert len(resolved) == 1
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
 def test_one_piece_segments_do_not_depend_on_their_batch(geometry):
     # with weights that reach no wall (eps = eta = 1) every segment is one piece, short
     # and long ones together in one chunk; each gets the bits it gets alone
@@ -396,9 +421,9 @@ def test_one_piece_segments_do_not_depend_on_their_batch(geometry):
 
 def test_wall_certificate_refuses_a_crossing():
     surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
-    eps, eta = weights.epsilon, weights.eta
+    kernel = _kernel_weights(geometry, weights)
     column = u_from[:, None], (u_to - u_from)[:, None]
-    assert not calculus._clear_of_walls(geometry, surface, eps, eta, *column)
+    assert not calculus._clear_of_walls(geometry, surface, weights, kernel, *column)
 
 
 def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
@@ -409,16 +434,17 @@ def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
     weights, geometry = WeightConfig.uniform(surface, 1, 1.0), Geometry.EUCLIDEAN
     u = np.random.default_rng([1, zlib.crc32(b"flow_smooth")]).normal(0.0, 0.3, 100)
     u_from, u_to = np.zeros(100), u - u.mean()
-    eps, eta = weights.epsilon, weights.eta
+    kernel = _kernel_weights(geometry, weights)
 
     def no_bounds(*args):
         raise AssertionError("the length bounds ran")
 
     monkeypatch.setattr(calculus, "_edge_length_bounds", no_bounds)
     du = u_to - u_from
-    assert calculus._clear_of_walls(geometry, surface, eps, eta, u_from[:, None], du[:, None])
+    certify = functools.partial(calculus._clear_of_walls, geometry, surface, weights, kernel)
+    assert certify(u_from[:, None], du[:, None])
     u0, du = np.stack([u_from] * 2, axis=1), np.stack([du] * 2, axis=1)  # two columns
-    assert calculus._clear_of_walls(geometry, surface, eps, eta, u0, du).tolist() == [True] * 2
+    assert certify(u0, du).tolist() == [True] * 2
     certified = [
         segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
         for extended in (True, False)
@@ -453,12 +479,13 @@ def test_batched_bisection_matches_one_crossing_at_a_time():
     cases = [(surface, weights, geometry, [(u_from, u_to)])]
     cases += [random_segments("torus_grid", (6, 6), geometry, 24) for geometry in Geometry]
     for surface, weights, geometry, segments in cases:
+        kernel = _kernel_weights(geometry, weights)
         for u_from, u_to in segments:
 
             def margins_at(ts):
                 sizes.append(ts.size)
                 columns, seg = (u_from[:, None], (u_to - u_from)[:, None]), np.zeros(ts.size, int)
-                m = calculus._segment_shape(geometry, surface, weights, *columns, ts, seg)
+                m = calculus._segment_shape(geometry, surface, kernel, *columns, ts, seg)
                 return calculus._degeneracy(m[1])[0]
 
             margins = margins_at(grid)
@@ -497,9 +524,9 @@ def test_vertex_scaling_energy_read_bisects_each_segment_at_once(monkeypatch):
     sizes, cuts = [], []
     segment_shape, locate_crossings = calculus._segment_shape, calculus._locate_crossings
 
-    def counting_shape(geometry, mesh, weights, u0, du, ts, seg):
+    def counting_shape(geometry, mesh, kernel, u0, du, ts, seg):
         sizes.append(ts.size)
-        return segment_shape(geometry, mesh, weights, u0, du, ts, seg)
+        return segment_shape(geometry, mesh, kernel, u0, du, ts, seg)
 
     def counting_crossings(*args):
         found = locate_crossings(*args)

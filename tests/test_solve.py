@@ -32,6 +32,7 @@ from dcflow import (
     surface_energies,
 )
 from dcflow import calculus as calculus_module
+from dcflow import flows as flows_module
 from dcflow import geometry as geometry_module
 from dcflow import solve as solve_module
 
@@ -707,7 +708,7 @@ class TestNewtonCG:
     def test_one_kernel_pass_per_curvature_evaluation(self, case, monkeypatch):
         # the Hessians and the certificate's Jacobian are built on the solver's reports
         surface, weights, geometry, target, guess = case()
-        calls = {"curvature": 0, "curvature_jacobian": 0, "_shape": 0}
+        calls = {"_metric": 0, "curvature_jacobian": 0, "_shape": 0}
 
         def count(module, name):
             original = getattr(module, name)
@@ -720,11 +721,32 @@ class TestNewtonCG:
 
         for module in (geometry_module, calculus_module):  # the kernel's first half, anywhere
             count(module, "_shape")
-        count(solve_module, "curvature")
+        count(solve_module, "_metric")
         count(solve_module, "curvature_jacobian")
         report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
         assert calls["curvature_jacobian"] == report.iterations + 1  # the Hessians, the certificate
-        assert calls["_shape"] == calls["curvature"] > report.iterations
+        assert calls["_shape"] == calls["_metric"] > report.iterations
+
+    @pytest.mark.parametrize(
+        "case", [torus_6x6_case, vertex_scaling_6x6_case, hyperbolic_torus_10x10_case],
+        ids=lambda c: c.__name__,
+    )  # fmt: skip
+    def test_kernel_weights_resolved_once_per_solve(self, case, monkeypatch):
+        # the target and the kernel's weights are resolved once, as run_flow resolves them,
+        # and every trial point is a kernel pass on that run: no check per evaluation
+        surface, weights, geometry, target, guess = case()
+        resolved = []
+        for module in (geometry_module, flows_module):
+            original = module._paired_kernel
+
+            def counted(*args, original=original):
+                resolved.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, "_paired_kernel", counted)
+        report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
+        assert report.iterations > 1
+        assert len(resolved) == 1
 
     @pytest.mark.parametrize(
         "case", [torus_6x6_case, hyperbolic_torus_10x10_case], ids=lambda c: c.__name__
@@ -749,13 +771,13 @@ class TestLineSearch:
         # phi' is nondecreasing, so the one-node sum phi'(1) is the largest; a
         # step it accepts costs one curvature evaluation, against two from 2 nodes
         surface, weights, geometry, target, guess = hyperbolic_torus_10x10_case()
-        calls, original = [], solve_module.curvature
+        calls, original = [], solve_module._metric
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(solve_module, "curvature", counting)
+        monkeypatch.setattr(solve_module, "_metric", counting)
         report = solve_prescribed(surface, weights, geometry, target, initial_guess=guess)
         assert report.residual < 1e-10
         assert report.iterations > 1

@@ -163,6 +163,11 @@ def test_open_surface_rejected():
         build_surface(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 
 
+def test_too_few_vertices_rejected():
+    with pytest.raises(BadParameterError, match="^vertex_count=2 is too small$"):
+        build_surface(2, [(0, 1, 2)])
+
+
 def test_repeated_vertex_rejected():
     with pytest.raises(BadFaceError):
         build_surface(4, [(0, 1, 1), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
