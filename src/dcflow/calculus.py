@@ -248,12 +248,10 @@ def _reach_no_wall(weights):
     return np.all(weights.epsilon == 1) and np.all((0.0 <= weights.eta) & (weights.eta <= 1.0))
 
 
-def _clear_of_walls(geometry, mesh, weights, kernel, u0, du):
+def _clear_of_walls(geometry, mesh, kernel, u0, du):
     # True when the length bounds keep every margin on u0 + t du, t in [0, 1], above its
-    # own rounding error, for each column of (V, S) u0 and du (weights that reach no wall
-    # certify every segment without a bound); kernel and ends as in _segment_shape
-    if _reach_no_wall(weights):
-        return np.full(du.shape[1:], True)
+    # own rounding error, for each column of (V, S) u0 and du; kernel and ends as in
+    # _segment_shape
     u_ends = u0[:, None] + np.array([[0.0], [1.0]]) * du[:, None]  # (V, 2, S)
     f_ends = _u_to_f(geometry, kernel[0], u_ends)
     bounds = _edge_length_bounds(geometry, kernel, mesh.edges, f_ends)
@@ -358,8 +356,11 @@ def _integrate_face_energies(geometry, mesh, weights, u0, u1, extended):
     """
     du, kernel, pieces = u1 - u0, _kernel_weights(geometry, weights), []
     moving = np.flatnonzero(np.any(du != 0.0, axis=0))
-    clear = _clear_of_walls(geometry, mesh, weights, kernel, u0[:, moving], du[:, moving])
-    analytic = _reach_no_wall(weights)
+    analytic = _reach_no_wall(weights)  # which certifies every segment without a bound
+    if analytic:
+        clear = np.full(moving.size, True)
+    else:
+        clear = _clear_of_walls(geometry, mesh, kernel, u0[:, moving], du[:, moving])
     for s, certified in zip(moving.tolist(), clear.tolist()):
         cuts = []
         if not certified:

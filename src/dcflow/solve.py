@@ -177,6 +177,8 @@ def solve_prescribed(
     """
     if max_iterations < 0:
         raise BadParameterError("max_iterations must be non-negative")
+    if target is None:  # the spec would read it as the kind's default target
+        raise BadParameterError("target must be a finite per-vertex vector")
     # the spec rejects a tolerance that is not positive (NaN too) and a target that is not a
     # finite vector; _resolve rejects one of the wrong length
     probe = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, geometry, target=target, tolerance=tolerance)

@@ -533,7 +533,7 @@ def test_wall_reachability_blocks_tangency_weights():
 def test_non_obtuse_circle_patterns_reach_no_wall(geometry):
     # eps = 1 at every vertex and every eta in [0, 1]: at 60 digits no margin of a face
     # is non-positive for exponents up to |f| = 30, the premise on which
-    # calculus._clear_of_walls certifies such weights without bounding a length
+    # calculus._integrate_face_energies certifies such weights without bounding a length
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(27)
     corners = np.array([0.0, 1.0, 30.0, -30.0])

@@ -131,7 +131,7 @@ def test_vertex_scaling_energies_match_the_closed_form():
     at_start = vertex_scaling_face_function(surface, weights, u_from)
     for name, u_to in ends.items():
         column = u_from[:, None], (u_to - u_from)[:, None]
-        certified = calculus._clear_of_walls(geometry, surface, weights, kernel, *column)[0]
+        certified = calculus._clear_of_walls(geometry, surface, kernel, *column)[0]
         assert certified == (name == "clear")
         at_end = vertex_scaling_face_function(surface, weights, u_to)
         rise = (u_to - u_from)[surface.faces].sum(axis=1)
@@ -198,7 +198,7 @@ def test_certified_segment_is_one_evaluation(monkeypatch):
     u_to = u_from + rng.normal(0.0, 0.01, surface.vertex_count)
     kernel = _kernel_weights(Geometry.EUCLIDEAN, weights)
     column = u_from[:, None], (u_to - u_from)[:, None]
-    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, weights, kernel, *column)
+    assert calculus._clear_of_walls(Geometry.EUCLIDEAN, surface, kernel, *column)
     sizes = count_evaluations(monkeypatch)
     per_face = segment_face_energies(surface, weights, Geometry.EUCLIDEAN, u_from, u_to)
     assert sizes == [4 + 8]
@@ -220,7 +220,7 @@ def test_wall_crossing_path_batches_each_round(monkeypatch):
     assert np.max(np.abs(ours - oracle)) < QUADRATURE_TOL
 
 
-def never_clear(geometry, mesh, weights, kernel, u0, du):
+def never_clear(geometry, mesh, kernel, u0, du):
     """A wall certificate that refuses every column, so that every segment is scanned."""
     return np.zeros(du.shape[1:], dtype=bool)
 
@@ -257,7 +257,7 @@ def test_wall_certificate_is_sound(monkeypatch, kind, dims, geometry):
     for u_from, u_to in segments:
         du = u_to - u_from
         columns, seg = (u_from[:, None], du[:, None]), np.zeros(grid.size, dtype=int)
-        if calculus._clear_of_walls(geometry, surface, weights, kernel, *columns):
+        if calculus._clear_of_walls(geometry, surface, kernel, *columns):
             certified += 1
             _, m = calculus._segment_shape(geometry, surface, kernel, *columns, grid, seg)
             margins = calculus._degeneracy(m)[0]
@@ -292,7 +292,7 @@ def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
     kernel = _kernel_weights(geometry, weights)
     u0 = np.stack([u_from for u_from, _ in segments], axis=1)
     du = np.stack([u_to for _, u_to in segments], axis=1) - u0
-    certify = functools.partial(calculus._clear_of_walls, geometry, surface, weights, kernel)
+    certify = functools.partial(calculus._clear_of_walls, geometry, surface, kernel)
     batched = certify(u0, du)
     single = [certify(a[:, None], (b - a)[:, None])[0] for a, b in segments]
     assert batched.tolist() == single
@@ -304,9 +304,9 @@ def test_batched_wall_certificate_matches_single_calls(kind, dims, geometry):
 
 
 def test_potential_chain_certifies_in_chunks(monkeypatch):
-    # the quadrature's chain certifies and integrates its segments in chunks whose first
-    # doubling round (4 + 8 nodes a segment) is one integrand evaluation, with the values
-    # of one segment_face_energies call a segment (these weights, eps = eta = 1, give the
+    # the quadrature's chain integrates its segments in chunks whose first doubling round
+    # (4 + 8 nodes a segment) is one integrand evaluation, with the values of one
+    # segment_face_energies call a segment (these weights, eps = eta = 1, give the
     # potential chain a closed form, whose oracle this chain is)
     surface, weights, state = make_setup("torus_grid", (4, 4))
     geometry, base_u = Geometry.EUCLIDEAN, state.u
@@ -320,13 +320,13 @@ def test_potential_chain_certifies_in_chunks(monkeypatch):
         step = 2.0 * np.pi * rise - float(per_face.sum())
         energy = step if energy is None else energy + step
         expected.append(energy - float(target @ (u_to - base_u)))
-    batches, certify = [], calculus._clear_of_walls
+    batches, integrate = [], calculus._integrate_face_energies
 
-    def counting_certify(geometry, mesh, weights, kernel, u0, du):
-        batches.append(du.shape[1:])
-        return certify(geometry, mesh, weights, kernel, u0, du)
+    def counting_integrate(geometry, mesh, weights, u0, u1, extended):
+        batches.append(u0.shape[1:])
+        return integrate(geometry, mesh, weights, u0, u1, extended)
 
-    monkeypatch.setattr(calculus, "_clear_of_walls", counting_certify)
+    monkeypatch.setattr(calculus, "_integrate_face_energies", counting_integrate)
     sizes = count_evaluations(monkeypatch)
     values = calculus._quadrature_chain(surface, weights, geometry, target, base_u, us)
     assert list(values) == expected
@@ -365,7 +365,7 @@ def test_segment_values_do_not_depend_on_their_batch(monkeypatch, kind, dims, ge
     segments.insert(3, (segments[2][0], segments[2][0]))
     u0, u1 = (np.stack(ends, axis=1) for ends in zip(*segments))
     kernel = _kernel_weights(geometry, weights)
-    clear = calculus._clear_of_walls(geometry, surface, weights, kernel, u0, u1 - u0)
+    clear = calculus._clear_of_walls(geometry, surface, kernel, u0, u1 - u0)
     assert 0 < clear.sum() < len(segments) - 1
     cuts, locate_crossings = [], calculus._locate_crossings
 
@@ -423,13 +423,15 @@ def test_wall_certificate_refuses_a_crossing():
     surface, weights, geometry, u_from, u_to, _ = wall_crossing_path()
     kernel = _kernel_weights(geometry, weights)
     column = u_from[:, None], (u_to - u_from)[:, None]
-    assert not calculus._clear_of_walls(geometry, surface, weights, kernel, *column)
+    assert not calculus._clear_of_walls(geometry, surface, kernel, *column)
 
 
 def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
-    # with eps = 1 and every eta in [0, 1] no wall is reachable, so the certificate answers
-    # from the weights alone, with no length bound.  On flow_smooth's long seed-1 start
-    # segment (base -> start) the answer and a forced 65-point scan give the same bits
+    # with eps = 1 and every eta in [0, 1] no wall is reachable, so the integration
+    # certifies every segment from the weights alone, with no length bound and no wall
+    # certificate.  On flow_smooth's long seed-1 start segment (base -> start) the 65-point
+    # scan of an uncertified segment finds every margin positive: it would cut nothing and
+    # raise nothing, so the pieces, and the bits, would be the same
     surface = generate("torus_grid", 10, 10)
     weights, geometry = WeightConfig.uniform(surface, 1, 1.0), Geometry.EUCLIDEAN
     u = np.random.default_rng([1, zlib.crc32(b"flow_smooth")]).normal(0.0, 0.3, 100)
@@ -440,19 +442,16 @@ def test_weights_certify_a_non_obtuse_pattern(monkeypatch):
         raise AssertionError("the length bounds ran")
 
     monkeypatch.setattr(calculus, "_edge_length_bounds", no_bounds)
-    du = u_to - u_from
-    certify = functools.partial(calculus._clear_of_walls, geometry, surface, weights, kernel)
-    assert certify(u_from[:, None], du[:, None])
-    u0, du = np.stack([u_from] * 2, axis=1), np.stack([du] * 2, axis=1)  # two columns
-    assert certify(u0, du).tolist() == [True] * 2
-    certified = [
-        segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
-        for extended in (True, False)
-    ]
-    monkeypatch.setattr(calculus, "_clear_of_walls", never_clear)
-    for extended, energies in zip((True, False), certified):
-        scanned = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
-        assert scanned.tobytes() == energies.tobytes()
+    monkeypatch.setattr(calculus, "_clear_of_walls", no_bounds)
+    u0, u1 = np.stack([u_from] * 2, axis=1), np.stack([u_to] * 2, axis=1)  # two columns
+    for extended in (True, False):
+        alone = segment_face_energies(surface, weights, geometry, u_from, u_to, extended=extended)
+        both = calculus._integrate_face_energies(geometry, surface, weights, u0, u1, extended)
+        assert both[0].tobytes() == both[1].tobytes() == alone.tobytes()
+    grid, seg = np.linspace(0.0, 1.0, 65), np.zeros(65, dtype=int)
+    columns = u_from[:, None], (u_to - u_from)[:, None]
+    _, m = calculus._segment_shape(geometry, surface, kernel, *columns, grid, seg)
+    assert np.all(calculus._degeneracy(m)[0] > 0.0)
 
 
 def one_crossing_at_a_time(margins_at, grid, margins):

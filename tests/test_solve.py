@@ -322,6 +322,12 @@ class TestSolveErrors:
         with pytest.raises(BadParameterError):
             solve_prescribed(surface, weights, Geometry.EUCLIDEAN, target)
 
+    def test_missing_target(self):
+        # a target is required: None is not read as the flows' default target
+        surface, weights = torus_setup()
+        with pytest.raises(BadParameterError, match="target must be a finite per-vertex vector"):
+            solve_prescribed(surface, weights, Geometry.EUCLIDEAN, None)
+
     def test_guess_geometry_mismatch(self):
         surface, weights = torus_setup()
         guess = ConformalState.from_f(
