@@ -38,6 +38,7 @@ from .geometry import (
     _degeneracy,
     _edge_length_bounds,
     _kernel_weights,
+    _margins,
     _metric,
     _paired_kernel,
     _shape,
@@ -255,10 +256,9 @@ def _clear_of_walls(geometry, mesh, kernel, u0, du):
     u_ends = u0[:, None] + np.array([[0.0], [1.0]]) * du[:, None]  # (V, 2, S)
     f_ends = _u_to_f(geometry, kernel[0], u_ends)
     bounds = _edge_length_bounds(geometry, kernel, mesh.edges, f_ends)
-    lo, hi = (b[mesh.face_edges] for b in bounds)
-    margin = lo[:, [1, 2, 0]] + lo[:, [2, 0, 1]] - hi
-    rounding = 8.0 * np.finfo(np.float64).eps * hi.sum(axis=1, keepdims=True)
-    return np.all(margin > rounding, axis=(0, 1))
+    lo, hi = (b.take(mesh._plan.corners, axis=0) for b in bounds)  # rolled, (5, F, S)
+    rounding = 8.0 * np.finfo(np.float64).eps * (hi[0] + hi[1] + hi[2])
+    return np.all(_margins(lo, hi) > rounding, axis=(0, 1))
 
 
 def _locate_crossings(margins_at, grid, margins):

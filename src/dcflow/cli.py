@@ -366,11 +366,11 @@ def dump_document(payload: dict) -> str:
 def _trace_lines(trace: FlowTrace):
     """The lines of ``format_trace``, lazily, once the energies are read and every other
     number is checked finite (energy_H may be nan): a failure writes nothing."""
-    energies = trace.energies
-    for r in trace.rows:
-        if not np.isfinite(np.r_[r.t, r.residual, r.sum_u, r.calabi, r.u, r.curvature]).all():
-            raise MeshDocumentError("cannot serialize a non-finite number")
-    n = len(trace.rows[0].u)
+    energies, rows = trace.energies, trace.rows
+    cells = [(r.t, r.residual, r.sum_u, r.calabi) for r in rows], [(r.u, r.curvature) for r in rows]
+    if not all(np.isfinite(part).all() for part in cells):  # the whole trace at once
+        raise MeshDocumentError("cannot serialize a non-finite number")
+    n = len(rows[0].u)
     header = ["t", "residual", "sum_u", "energy_H", "calabi_C"]
     header += [f"u_{i}" for i in range(n)]
     header += [f"K_{i}" for i in range(n)]
@@ -380,7 +380,7 @@ def _trace_lines(trace: FlowTrace):
         cells = (row.t, row.residual, row.sum_u, energy, row.calabi)
         return row_format % (*cells, *row.u.tolist(), *row.curvature.tolist())
 
-    return chain([",".join(header) + "\n"], map(line, trace.rows, energies))
+    return chain([",".join(header) + "\n"], map(line, rows, energies))
 
 
 def format_trace(trace: FlowTrace) -> str:

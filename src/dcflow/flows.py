@@ -139,6 +139,7 @@ class FlowSpec:
 @dataclass(frozen=True)
 class TargetValidation:
     violations: tuple[str, ...]
+    _target: np.ndarray = field(default=None, compare=False, repr=False)  # read by _resolve
 
     @property
     def ok(self) -> bool:
@@ -244,7 +245,7 @@ def check_target(spec: FlowSpec, surface: TriangulatedSurface) -> TargetValidati
                 f"hyperbolic target sum must exceed 2*pi*chi = {chi_term:.6g}; "
                 f"got {total:.6g}"
             )
-    return TargetValidation(tuple(violations))
+    return TargetValidation(tuple(violations), target)
 
 
 def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig, state) -> tuple:
@@ -256,7 +257,7 @@ def _resolve(spec: FlowSpec, surface: TriangulatedSurface, weights: WeightConfig
     validation = check_target(spec, surface)
     if not validation.ok:
         raise TargetInadmissibleError("; ".join(validation.violations))
-    return resolve_target(spec, surface), _paired_kernel(surface, weights, state)
+    return validation._target, _paired_kernel(surface, weights, state)
 
 
 def _field(spec, surface, weights, state, run, metric=None):

@@ -210,11 +210,9 @@ def base_state(geometry: Geometry, epsilon) -> ConformalState:
 
 
 def _vertex_terms(geometry: Geometry, eps, f):
-    # (x, w) per vertex, gathered per edge: x = e^f, w = eps x^2 (Euclidean) or C (hyperbolic)
+    # (x, w) per vertex: x = e^f, w = eps x^2 (Euclidean) or C = hypot(1, eps x), 1 at a cusp
     x = np.exp(f)
-    if geometry is Geometry.EUCLIDEAN:
-        return x, eps * x**2
-    return x, np.where(eps == 1.0, np.hypot(1.0, x), 1.0)
+    return x, eps * x**2 if geometry is Geometry.EUCLIDEAN else np.hypot(1.0, eps * x)
 
 
 def _kernel_weights(geometry: Geometry, weights: WeightConfig) -> tuple:
@@ -343,16 +341,17 @@ class DegeneracyClass:
         return self.corner is not None
 
 
-def _margins(a: np.ndarray) -> np.ndarray:
+def _margins(a: np.ndarray, opposite: np.ndarray | None = None) -> np.ndarray:
     """Margins m_c = a_{c+1} + a_{c+2} - a_c of the triangle inequalities, shape (3, ...).
 
     ``a`` is rolled: its rows hold the lengths opposite corners 0, 1, 2, 0, 1
     (the plan's ``corners``), so each term is a row window with no copy.
     m_c is the slack of the inequality whose long side faces c.  The margins
-    sum to the perimeter, and at most one of them can be non-positive.
+    sum to the perimeter, and at most one of them can be non-positive.  A rolled
+    ``opposite`` supplies a_c: bounds on the sides give a bound on the margins.
     """
     m = a[1:4] + a[2:5]
-    return np.subtract(m, a[:3], out=m)
+    return np.subtract(m, (a if opposite is None else opposite)[:3], out=m)
 
 
 def _degeneracy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,10 +390,11 @@ def _angles(geometry: Geometry, a: np.ndarray, m: np.ndarray) -> np.ndarray:
     if euclidean:  # r_{c+1} r_{c+2}: row 0, then rows 1 and 2 as r_0 (r_2, r_1)
         np.multiply(r[1], r[2], out=num[0, ...])
         np.multiply(r[0], r[2:0:-1], out=num[1:])
-    else:  # e^{-m_c/2} r_{c+1} r_{c+2}, multiplied in that order
-        for c in range(3):
-            num[c] *= r[(c + 1) % 3]
-            num[c] *= r[(c + 2) % 3]
+    else:  # e^{-m_c/2} r_{c+1} r_{c+2}, multiplied in that order, a row window at a time
+        num[:2] *= r[1:]
+        num[2] *= r[0]
+        num[0] *= r[2]
+        num[1:] *= r[:2]
     half = np.arctan2(num, r, out=num)
     return np.multiply(half, 2.0, out=half)
 

@@ -10,8 +10,8 @@ is no finite descent direction, it is plain gradient descent.  The
 Euclidean H annihilates the all-ones vector, so CG runs on the sum-zero
 subspace and the coordinate sum stays that of the initial guess.  The one
 factorization of a solve is the certificate's: 1/theta for the top
-eigenvalue theta of H^-1 on the sum-zero subspace, by fixed-start Lanczos
-on H factored with vertex 0 pinned (Euclidean), fully reorthogonalised and
+eigenvalue theta of H^-1 on the sum-zero subspace, by fixed-start three-term
+Lanczos (two vectors, no basis) on H factored with vertex 0 pinned (Euclidean),
 stopped once the top Ritz pair's residual is at most CERTIFICATE_TOL * theta.
 
 The line search needs curvature only.  Along a trial step s the
@@ -55,7 +55,7 @@ CG_FLOOR = 1e-3  # CG's absolute residual floor, times the solver tolerance
 CG_ITERATIONS = 1000
 # Lanczos stops at |theta - lambda| <= ||r|| = beta_k |s_k| <= tol * theta
 CERTIFICATE_TOL = 1e-12
-CERTIFICATE_STEPS = 300  # Lanczos steps, each one pinned solve and one basis row
+CERTIFICATE_STEPS = 300  # Lanczos steps, each one pinned solve and O(V) memory
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ class SolveReport:
     ``certificate`` is the smallest eigenvalue of the curvature
     Jacobian at the solution, restricted to the sum-zero subspace for
     Euclidean geometry; positivity certifies local strict convexity
-    and hence local rigidity of the solution.  Lanczos stops within
-    ``CERTIFICATE_TOL`` relative; the roundoff of the pinned solves, about
-    machine epsilon times the condition number of the Jacobian, can be larger
-    (1.5e-12 relative on a flat 100x100 torus).  ``potential_history``
+    and hence local rigidity of the solution.  Three-term Lanczos, in O(V)
+    memory, stops within ``CERTIFICATE_TOL`` relative; the roundoff of the pinned
+    solves, about machine epsilon times the condition number of the Jacobian, can
+    be larger (1.5e-12 relative on a flat 100x100 torus).  ``potential_history``
     holds the potential at the guess and after each accepted step, from
     the base state: in closed form where calculus has one, else chained
     from segment increments.  It is evaluated on first access, which
@@ -108,25 +108,26 @@ def _restricted_smallest_eigenvalue(geometry, matrix):
 
     start = np.random.default_rng(0).uniform(-1.0, 1.0, matrix.shape[0])
     start -= pinned * start.mean()
-    basis = start[np.newaxis] / np.linalg.norm(start)  # a row per step, not 300 x V up front
+    v, previous, beta = start / np.linalg.norm(start), np.zeros_like(start), 0.0
     alphas, betas = [], []
     while len(alphas) < CERTIFICATE_STEPS:
         w = np.zeros_like(start)  # Euclidean: zero row sums make this H^+ on sum zero
-        w[pinned:] = factor.solve(basis[-1, pinned:])
+        w[pinned:] = factor.solve(v[pinned:])
         w -= pinned * w.mean()
-        alphas.append(float(basis[-1] @ w))
-        for _ in range(2):  # full reorthogonalisation; twice is enough
-            w -= basis.T @ (basis @ w)
+        w -= beta * previous
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        w -= pinned * w.mean()  # again: near a breakdown w is rounding, which must stay sum-zero
         beta = float(np.linalg.norm(w))
         ritz, vectors, info = dstev(alphas, betas or [0.0])  # the tridiagonal's, ascending
         if info:
             raise MaxIterationsError(f"the Ritz values of {len(alphas)} steps did not converge")
         converged = beta * abs(vectors[-1, -1]) <= CERTIFICATE_TOL * abs(ritz[-1])
-        # a breakdown (beta = 0) or a basis spanning the subspace makes theta exact
+        # a breakdown (beta = 0) or as many steps as the subspace has dimensions ends it
         if converged or len(alphas) == len(start) - pinned:
             return float(1.0 / ritz[-1])
         betas.append(beta)
-        basis = np.vstack([basis, w / beta])
+        previous, v = v, w / beta
     raise MaxIterationsError(f"the convexity certificate did not converge in {len(alphas)} steps")
 
 
@@ -259,13 +260,11 @@ def solve_prescribed(
             alpha *= 0.5
         if accepted is None:
             raise MaxIterationsError(
-                f"line search stalled at iteration {iteration} "
-                f"(residual {residual:.3e})"
+                f"line search stalled at iteration {iteration} (residual {residual:.3e})"
             )
         state, report = candidate, accepted
         iterates.append(state.u)
 
     raise MaxIterationsError(
-        f"no convergence after {max_iterations} iterations "
-        f"(residual {residual:.3e})"
+        f"no convergence after {max_iterations} iterations (residual {residual:.3e})"
     )

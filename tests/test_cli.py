@@ -209,6 +209,9 @@ class TestDocumentSchema:
         )
         assert dump_document(payload2) == text
 
+    def test_empty_document_is_braces_and_a_newline(self):
+        assert dump_document({}) == "{}\n"
+
 
 class TestTraceFormat:
     def test_columns_and_exact_values(self):

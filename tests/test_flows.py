@@ -45,6 +45,7 @@ from dcflow.geometry import (
     curvature,
     edge_lengths,
 )
+from dcflow.solve import solve_prescribed
 from dcflow.surface import WeightConfig, generate
 
 from conftest import fd_gradient, mismatched_inputs, random_admissible_state
@@ -934,6 +935,8 @@ class TestRunFlow:
         assert len(trace.rows) == len(rows)
         for row, expected in zip(trace.rows, rows):
             assert row == TraceRow(*expected)
+        # __eq__ returns NotImplemented for another type, so == falls back to identity
+        assert (trace.rows[0] == 1) is False and trace.rows[0] != 1
 
     def test_one_step_state_and_pass_per_accepted_step(self, monkeypatch):
         # what the benchmark's tracer counts: run_flow calls flows.step and
@@ -982,6 +985,21 @@ class TestRunFlow:
         spec = FlowSpec(FlowKind.MODIFIED_RICCI, Geometry.EUCLIDEAN, target=np.zeros(4))
         with pytest.raises(TargetInadmissibleError):
             run_flow(spec, surface, weights, state)
+
+    @pytest.mark.parametrize("entry", ["run_flow", "solve_prescribed"])
+    def test_target_resolved_once_per_call(self, entry, monkeypatch):
+        # the admissibility check and the run read one resolved copy of the target
+        surface, weights = torus_setup()
+        u = np.random.default_rng(7).normal(0.0, 0.2, surface.vertex_count)
+        state, target = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u), np.zeros(9)
+        calls, resolve = [], flows.resolve_target
+        monkeypatch.setattr(flows, "resolve_target", lambda *a: calls.append(a) or resolve(*a))
+        if entry == "run_flow":
+            spec = FlowSpec(FlowKind.EXTENDED_MODIFIED_RICCI, Geometry.EUCLIDEAN, target=target)
+            assert run_flow(spec, surface, weights, state).termination is TerminationReason.CONVERGED
+        else:
+            solve_prescribed(surface, weights, Geometry.EUCLIDEAN, target, initial_guess=state)
+        assert len(calls) == 1
 
 
 class TestGradientFlowIdentities:

@@ -262,6 +262,15 @@ def test_the_kernel_enters_its_own_errstate():
             _metric(surface, _kernel_weights(EU, weights), EU, f, False)
 
 
+def test_hyperbolic_length_overflow_names_its_cause():
+    # at uniform f = 400, C_i C_j + eta e^{f_i + f_j} = 2 e^{800} overflows
+    surface = generate("torus_grid", 4, 4)
+    weights = WeightConfig.uniform(surface, 1, 1.0)
+    state = ConformalState.from_f(HY, weights.epsilon, np.full(16, 400.0))
+    with pytest.raises(OverflowRangeError, match="^hyperbolic length overflow$"):
+        curvature(surface, weights, state)
+
+
 def oracle_euclidean_length(eps_i, eps_j, eta, f_i, f_j):
     """The Euclidean length formula evaluated at 60 digits."""
     mp = pytest.importorskip("mpmath")

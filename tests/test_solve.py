@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,18 @@ class TestSolveErrors:
                 max_iterations=1,
             )
 
+    def test_tolerance_below_the_curvature_roundoff_stalls_the_line_search(self):
+        # at residual 1.8e-15 the Armijo bound is below the rounding of phi'(1)
+        surface, weights = torus_setup()
+        u = np.random.default_rng(40).normal(0.0, 0.4, surface.vertex_count)
+        guess = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, u)
+        stalled = r"^line search stalled at iteration 7 \(residual 1\.776e-15\)$"
+        with pytest.raises(MaxIterationsError, match=stalled):
+            solve_prescribed(
+                surface, weights, Geometry.EUCLIDEAN, np.zeros(9), initial_guess=guess,
+                tolerance=1e-16,
+            )  # fmt: skip
+
 
 class TestSolveFlowAgreement:
     def test_solver_matches_extended_flow_limit(self):
@@ -597,6 +610,40 @@ class TestSparseCertificate:
         assert solve_module._restricted_smallest_eigenvalue(state.geometry, jacobian) == certificate
         # on the regular tetrahedron every sum-zero start is an eigenvector: a breakdown
         assert steps == 1 if case is regular_tetrahedron_state else steps > 20
+
+    def test_steps_past_an_exhausted_krylov_space_stay_in_the_spectrum(self, monkeypatch):
+        # The flat 3x3 torus has two distinct eigenvalues on sum zero, so the Krylov space
+        # of any start ends after two steps (beta = 7e-13) and every later Lanczos vector
+        # is made of rounding.  With no stop short of the dimension exit (8 steps) the
+        # recurrence must keep those vectors sum-zero and orthogonal to the first two, or
+        # the top Ritz value leaves the spectrum: projected once a step, the certificate
+        # comes out 18% (after the subtractions) or 53% (before them) low.
+        surface, weights = torus_setup()
+        state = ConformalState(Geometry.EUCLIDEAN, weights.epsilon, np.zeros(9))
+        jacobian = curvature_jacobian(surface, weights, state)
+        monkeypatch.setattr(solve_module, "CERTIFICATE_TOL", 0.0)
+        solves = counting_pinned_solves(monkeypatch)
+        certificate = solve_module._restricted_smallest_eigenvalue(Geometry.EUCLIDEAN, jacobian)
+        assert len(solves) == 8
+        reference = dense_certificate(Geometry.EUCLIDEAN, jacobian)
+        assert abs(certificate - reference) <= 1e-9 * reference
+
+    def test_traced_peak_does_not_grow_with_the_steps(self, monkeypatch):
+        # the recurrence keeps two Lanczos vectors, not a basis of one row per step: at
+        # V = 1600 the peak is 22 V-vectors after 10 steps and after 30 (24 and 65 with a basis)
+        surface = generate("torus_grid", 40, 40)
+        weights = WeightConfig.uniform(surface, 1, 1.0)
+        jacobian = curvature_jacobian(surface, weights, random_euclidean_guess(surface, weights, 55))
+        monkeypatch.setattr(solve_module, "CERTIFICATE_TOL", 0.0)  # run every allowed step
+        peaks = {}
+        for steps in (1, 10, 30):  # one untraced call first, for the imports
+            monkeypatch.setattr(solve_module, "CERTIFICATE_STEPS", steps)
+            tracemalloc.start()
+            with pytest.raises(MaxIterationsError, match="did not converge in"):
+                solve_module._restricted_smallest_eigenvalue(Geometry.EUCLIDEAN, jacobian)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[30] - peaks[10] < 8 * surface.vertex_count
 
 
 class TestSparseNewtonStep:
