@@ -613,7 +613,7 @@ class TestSparseCertificate:
 
     def test_steps_past_an_exhausted_krylov_space_stay_in_the_spectrum(self, monkeypatch):
         # The flat 3x3 torus has two distinct eigenvalues on sum zero, so the Krylov space
-        # of any start ends after two steps (beta = 7e-13) and every later Lanczos vector
+        # of any start ends after two steps (beta = 1.4e-16) and every later Lanczos vector
         # is made of rounding.  With no stop short of the dimension exit (8 steps) the
         # recurrence must keep those vectors sum-zero and orthogonal to the first two, or
         # the top Ritz value leaves the spectrum: projected once a step, the certificate
